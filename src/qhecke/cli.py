@@ -363,9 +363,10 @@ def _factorization_checks(sub) -> list:
             f"{len(adapted)} adapted subsets incl. empty and full",
         )
     )
+    cache = {}
     for J in adapted:
         for K in adapted:
-            results.extend(factorization_check(sub, J, K))
+            results.extend(factorization_check(sub, J, K, cache))
     return results
 
 

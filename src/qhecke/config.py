@@ -66,9 +66,16 @@ def parse_config(text: str) -> Config:
     cfg = Config(group=raw["group"])
 
     for entry in raw.get("torus", []):
+        if not isinstance(entry, dict):
+            raise ParseError(f"torus entry must be an object, got {entry!r}")
         unknown = set(entry) - {"kind", "values"}
         if unknown:
             raise ParseError(f"unknown torus fields {sorted(unknown)}")
+        missing = {"kind", "values"} - set(entry)
+        if missing:
+            raise ParseError(f"torus entry needs fields {sorted(missing)}")
+        if not isinstance(entry["values"], list):
+            raise ParseError(f"torus values must be a list, got {entry['values']!r}")
         cfg.torus.append(
             {"kind": entry["kind"], "values": [_rat(v) for v in entry["values"]]}
         )
@@ -132,12 +139,24 @@ def build_setting(cfg: Config):
         if entry == "positive_roots":
             U_sets.append(datum.positive_roots)
         else:
-            U_sets.append([tuple(int(x) for x in v) for v in entry])
+            U_sets.append(_weights(entry, datum.ambient_rank, "U"))
     V_sets = []
     for entry in cfg.V:
         if entry == "all_roots":
             V_sets.append(datum.roots)
         else:
-            V_sets.append([tuple(int(x) for x in v) for v in entry])
+            V_sets.append(_weights(entry, datum.ambient_rank, "V"))
     data = SpringerData(datum, U_sets, V_sets)
     return datum, sub, table, data
+
+
+def _weights(entry, rank: int, name: str) -> list:
+    """Explicit springer weights as integer tuples of the ambient rank."""
+    out = []
+    for v in entry:
+        if not isinstance(v, (list, tuple)) or len(v) != rank:
+            raise ParseError(
+                f"springer.{name} weight {v!r} must be a list of {rank} integers"
+            )
+        out.append(tuple(int(x) for x in v))
+    return out

@@ -44,11 +44,17 @@ def euler(ms: Counter, nvars: int) -> Poly:
 
 def tangent_n(sub: SubSystem, g: int) -> Counter:
     """Weights of the tangent space at the fixed point of g: the subsystem
-    roots landing in the image of the negatives."""
-    group = sub.group
-    neg_big = sub.datum._negative_set
-    ginv = group.inv(g)
-    return Counter(a for a in sorted(sub.roots) if group.act(ginv, a) in neg_big)
+    roots landing in the image of the negatives.  Computed once per element;
+    every call returns a fresh Counter."""
+    weights = sub._tangent.get(g)
+    if weights is None:
+        group = sub.group
+        neg_big = group.negative
+        pinv = group.perms[group.inv(g)]
+        roots = group.roots
+        weights = tuple(roots[i] for i in sub._root_index if neg_big[pinv[i]])
+        sub._tangent[g] = weights
+    return Counter(weights)
 
 
 def tangent_m(sub: SubSystem, gx: int, gy: int) -> Counter:
@@ -491,9 +497,10 @@ def leading_term_suite(data: SpringerData, sub: SubSystem, table: CosetTable, la
     return results
 
 
-def inversion_additivity_check(datum, group, F, x: int, w: int, s: int) -> bool:
-    """For a stable weight set F and l(sw) = l(w)+1, the x-translate of the
-    cut of sw splits as the s-translate of the cut of w plus the cut of s."""
+def additivity_sides(group, F, w: int, s: int):
+    """The two multisets compared by the cut additivity of (w, s), before
+    translation by x: s(cut(w)) + cut(s) and cut(sw), where
+    cut(y) = F minus y(F).  Needs l(sw) = l(w) + 1."""
     s_elem = group.simple[s]
     sw = group.mul(s_elem, w)
     if group.length(sw) != group.length(w) + 1:
@@ -506,13 +513,24 @@ def inversion_additivity_check(datum, group, F, x: int, w: int, s: int) -> bool:
 
     lhs = Counter()
     for f, mult in cut(w).items():
-        lhs[group.act(x, group.act(s_elem, f))] += mult
-    for f, mult in cut(s_elem).items():
-        lhs[group.act(x, f)] += mult
-    rhs = Counter()
-    for f, mult in cut(sw).items():
-        rhs[group.act(x, f)] += mult
-    return lhs == rhs
+        lhs[group.act(s_elem, f)] += mult
+    lhs.update(cut(s_elem))
+    return lhs, cut(sw)
+
+
+def inversion_additivity_check(datum, group, F, x: int, w: int, s: int, sides=None) -> bool:
+    """For a stable weight set F and l(sw) = l(w)+1, the x-translate of the
+    cut of sw splits as the s-translate of the cut of w plus the cut of s.
+    `sides` is `additivity_sides(group, F, w, s)` when the caller has it."""
+    lhs, rhs = additivity_sides(group, F, w, s) if sides is None else sides
+    act = group.act
+    lhs_x = Counter()
+    for f, mult in lhs.items():
+        lhs_x[act(x, f)] += mult
+    rhs_x = Counter()
+    for f, mult in rhs.items():
+        rhs_x[act(x, f)] += mult
+    return lhs_x == rhs_x
 
 
 def inversion_additivity_suite(datum, group, F) -> list:
@@ -525,9 +543,10 @@ def inversion_additivity_suite(datum, group, F) -> list:
         for w in range(len(group)):
             if group.length(group.mul(s_elem, w)) != group.length(w) + 1:
                 continue
+            sides = additivity_sides(group, F, w, s)
             for x in range(len(group)):
                 count += 1
-                if not inversion_additivity_check(datum, group, F, x, w, s):
+                if not inversion_additivity_check(datum, group, F, x, w, s, sides):
                     ok, bad = False, {
                         "x": group.reduced_word(x),
                         "w": group.reduced_word(w),

@@ -121,6 +121,18 @@ def _perm_matrix(pi, d):
     )
 
 
+def _perm_element(group, pi):
+    """Group index of the coordinate permutation e_a -> e_{pi[a]}, found by
+    the permutation it induces on the roots."""
+    d = len(pi)
+    src = [0] * d
+    for a in range(d):
+        src[pi[a]] = a
+    return group.from_root_images(
+        tuple(r[src[b]] for b in range(d)) for r in group.roots
+    )
+
+
 class QuiverOracle:
     """Quiver Hecke operators rebuilt from quiver combinatorics alone.
 
@@ -221,7 +233,7 @@ def klr_oracle_check(quiver: QuiverSpec) -> list:
     def oracle_as_operator(seq, word) -> TwistedOperator:
         terms = {}
         for (s0, pi), c in oracle.crossing_word(seq, word).items():
-            g = group.index[_perm_matrix(pi, d)]
+            g = _perm_element(group, pi)
             terms[(seq_index[s0], g)] = c
         return TwistedOperator(table, terms)
 

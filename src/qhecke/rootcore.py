@@ -10,9 +10,13 @@ the simple roots, coroots are the Cartan-matrix columns), which keeps every
 reflection an integer matrix uniformly, including F4.  GL-style data uses the
 standard e_a - e_b realization in Z^d.
 
-Elements of the Weyl group are N x N integer matrices; the group object
-enumerates them once (desk scale), caches products and inverses, and orders
-elements canonically by (length, reduced word).
+Elements of the Weyl group are the permutations they induce on the roots;
+the group object enumerates them once (desk scale) by composing the simple
+reflections' permutations, and orders elements canonically by (length,
+reduced word).  Acting on a root, multiplying, lengths, descents and reduced
+words are index lookups.  Integer matrices, which substitution into
+polynomials needs, are built lazily from the reduced word and cached; acting
+on a vector that is not a root goes through the matrix.
 """
 
 from __future__ import annotations
@@ -273,94 +277,136 @@ class RootDatum:
 
 
 class WeylGroup:
-    """Finite Weyl group enumerated as integer matrices, ordered canonically."""
+    """Finite Weyl group acting on the roots by permutations, ordered canonically.
+
+    Element g is stored as the bytes p with datum.roots[p[i]] = g(datum.roots[i])
+    (a faithful action: W fixes the common kernel of the coroots pointwise).
+    Products compose permutations, lengths are breadth-first depths, and
+    integer matrices are built only on request, from the reduced word.
+    """
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
-        n = datum.ambient_rank
-        ident = _identity(n)
-        elems = {ident}
+        roots = datum.roots
+        nroots = len(roots)
+        # a byte holds each root index; every root system with more than 256
+        # roots has more elements than the enumeration bound below (the
+        # largest within it, such as B7 x A1, have about 100 roots)
+        if nroots > 256:
+            raise InvalidRootDatum("more than 256 roots exceeds desk scale")
+        self.roots = roots
+        self.root_index = {r: i for i, r in enumerate(roots)}
+        # negative[i] == 1 iff roots[i] is a negative root
+        self.negative = bytes(r in datum._negative_set for r in roots)
+        self._simple_root_index = tuple(self.root_index[a] for a in datum.simple_roots)
+        pad = bytes(256 - nroots)
+        gens = tuple(self._perm_of(_mat_vec(m, r) for r in roots) for m in datum._simple_refl)
+        ident = bytes(range(nroots))
+        # breadth-first search by right multiplication: depth is length
+        depth = {ident: 0}
+        right = {}
+        found = [ident]
         frontier = [ident]
-        gens = datum._simple_refl
         while frontier:
+            d = depth[frontier[0]] + 1
             new = []
             for g in frontier:
-                for s in gens:
-                    h = _mat_mul(g, s)
-                    if h not in elems:
-                        elems.add(h)
+                table = g + pad
+                row = tuple(s.translate(table) for s in gens)
+                right[g] = row
+                for h in row:
+                    if h not in depth:
+                        depth[h] = d
                         new.append(h)
+            found.extend(new)
             frontier = new
-            if len(elems) > 2000000:
+            if len(depth) > 2000000:
                 raise InvalidRootDatum("Weyl group enumeration exceeded desk scale")
-        pos = datum.positive_roots
-        neg = {tuple(-x for x in r) for r in pos}
+        # reduced word: the reduced word of g s_k followed by k, for the
+        # smallest right descent k (g(alpha_k) negative)
+        words = {ident: ()}
+        neg, simple_idx = self.negative, self._simple_root_index
+        for g in found[1:]:
+            k = next(k for k, i in enumerate(simple_idx) if neg[g[i]])
+            words[g] = words[right[g][k]] + (k,)
 
-        def inv_count(m):
-            return sum(1 for a in pos if _mat_vec(m, a) in neg)
-
-        lengths = {m: inv_count(m) for m in elems}
-        words = {}
-
-        def word_of(m):
-            w = words.get(m)
-            if w is not None:
-                return w
-            out = []
-            cur = m
-            while lengths[cur] > 0:
-                k = next(
-                    k
-                    for k in range(datum.rank)
-                    if _mat_vec(cur, datum.simple_roots[k]) in neg
-                )
-                out.append(k)
-                cur = _mat_mul(cur, gens[k])
-            out.reverse()
-            words[m] = tuple(out)
-            return words[m]
-
-        ordered = sorted(elems, key=lambda m: (lengths[m], word_of(m)))
-        self.elements = tuple(ordered)
-        self.index = {m: i for i, m in enumerate(ordered)}
-        self._length = tuple(lengths[m] for m in ordered)
-        self._word = tuple(word_of(m) for m in ordered)
-        self.identity = self.index[ident]
-        self.simple = tuple(self.index[s] for s in gens)
-        self._mul_cache = {}
-        self._inv_cache = {}
+        ordered = sorted(found, key=lambda g: (depth[g], words[g]))
+        self.perms = tuple(ordered)
+        self._index = {g: i for i, g in enumerate(ordered)}
+        self._tables = tuple(g + pad for g in ordered)
+        self._length = tuple(depth[g] for g in ordered)
+        self._word = tuple(words[g] for g in ordered)
+        self._right = tuple(tuple(self._index[h] for h in right[g]) for g in ordered)
+        self.identity = self._index[ident]
+        self.simple = tuple(self._index[s] for s in gens)
+        self._inv = [None] * len(ordered)
+        self._matrices = [None] * len(ordered)
         self._downset_cache = {}
 
+    def _perm_of(self, images) -> bytes:
+        index = self.root_index
+        try:
+            return bytes(index[tuple(v)] for v in images)
+        except KeyError:
+            raise InvalidRootDatum("map does not permute the roots") from None
+
     def __len__(self):
-        return len(self.elements)
+        return len(self.perms)
+
+    def from_root_images(self, images) -> int:
+        """Index of the element sending datum.roots[i] to images[i]."""
+        return self._index[self._perm_of(images)]
+
+    def reflection(self, root) -> int:
+        """Index of the reflection v -> v - <v, root^vee> root."""
+        root = tuple(root)
+        c = self.datum.coroot(root)
+        return self.from_root_images(
+            tuple(x - _dot(v, c) * y for x, y in zip(v, root)) for v in self.roots
+        )
 
     def matrix(self, g: int):
-        return self.elements[g]
+        """Integer matrix of g: product of simple reflections along its word."""
+        m = self._matrices[g]
+        if m is None:
+            word = self._word[g]
+            if not word:
+                m = _identity(self.datum.ambient_rank)
+            else:
+                k = word[-1]
+                prefix = self._right[g][k]
+                m = _mat_mul(self.matrix(prefix), self.datum._simple_refl[k])
+            self._matrices[g] = m
+        return m
 
     def mul(self, a: int, b: int) -> int:
-        key = (a, b)
-        r = self._mul_cache.get(key)
-        if r is None:
-            r = self.index[_mat_mul(self.elements[a], self.elements[b])]
-            self._mul_cache[key] = r
-        return r
+        return self._index[self.perms[b].translate(self._tables[a])]
 
     def mul_word(self, word) -> int:
         g = self.identity
+        right = self._right
         for k in word:
-            g = self.mul(g, self.simple[k])
+            g = right[g][k]
         return g
 
     def inv(self, a: int) -> int:
-        r = self._inv_cache.get(a)
+        r = self._inv[a]
         if r is None:
-            word = self._word[a]
-            r = self.mul_word(reversed(word))
-            self._inv_cache[a] = r
+            p = self.perms[a]
+            q = bytearray(len(p))
+            for i, j in enumerate(p):
+                q[j] = i
+            r = self._index[bytes(q)]
+            self._inv[a] = r
         return r
 
     def act(self, g: int, vec) -> Vec:
-        return _mat_vec(self.elements[g], tuple(vec))
+        """g applied to vec: a lookup for roots, the matrix for other vectors."""
+        vec = tuple(vec)
+        i = self.root_index.get(vec)
+        if i is None:
+            return _mat_vec(self.matrix(g), vec)
+        return self.roots[self.perms[g][i]]
 
     def length(self, g: int) -> int:
         return self._length[g]
@@ -370,17 +416,16 @@ class WeylGroup:
 
     def descends_right(self, g: int, k: int) -> bool:
         """True iff l(g s_k) < l(g), i.e. g(alpha_k) is negative."""
-        img = self.act(g, self.datum.simple_roots[k])
-        return img in self.datum._negative_set
+        return self.negative[self.perms[g][self._simple_root_index[k]]] == 1
 
     def downset(self, g: int) -> frozenset:
         """All elements below g in Bruhat order (subword property)."""
         ds = self._downset_cache.get(g)
         if ds is None:
             cur = {self.identity}
+            right = self._right
             for k in self._word[g]:
-                s = self.simple[k]
-                cur |= {self.mul(u, s) for u in cur}
+                cur |= {right[u][k] for u in cur}
             ds = frozenset(cur)
             self._downset_cache[g] = ds
         return ds
@@ -395,7 +440,7 @@ class WeylGroup:
         out = []
         for k in range(self.datum.rank):
             if self.descends_right(g, k):
-                prev = self.mul(g, self.simple[k])
+                prev = self._right[g][k]
                 out.extend(w + (k,) for w in self.all_reduced_words(prev))
         return out
 
@@ -411,7 +456,7 @@ class WeylGroup:
 
 
 class WeylElement:
-    """Thin handle on a group element: a matrix plus its enumeration index."""
+    """Thin handle on a group element: its group plus its enumeration index."""
 
     __slots__ = ("group", "idx")
 

@@ -59,9 +59,15 @@ class SubSystem:
         )
         group = datum.weyl()
         self.group = group
-        self._refl = tuple(
-            group.index[datum.reflection_matrix(b)] for b in self.simples
-        )
+        self._refl = tuple(group.reflection(b) for b in self.simples)
+        # the same data by root index, for permutation lookups
+        index = group.root_index
+        self._pos_index = tuple(index[b] for b in self.positives)
+        self._simple_index = tuple(index[b] for b in self.simples)
+        self._neg_simple_index = tuple(index[tuple(-x for x in b)] for b in self.simples)
+        self._root_index = tuple(index[a] for a in sorted(self.roots))
+        self._negative = bytes(r in self.negatives for r in group.roots)
+        self._tangent = {}  # element -> tangent weights, filled by localize.tangent_n
         members = {group.identity}
         frontier = [group.identity]
         while frontier:
@@ -82,8 +88,8 @@ class SubSystem:
 
     def length_in(self, g: int) -> int:
         """Length of g inside W: inversions of Phi^+ (only sensible for g in W)."""
-        group = self.group
-        return sum(1 for b in self.positives if group.act(g, b) in self.negatives)
+        p, neg = self.group.perms[g], self._negative
+        return sum(neg[p[i]] for i in self._pos_index)
 
     def __repr__(self):
         return (
@@ -116,12 +122,9 @@ def member_of_W(sub: SubSystem, g: int) -> bool:
     for _ in range(limit):
         if g == group.identity:
             return True
+        p = group.perms[g]
         k = next(
-            (
-                k
-                for k, b in enumerate(sub.simples)
-                if group.act(g, b) in sub.negatives
-            ),
+            (k for k, i in enumerate(sub._simple_index) if sub._negative[p[i]]),
             None,
         )
         if k is None:
@@ -152,24 +155,27 @@ class CosetTable:
             tuple(self.action[i][k] == i for k in range(rank))
             for i in range(len(reps))
         )
+        fixed = [[] for _ in reps]
+        for g, i in enumerate(self.coset_of):
+            fixed[i].append(g)
+        self._fixed = tuple(map(tuple, fixed))
 
     def _canonicalize(self, g: int) -> int:
         """Replace g by the representative of Wg with Phi cap g(Phi_big^+) = Phi^+."""
         sub, group = self.sub, self.group
-        pos_big = sub.datum._positive_set
-        ginv = group.inv(g)
-        current = {a for a in sub.roots if group.act(ginv, a) in pos_big}
+        neg_big = group.negative
+        pinv = group.perms[group.inv(g)]
+        # root indices of Phi cap g(Phi_big^+)
+        current = {i for i in sub._root_index if not neg_big[pinv[i]]}
         for _ in range(len(sub.positives) + 1):
-            k = next(
-                (k for k, b in enumerate(sub.simples) if tuple(-x for x in b) in current),
-                None,
-            )
+            k = next((k for k, i in enumerate(sub._neg_simple_index) if i in current), None)
             if k is None:
-                if set(sub.positives) != current:
+                if set(sub._pos_index) != current:
                     raise NonCanonicalizable("canonicalization stalled off the positives")
                 return g
             s = sub.reflection(k)
-            current = {group.act(s, a) for a in current}
+            ps = group.perms[s]
+            current = {ps[i] for i in current}
             g = group.mul(s, g)
         raise NonCanonicalizable("canonicalization exceeded the iteration bound")
 
@@ -190,9 +196,9 @@ class CosetTable:
     def stab(self, i: int, k: int) -> bool:
         return self.stab_flags[i][k]
 
-    def fixed_points_of(self, i: int):
+    def fixed_points_of(self, i: int) -> tuple:
         """All group elements in the coset Wx_i, in enumeration order."""
-        return [g for g in range(len(self.group)) if self.coset_of[g] == i]
+        return self._fixed[i]
 
 
 def build_coset_table(sub: SubSystem) -> CosetTable:
@@ -280,26 +286,68 @@ def _w_minimal_reps(sub: SubSystem, L_refl) -> frozenset:
     return frozenset(out)
 
 
-def factorization_check(sub: SubSystem, J, K) -> list:
+@dataclass(frozen=True)
+class ParabolicData:
+    """What the factorization checks need of one subset J of the big simples;
+    shared by every pair (J, K) it occurs in."""
+
+    big_min: frozenset  # minimal representatives of W_big/W_J
+    big_min_inv: frozenset  # their inverses
+    W_min: frozenset  # W-minimal representatives along the reflections in W_J
+    W_min_inv: frozenset
+    parts_outside_W: tuple  # words of w in W with w^J or w_J outside W
+
+
+def parabolic_data(sub: SubSystem, J) -> ParabolicData:
+    """W_J, its minimal coset representatives in W_big and in W, and the
+    factorization parts of every w in W."""
+    group = sub.group
+    J = tuple(sorted(set(J)))
+    WJ = _subgroup_elements(group, (group.simple[k] for k in J))
+    L_refl = tuple(t for t in sub._refl if t in WJ)
+    big_min = _minimal_coset_reps(group, J)
+    W_min = _w_minimal_reps(sub, L_refl)
+    bad = []
+    for w in sorted(sub.members):
+        y = w
+        while True:
+            k = next((k for k in J if group.descends_right(y, k)), None)
+            if k is None:
+                break
+            y = group.mul(y, group.simple[k])
+        wJ = group.mul(group.inv(y), w)
+        if y not in sub.members or wJ not in sub.members:
+            bad.append(group.reduced_word(w))
+    return ParabolicData(
+        big_min,
+        frozenset(map(group.inv, big_min)),
+        W_min,
+        frozenset(map(group.inv, W_min)),
+        tuple(bad),
+    )
+
+
+def factorization_check(sub: SubSystem, J, K, cache=None) -> list:
     """Coset factorizations of W against parabolic data of W_big.
 
     For S-adapted J (and K): minimal coset representatives restrict, the
     two-sided minimal representatives restrict, and the canonical
-    factorization w = w^J w_J of any w in W has both parts in W.
+    factorization w = w^J w_J of any w in W has both parts in W.  `cache`,
+    a dict, keeps each subset's `ParabolicData` across calls.
     """
     group = sub.group
     J = tuple(sorted(set(J)))
     K = tuple(sorted(set(K)))
+    if cache is None:
+        cache = {}
+    for L in (J, K):
+        if L not in cache:
+            cache[L] = parabolic_data(sub, L)
+    pJ, pK = cache[J], cache[K]
     results = []
-    WJ = _subgroup_elements(group, (group.simple[k] for k in J))
-    WK = _subgroup_elements(group, (group.simple[k] for k in K))
-    L_refl = tuple(t for t in sub._refl if t in WJ)
-    M_refl = tuple(t for t in sub._refl if t in WK)
 
-    big_minJ = _minimal_coset_reps(group, J)
-    WL_min = _w_minimal_reps(sub, L_refl)
-    lhs = WL_min
-    rhs = sub.members & big_minJ
+    lhs = pJ.W_min
+    rhs = sub.members & pJ.big_min
     results.append(
         CheckResult(
             "minimal-reps-restrict",
@@ -312,17 +360,7 @@ def factorization_check(sub: SubSystem, J, K) -> list:
         )
     )
 
-    bad = []
-    for w in sorted(sub.members):
-        y = w
-        while True:
-            k = next((k for k in J if group.descends_right(y, k)), None)
-            if k is None:
-                break
-            y = group.mul(y, group.simple[k])
-        wJ = group.mul(group.inv(y), w)
-        if y not in sub.members or wJ not in sub.members:
-            bad.append(group.reduced_word(w))
+    bad = list(pJ.parts_outside_W)
     results.append(
         CheckResult(
             "factorization-parts-in-W",
@@ -332,12 +370,8 @@ def factorization_check(sub: SubSystem, J, K) -> list:
         )
     )
 
-    big_minK = _minimal_coset_reps(group, K)
-    two_sided_big = frozenset(
-        g for g in range(len(group)) if group.inv(g) in big_minJ and g in big_minK
-    )
-    WM_min = _w_minimal_reps(sub, M_refl)
-    two_sided_W = frozenset(g for g in sub.members if group.inv(g) in WL_min and g in WM_min)
+    two_sided_big = pJ.big_min_inv & pK.big_min
+    two_sided_W = sub.members & pJ.W_min_inv & pK.W_min
     lhs2 = two_sided_big & sub.members
     results.append(
         CheckResult(

@@ -235,3 +235,37 @@ class TestPresetDimensionVectorList:
         )
         datum, sub, table, data = build_setting(cfg)
         assert len(table) == 2
+
+
+class TestMalformedConfigAtTheBoundary:
+    """Malformed torus entries and U/V weights of the wrong length are parse
+    errors (exit 2), not tracebacks or silent truncation."""
+
+    def run_check(self, tmp_path, raw):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return run_cli(["check", "--config", str(path), "--checks", "suitability"])
+
+    @pytest.mark.parametrize("entry", [{"kind": "torsion"}, {"values": ["1/2", "0"]}])
+    def test_torus_entry_missing_a_field(self, tmp_path, entry):
+        proc = self.run_check(tmp_path, {"group": "A2", "torus": [entry]})
+        assert proc.returncode == 2
+        assert "error: torus entry needs fields" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        with pytest.raises(ParseError):
+            parse_config(json.dumps({"group": "A2", "torus": [entry]}))
+
+    def test_weight_longer_than_the_ambient_rank(self, tmp_path):
+        raw = {"group": "A2", "springer": {"r": 1, "U": [[[1, 0, 0]]], "V": ["all_roots"]}}
+        proc = self.run_check(tmp_path, raw)
+        assert proc.returncode == 2
+        assert "error: springer.U weight [1, 0, 0] must be a list of 2 integers" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_weight_shorter_than_the_ambient_rank(self, tmp_path):
+        raw = {"group": "A2", "springer": {"r": 1, "U": ["positive_roots"], "V": [[[1]]]}}
+        proc = self.run_check(tmp_path, raw)
+        assert proc.returncode == 2
+        assert "error: springer.V weight [1] must be a list of 2 integers" in proc.stderr
+        with pytest.raises(ParseError):
+            build_setting(parse_config(json.dumps(raw)))

@@ -6,6 +6,7 @@ import pytest
 from qhecke.algebra import ModuleElement, gen_sigma
 from qhecke.errors import ZeroWeight
 from qhecke.localize import (
+    additivity_sides,
     eu_zbar_s,
     eu_zbar_w,
     euler,
@@ -94,6 +95,16 @@ class TestTangent:
         datum, sub, table, data = make_setting("A2")
         negatives = {tuple(-x for x in r) for r in datum.positive_roots}
         assert tangent_n(sub, sub.group.identity) == Counter(negatives)
+
+    def test_cached_values_cannot_be_changed_by_callers(self):
+        datum, sub, table, data = make_setting("A2")
+        g = sub.group.simple[0]
+        first = tangent_n(sub, g)
+        expected = Counter(first)
+        first[(1, 0)] += 5
+        first.clear()
+        assert tangent_n(sub, g) == expected
+        assert tangent_n(sub, g) is not tangent_n(sub, g)
 
     def test_curve_weights(self):
         datum, sub, table, data = make_setting("A2")
@@ -400,3 +411,17 @@ class TestInversionAdditivity:
             inversion_additivity_check(
                 datum, group, datum.positive_roots, 0, group.simple[0], 0
             )
+
+    def test_hoisted_sides_give_the_same_verdicts(self):
+        datum = build_root_datum("A2")
+        group = datum.weyl()
+        for F in (datum.positive_roots, ((1, 1),)):
+            for s in range(datum.rank):
+                for w in range(len(group)):
+                    if group.length(group.mul(group.simple[s], w)) != group.length(w) + 1:
+                        continue
+                    sides = additivity_sides(group, F, w, s)
+                    for x in range(len(group)):
+                        assert inversion_additivity_check(
+                            datum, group, F, x, w, s, sides
+                        ) == inversion_additivity_check(datum, group, F, x, w, s)

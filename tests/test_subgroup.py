@@ -117,16 +117,29 @@ class TestMembership:
             assert member_of_W(sub, g) == (g in expected)
 
 
+COSET_CASES = [
+    ("A2", (Fraction(1, 2), 0)),
+    ("B2", (0, Fraction(1, 2))),
+    ("B3", (Fraction(1, 2), 0, 0)),
+    ("G2", (Fraction(1, 2), 0)),
+]
+
+
 class TestCosetTable:
-    @pytest.mark.parametrize(
-        "label,values",
-        [
-            ("A2", (Fraction(1, 2), 0)),
-            ("B2", (0, Fraction(1, 2))),
-            ("B3", (Fraction(1, 2), 0, 0)),
-            ("G2", (Fraction(1, 2), 0)),
-        ],
-    )
+    @pytest.mark.parametrize("label,values", COSET_CASES)
+    def test_fixed_points_partition_the_group(self, label, values):
+        datum = build_root_datum(label)
+        sub = fixed_subsystem(datum, [TorusConstraint("torsion", values)])
+        table = build_coset_table(sub)
+        seen = []
+        for i in table.indices:
+            fixed = table.fixed_points_of(i)
+            assert isinstance(fixed, tuple)
+            assert list(fixed) == [g for g in range(len(sub.group)) if table.coset_of[g] == i]
+            seen.extend(fixed)
+        assert sorted(seen) == list(range(len(sub.group)))
+
+    @pytest.mark.parametrize("label,values", COSET_CASES)
     def test_canonicity_unique_per_coset(self, label, values):
         datum = build_root_datum(label)
         sub = fixed_subsystem(datum, [TorusConstraint("torsion", values)])
@@ -258,3 +271,21 @@ class TestAdaptedness:
             for K in adapted:
                 for r in factorization_check(sub, J, K):
                     assert r.passed, (label, J, K, r.name, r.counterexample)
+
+    def test_shared_subset_data_gives_the_same_results(self):
+        # every subset, adapted or not, so that some results fail
+        from itertools import combinations
+
+        datum = build_root_datum("B3")
+        sub = fixed_subsystem(datum, [TorusConstraint("torsion", (0, 0, Fraction(1, 2)))])
+        subsets = [J for size in range(4) for J in combinations(range(3), size)]
+        cache = {}
+        verdicts = set()
+        for J in subsets:
+            for K in subsets:
+                shared = factorization_check(sub, J, K, cache)
+                fresh = factorization_check(sub, J, K)
+                assert [r.as_dict() for r in shared] == [r.as_dict() for r in fresh]
+                verdicts.update(r.passed for r in fresh)
+        assert verdicts == {True, False}
+        assert set(cache) == set(subsets)
