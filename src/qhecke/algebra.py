@@ -114,9 +114,6 @@ class TwistedOperator:
                     t[key] = c
         self.terms = t
 
-    def _n(self):
-        return self.table.sub.datum.ambient_rank
-
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
@@ -174,9 +171,6 @@ class TwistedOperator:
 
     def is_zero(self):
         return not self.terms
-
-    def support(self):
-        return sorted(self.terms)
 
     def apply(self, m: ModuleElement) -> ModuleElement:
         """Evaluate on a module element; results must clear denominators."""

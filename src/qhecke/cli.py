@@ -23,9 +23,9 @@ from fractions import Fraction
 from . import algebra, localize, presets, repdata
 from .config import Config, build_setting, emit_config, parse_config
 from .errors import ParseError, QheckeError, UnknownIndex
-from .polyops import Poly, RatFun, coeff_str
+from .polyops import Poly, RatFun, monomials_up_to
 from .report import CheckResult
-from .subgroup import factorization_check, length_comparison_check, s_adapted
+from .subgroup import factorization_check, length_comparison_check, member_of_W, s_adapted
 
 
 class _Tokens:
@@ -138,6 +138,8 @@ def _parse_factor(toks, data, table):
     if toks.peek() == "/":
         toks.take("/")
         den = toks.integer()
+        if den == 0:
+            raise ParseError("zero denominator", toks.pos)
         scalar = Fraction(num, den)
     else:
         scalar = Fraction(num)
@@ -189,23 +191,23 @@ def run_checks(cfg: Config, selected=None) -> list:
     suites["suitability"] = lambda: repdata.validate(
         data, sub, strict=cfg.strict_suitability
     )
-    suites["coset"] = lambda: _coset_checks(sub, table)
+    suites["coset"] = lambda: _coset_checks(table)
     suites["length"] = lambda: length_comparison_check(sub)
     suites["factorization"] = lambda: _factorization_checks(sub)
     suites["fibers"] = lambda: repdata.fiber_split_check(data, table)
     suites["relations"] = lambda: algebra.check_relations(data, table)
     suites["grading"] = lambda: algebra.generator_grading_check(data, table)
-    suites["euler"] = lambda: localize.euler_identities_check(data, sub, table, lam())
+    suites["euler"] = lambda: localize.euler_identities_check(data, table, lam())
     suites["localization"] = lambda: (
-        localize.pathway_agreement_check(data, sub, table, lam())
-        + localize.intertwining_check(data, sub, table, lam())
-        + localize.theta_equivariance_check(data, sub, table, lam())
+        localize.pathway_agreement_check(data, table, lam())
+        + localize.intertwining_check(data, table, lam())
+        + localize.theta_equivariance_check(data, table, lam())
     )
-    suites["leading"] = lambda: localize.leading_term_suite(data, sub, table, lam())
+    suites["leading"] = lambda: localize.leading_term_suite(data, table, lam())
     suites["inversions"] = lambda: (
-        localize.inversion_additivity_suite(datum, sub.group, datum.positive_roots)
+        localize.inversion_additivity_suite(table.group, datum.positive_roots)
         + localize.inversion_additivity_suite(
-            datum, sub.group, tuple(tuple(-x for x in a) for a in datum.positive_roots)
+            table.group, tuple(tuple(-x for x in a) for a in datum.positive_roots)
         )
     )
     suites["integrality"] = lambda: _integrality_checks(data, table, cfg.degree_bound)
@@ -220,19 +222,6 @@ def run_checks(cfg: Config, selected=None) -> list:
         for r in suites[name]():
             results.append(CheckResult(f"{name}:{r.name}", r.passed, r.details, r.counterexample))
     return results
-
-
-def _monomials_up_to(n: int, degree: int):
-    from itertools import combinations_with_replacement
-
-    out = []
-    for d in range(degree + 1):
-        for combo in combinations_with_replacement(range(n), d):
-            e = [0] * n
-            for k in combo:
-                e[k] += 1
-            out.append(tuple(e))
-    return out
 
 
 def _all_generators(data, table):
@@ -256,7 +245,7 @@ def _integrality_checks(data, table, degree_bound: int) -> list:
     from .errors import NonIntegralResult
 
     n = data.datum.ambient_rank
-    monos = _monomials_up_to(n, degree_bound)
+    monos = monomials_up_to(n, degree_bound)
     ok = True
     bad = None
     for name, gen in _all_generators(data, table):
@@ -277,7 +266,7 @@ def _product_checks(data, table, seed: int, degree_bound: int) -> list:
     rng = random.Random(seed)
     gens = _all_generators(data, table)
     n = data.datum.ambient_rank
-    monos = _monomials_up_to(n, min(degree_bound, 2))
+    monos = monomials_up_to(n, min(degree_bound, 2))
     results = []
     ok = True
     bad = None
@@ -294,8 +283,8 @@ def _product_checks(data, table, seed: int, degree_bound: int) -> list:
     return results
 
 
-def _coset_checks(sub, table) -> list:
-    group = sub.group
+def _coset_checks(table) -> list:
+    sub, group = table.sub, table.group
     results = []
     ok = True
     bad = None
@@ -321,8 +310,6 @@ def _coset_checks(sub, table) -> list:
                 conj = group.mul(
                     group.mul(table.reps[i], group.simple[k]), group.inv(table.reps[i])
                 )
-                from .subgroup import member_of_W
-
                 if not member_of_W(sub, conj) or conj not in sub.members:
                     ok, bad = False, {"i": i, "k": k}
     results.append(CheckResult("action-and-stabilizers", ok, "", bad))
@@ -464,11 +451,11 @@ def cmd_localize(cfg: Config) -> dict:
     out = {"generators": {}, "checks": []}
     for i in table.indices:
         for s in range(datum.rank):
-            mat = localize.localize_sigma(data, sub, table, lambdas, i, s)
+            mat = localize.localize_sigma(data, table, i, s)
             out["generators"][f"sigma({i},{s})"] = _fp_matrix_json(mat, group)
-    for r in localize.pathway_agreement_check(data, sub, table, lambdas):
+    for r in localize.pathway_agreement_check(data, table, lambdas):
         out["checks"].append(r.as_dict())
-    for r in localize.intertwining_check(data, sub, table, lambdas):
+    for r in localize.intertwining_check(data, table, lambdas):
         out["checks"].append(r.as_dict())
     return out
 
@@ -485,7 +472,7 @@ def cmd_euler(cfg: Config) -> dict:
     for g in range(len(group)):
         i = table.coset_of[g]
         for s in range(datum.rank):
-            value = localize.eu_zbar_s(data, sub, table, g, s)
+            value = localize.eu_zbar_s(data, table, g, s)
             out["crossing_cells"].append(
                 {
                     "word": list(group.reduced_word(g)),
@@ -506,11 +493,27 @@ def cmd_preset(name: str, quiver_json: str | None) -> Config:
         if not quiver_json:
             raise ParseError("klr preset needs --quiver")
         raw = json.loads(quiver_json)
+        if not isinstance(raw, dict):
+            raise ParseError("quiver must be a JSON object")
         unknown = set(raw) - {"vertices", "arrows", "dimension"}
         if unknown:
             raise ParseError(f"unknown quiver fields {sorted(unknown)}")
-        vertices = tuple(raw["vertices"])
-        dims_raw = raw["dimension"]
+        missing = {"vertices", "arrows", "dimension"} - set(raw)
+        if missing:
+            raise ParseError(f"quiver needs fields {sorted(missing)}")
+        vertices, arrows, dims_raw = raw["vertices"], raw["arrows"], raw["dimension"]
+        if not isinstance(vertices, list) or not all(isinstance(v, (str, int)) for v in vertices):
+            raise ParseError(f"quiver vertices must be a list of names, got {vertices!r}")
+        if not isinstance(arrows, list) or not all(
+            isinstance(a, list) and len(a) == 2 for a in arrows
+        ):
+            raise ParseError(f"quiver arrows must be a list of pairs, got {arrows!r}")
+        dims = dims_raw.values() if isinstance(dims_raw, dict) else dims_raw
+        if not isinstance(dims_raw, (dict, list)) or not all(
+            isinstance(v, (str, int)) for v in dims
+        ):
+            raise ParseError(f"quiver dimension must be an object or a list, got {dims_raw!r}")
+        vertices = tuple(vertices)
         if isinstance(dims_raw, dict):
             # JSON keys are strings; map them back onto the vertex objects
             by_name = {str(v): v for v in vertices}
@@ -523,7 +526,7 @@ def cmd_preset(name: str, quiver_json: str | None) -> Config:
             dimension = {q: int(v) for q, v in zip(vertices, dims_raw)}
         quiver = presets.QuiverSpec(
             vertices=vertices,
-            arrows=tuple(tuple(a) for a in raw["arrows"]),
+            arrows=tuple(tuple(a) for a in arrows),
             dimension=dimension,
         )
         return presets.preset_klr(quiver)

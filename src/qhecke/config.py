@@ -103,6 +103,10 @@ def parse_config(text: str) -> Config:
     cfg.strict_suitability = bool(options.get("strict_suitability", False))
     cfg.degree_bound = int(options.get("degree_bound", 4))
     cfg.checks = options.get("checks")
+    if cfg.checks is not None and not (
+        isinstance(cfg.checks, list) and all(isinstance(c, str) for c in cfg.checks)
+    ):
+        raise ParseError(f"options.checks must be a list of suite names, got {cfg.checks!r}")
     cfg.seed = int(options.get("seed", 0))
     return cfg
 

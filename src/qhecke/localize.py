@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import ZeroEulerClass, ZeroWeight
-from .polyops import Poly, RatFun
+from .polyops import Poly, RatFun, monomials_up_to
 from .repdata import SpringerData, fiber_pair_weights, fiber_weights, h_count, q_poly
 from .report import CheckResult
 from .subgroup import CosetTable, SubSystem
@@ -102,10 +102,10 @@ def eu_zbar_w(data: SpringerData, sub: SubSystem, gx: int, w: int) -> Poly:
     return euler(ms, data.datum.ambient_rank)
 
 
-def eu_zbar_s(data: SpringerData, sub: SubSystem, table: CosetTable, gx: int, s: int, diagonal: bool = False):
+def eu_zbar_s(data: SpringerData, table: CosetTable, gx: int, s: int, diagonal: bool = False):
     """Euler class of the crossing cell at (x, xs) (or at (x, x) for the
     diagonal entry on stabilized cosets, which is minus the off entry)."""
-    value = eu_zbar_w(data, sub, gx, sub.group.simple[s])
+    value = eu_zbar_w(data, table.sub, gx, table.group.simple[s])
     if diagonal:
         i = table.coset_of[gx]
         if not table.stab(i, s):
@@ -114,10 +114,10 @@ def eu_zbar_s(data: SpringerData, sub: SubSystem, table: CosetTable, gx: int, s:
     return value
 
 
-def theta(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas, m: ModuleElement) -> dict:
+def theta(table: CosetTable, lambdas, m: ModuleElement) -> dict:
     """Localization of a module element: coefficient w(c)/Lambda_w at each
     fixed point of the coset carrying the component."""
-    group = sub.group
+    group = table.group
     out = {}
     for i, f in m.components.items():
         for g in table.fixed_points_of(i):
@@ -175,7 +175,7 @@ def fp_identity(table: CosetTable, lambdas) -> dict:
     }
 
 
-def localize_unit(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas, i: int) -> dict:
+def localize_unit(data: SpringerData, table: CosetTable, lambdas, i: int) -> dict:
     n = data.datum.ambient_rank
     return {
         (g, g): RatFun(Poly.const(n, 1), lambdas[g])
@@ -183,9 +183,9 @@ def localize_unit(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas
     }
 
 
-def localize_var(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas, i: int, t: int) -> dict:
+def localize_var(data: SpringerData, table: CosetTable, lambdas, i: int, t: int) -> dict:
     n = data.datum.ambient_rank
-    group = sub.group
+    group = table.group
     out = {}
     for g in table.fixed_points_of(i):
         num = Poly.variable(n, t).substitute_linear(group.matrix(g))
@@ -195,10 +195,10 @@ def localize_var(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas,
     return out
 
 
-def localize_sigma(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas, i: int, s: int) -> dict:
+def localize_sigma(data: SpringerData, table: CosetTable, i: int, s: int) -> dict:
     """Multiplicity-formula matrix of a crossing generator: inverse Euler
     classes of the crossing cell at every fixed-point pair it touches."""
-    group = sub.group
+    group = table.group
     n = data.datum.ambient_rank
     one = Poly.const(n, 1)
     stab = table.stab(i, s)
@@ -206,7 +206,7 @@ def localize_sigma(data: SpringerData, sub: SubSystem, table: CosetTable, lambda
     out = {}
     for g in table.fixed_points_of(i):
         gs = group.mul(g, s_elem)
-        off = eu_zbar_s(data, sub, table, g, s)
+        off = eu_zbar_s(data, table, g, s)
         if off.is_zero():
             raise ZeroEulerClass(f"crossing cell Euler class vanishes at ({g},{gs})")
         out[(g, gs)] = RatFun(one, off)
@@ -215,10 +215,10 @@ def localize_sigma(data: SpringerData, sub: SubSystem, table: CosetTable, lambda
     return out
 
 
-def localize_op(sub: SubSystem, table: CosetTable, lambdas, op: TwistedOperator) -> dict:
+def localize_op(table: CosetTable, lambdas, op: TwistedOperator) -> dict:
     """Translate a twisted operator into the fixed-point matrix compatible
     with localization of module elements: entry u(c)/Lambda_u at (u, uw)."""
-    group = sub.group
+    group = table.group
     out: dict[tuple, RatFun] = {}
     for (i, w), c in op.terms.items():
         for u in table.fixed_points_of(i):
@@ -234,7 +234,7 @@ def localize_op(sub: SubSystem, table: CosetTable, lambdas, op: TwistedOperator)
     return out
 
 
-def pathway_agreement_check(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas) -> list:
+def pathway_agreement_check(data: SpringerData, table: CosetTable, lambdas) -> list:
     """Operator translation vs multiplicity formula, entry by entry, for
     every generator."""
     from .algebra import gen_unit, gen_var
@@ -242,18 +242,18 @@ def pathway_agreement_check(data: SpringerData, sub: SubSystem, table: CosetTabl
     results = []
     n = data.datum.ambient_rank
     for i in table.indices:
-        geo = localize_unit(data, sub, table, lambdas, i)
-        alg = localize_op(sub, table, lambdas, gen_unit(table, i))
+        geo = localize_unit(data, table, lambdas, i)
+        alg = localize_op(table, lambdas, gen_unit(table, i))
         ok = _fp_equal(geo, alg)
         results.append(CheckResult(f"pathway-unit(i={i})", ok))
         for t in range(n):
-            geo = localize_var(data, sub, table, lambdas, i, t)
-            alg = localize_op(sub, table, lambdas, gen_var(table, i, t))
+            geo = localize_var(data, table, lambdas, i, t)
+            alg = localize_op(table, lambdas, gen_var(table, i, t))
             ok = _fp_equal(geo, alg)
             results.append(CheckResult(f"pathway-var(i={i},t={t})", ok))
         for s in range(data.datum.rank):
-            geo = localize_sigma(data, sub, table, lambdas, i, s)
-            alg = localize_op(sub, table, lambdas, gen_sigma(data, table, i, s))
+            geo = localize_sigma(data, table, i, s)
+            alg = localize_op(table, lambdas, gen_sigma(data, table, i, s))
             ok = _fp_equal(geo, alg)
             results.append(CheckResult(f"pathway-crossing(i={i},s={s})", ok))
     return results
@@ -265,82 +265,55 @@ def _fp_equal(A: dict, B: dict) -> bool:
     return all(A[k] == B[k] for k in A)
 
 
-def intertwining_check(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas, degree: int = 3) -> list:
+def intertwining_check(data: SpringerData, table: CosetTable, lambdas, degree: int = 3) -> list:
     """The localization map intertwines crossing generators with their
     fixed-point matrices on all monomials up to the given degree."""
-    from itertools import combinations_with_replacement
-
     n = data.datum.ambient_rank
     results = []
-    monomials = []
-    for d in range(degree + 1):
-        for combo in combinations_with_replacement(range(n), d):
-            e = [0] * n
-            for k in combo:
-                e[k] += 1
-            monomials.append(tuple(e))
+    monomials = monomials_up_to(n, degree)
     for i in table.indices:
         for s in range(data.datum.rank):
-            mat = localize_sigma(data, sub, table, lambdas, i, s)
+            mat = localize_sigma(data, table, i, s)
             sig = gen_sigma(data, table, i, s)
             src = table.act(i, s)
             ok = True
             bad = None
             for e in monomials:
                 f = ModuleElement.monomial(n, src, e)
-                lhs = fp_apply(mat, theta(data, sub, table, lambdas, f), lambdas)
-                rhs = theta(data, sub, table, lambdas, sig.apply(f))
-                if not _fp_vec_equal(lhs, rhs):
+                lhs = fp_apply(mat, theta(table, lambdas, f), lambdas)
+                rhs = theta(table, lambdas, sig.apply(f))
+                if not _fp_equal(lhs, rhs):
                     ok, bad = False, {"i": i, "s": s, "monomial": e}
                     break
             results.append(CheckResult(f"intertwine(i={i},s={s})", ok, "", bad))
     return results
 
 
-def _fp_vec_equal(a: dict, b: dict) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(a[k] == b[k] for k in a)
-
-
-def theta_injectivity_check(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas, degree: int = 3) -> list:
+def theta_injectivity_check(data: SpringerData, table: CosetTable, lambdas, degree: int = 3) -> list:
     """Distinct monomials of bounded degree have distinct localizations."""
-    from itertools import combinations_with_replacement
-
     n = data.datum.ambient_rank
+    monomials = monomials_up_to(n, degree)
     images = []
     for i in table.indices:
-        for d in range(degree + 1):
-            for combo in combinations_with_replacement(range(n), d):
-                e = [0] * n
-                for k in combo:
-                    e[k] += 1
-                m = ModuleElement.monomial(n, i, tuple(e))
-                images.append(((i, tuple(e)), theta(data, sub, table, lambdas, m)))
+        for e in monomials:
+            m = ModuleElement.monomial(n, i, e)
+            images.append(((i, e), theta(table, lambdas, m)))
     ok = True
     bad = None
     for a in range(len(images)):
         for b in range(a + 1, len(images)):
-            if _fp_vec_equal(images[a][1], images[b][1]):
+            if _fp_equal(images[a][1], images[b][1]):
                 ok, bad = False, {"first": images[a][0], "second": images[b][0]}
     return [CheckResult("localization-injective", ok, f"{len(images)} monomials", bad)]
 
 
-def theta_equivariance_check(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas, degree: int = 3) -> list:
+def theta_equivariance_check(data: SpringerData, table: CosetTable, lambdas, degree: int = 3) -> list:
     """Group-equivariance of localization in the rescaled basis: the
     normalized coefficient of w(c) at x equals that of c at xw."""
-    from itertools import combinations_with_replacement
-
     n = data.datum.ambient_rank
-    group = sub.group
+    group = table.group
     results = []
-    monomials = []
-    for d in range(degree + 1):
-        for combo in combinations_with_replacement(range(n), d):
-            e = [0] * n
-            for k in combo:
-                e[k] += 1
-            monomials.append(tuple(e))
+    monomials = monomials_up_to(n, degree)
     for k in range(data.datum.rank):
         w = group.simple[k]
         ok = True
@@ -348,8 +321,8 @@ def theta_equivariance_check(data: SpringerData, sub: SubSystem, table: CosetTab
         for i in table.indices:
             for e in monomials:
                 c = ModuleElement.monomial(n, i, e)
-                lhs = theta(data, sub, table, lambdas, module_act(table, w, c))
-                rhs = theta(data, sub, table, lambdas, c)
+                lhs = theta(table, lambdas, module_act(table, w, c))
+                rhs = theta(table, lambdas, c)
                 lhs_n = {x: v * RatFun(lambdas[x]) for x, v in lhs.items()}
                 rhs_n = {
                     group.mul(x, group.inv(w)): v * RatFun(lambdas[x])
@@ -357,15 +330,15 @@ def theta_equivariance_check(data: SpringerData, sub: SubSystem, table: CosetTab
                 }
                 lhs_n = {x: v for x, v in lhs_n.items() if v}
                 rhs_n = {x: v for x, v in rhs_n.items() if v}
-                if not _fp_vec_equal(lhs_n, rhs_n):
+                if not _fp_equal(lhs_n, rhs_n):
                     ok, bad = False, {"i": i, "monomial": e, "simple": k}
         results.append(CheckResult(f"equivariance(s={k})", ok, "", bad))
     return results
 
 
-def euler_identities_check(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas) -> list:
+def euler_identities_check(data: SpringerData, table: CosetTable, lambdas) -> list:
     """Sign law, power forms, curve Euler classes and duality, exhaustively."""
-    group = sub.group
+    sub, group = table.sub, table.group
     datum = data.datum
     n = datum.ambient_rank
     results = []
@@ -422,7 +395,7 @@ def euler_identities_check(data: SpringerData, sub: SubSystem, table: CosetTable
             for s in range(datum.rank):
                 h = h_count(data, table, i, s)
                 alpha_img = RatFun(Poly.linear(group.act(g, datum.simple_roots[s])))
-                value = RatFun(eu_zbar_s(data, sub, table, g, s))
+                value = RatFun(eu_zbar_s(data, table, g, s))
                 lam = RatFun(lambdas[g])
                 want = lam * alpha_img ** ((1 - h) if table.stab(i, s) else -h)
                 if value != want:
@@ -443,10 +416,10 @@ def euler_identities_check(data: SpringerData, sub: SubSystem, table: CosetTable
     return results
 
 
-def leading_term_check(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas, s: int, w: int) -> CheckResult:
+def leading_term_check(data: SpringerData, table: CosetTable, lambdas, s: int, w: int) -> CheckResult:
     """Composition of crossing-cell classes matches the longer cell at all
     leading pairs (u, u*sw); needs l(sw) = l(w) + 1."""
-    group = sub.group
+    sub, group = table.sub, table.group
     s_elem = group.simple[s]
     sw = group.mul(s_elem, w)
     if group.length(sw) != group.length(w) + 1:
@@ -472,7 +445,7 @@ def leading_term_check(data: SpringerData, sub: SubSystem, table: CosetTable, la
     )
 
 
-def leading_term_suite(data: SpringerData, sub: SubSystem, table: CosetTable, lambdas) -> list:
+def leading_term_suite(data: SpringerData, table: CosetTable, lambdas) -> list:
     """All length-additive pairs (s, w), for positive-system twisting data.
 
     The multiplicativity rests on cut additivity of the twisting weight sets,
@@ -487,13 +460,13 @@ def leading_term_suite(data: SpringerData, sub: SubSystem, table: CosetTable, la
                 "skipped: asserted for positive-system twisting data only",
             )
         ]
-    group = sub.group
+    group = table.group
     results = []
     for s in range(data.datum.rank):
         s_elem = group.simple[s]
         for w in range(len(group)):
             if group.length(group.mul(s_elem, w)) == group.length(w) + 1:
-                results.append(leading_term_check(data, sub, table, lambdas, s, w))
+                results.append(leading_term_check(data, table, lambdas, s, w))
     return results
 
 
@@ -518,7 +491,7 @@ def additivity_sides(group, F, w: int, s: int):
     return lhs, cut(sw)
 
 
-def inversion_additivity_check(datum, group, F, x: int, w: int, s: int, sides=None) -> bool:
+def inversion_additivity_check(group, F, x: int, w: int, s: int, sides=None) -> bool:
     """For a stable weight set F and l(sw) = l(w)+1, the x-translate of the
     cut of sw splits as the s-translate of the cut of w plus the cut of s.
     `sides` is `additivity_sides(group, F, w, s)` when the caller has it."""
@@ -533,12 +506,12 @@ def inversion_additivity_check(datum, group, F, x: int, w: int, s: int, sides=No
     return lhs_x == rhs_x
 
 
-def inversion_additivity_suite(datum, group, F) -> list:
+def inversion_additivity_suite(group, F) -> list:
     """Exhaustive over all (x, w, s) with additive lengths."""
     ok = True
     bad = None
     count = 0
-    for s in range(datum.rank):
+    for s in range(group.datum.rank):
         s_elem = group.simple[s]
         for w in range(len(group)):
             if group.length(group.mul(s_elem, w)) != group.length(w) + 1:
@@ -546,7 +519,7 @@ def inversion_additivity_suite(datum, group, F) -> list:
             sides = additivity_sides(group, F, w, s)
             for x in range(len(group)):
                 count += 1
-                if not inversion_additivity_check(datum, group, F, x, w, s, sides):
+                if not inversion_additivity_check(group, F, x, w, s, sides):
                     ok, bad = False, {
                         "x": group.reduced_word(x),
                         "w": group.reduced_word(w),

@@ -15,11 +15,11 @@ Grading convention: a linear form has artifact degree 2 (degrees are doubled);
 
 from __future__ import annotations
 
-import math
 import os
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from .errors import DivisionByZeroDenominator, InternalDivisibilityFailure
+from .errors import DivisionByZeroDenominator, InternalDivisibilityFailure, ParseError
 
 if os.environ.get("QHECKE_PURE"):
     from . import _kernel_py as _k
@@ -177,23 +177,6 @@ class Poly:
         degs = {sum(e) for e in self.d}
         return len(degs) == 1
 
-    def content_primitive(self):
-        """(content, primitive): rational content and the primitive part."""
-        if not self.d:
-            return Fraction(0), self
-        items = sorted(self.d.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        fracs = [Fraction(c) for _, c in items]
-        num = 0
-        den = 1
-        for f in fracs:
-            num = math.gcd(num, f.numerator)
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        content = Fraction(num, den)
-        if fracs[-1] < 0:
-            content = -content
-        prim = Poly(self.n, {e: _k.norm_coeff(Fraction(c) / content) for e, c in self.d.items()})
-        return content, prim
-
     def to_pairs(self):
         """Canonical serialization: graded-lex sorted (exponents, "p/q")."""
         items = sorted(self.d.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -201,11 +184,32 @@ class Poly:
 
     @classmethod
     def from_pairs(cls, n, pairs) -> "Poly":
+        """Parse outside input: a list of [exponents, coefficient] pairs, each
+        exponent list n non-negative integers, each coefficient an integer or
+        a "p/q" string.  Anything else raises ParseError."""
+        if not isinstance(pairs, list):
+            raise ParseError(f"polynomial must be a list of pairs, got {pairs!r}")
         d = {}
-        for e, c in pairs:
-            c = _coeff(c)
+        for pair in pairs:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(
+                    f"polynomial term {pair!r} is not an [exponents, coefficient] pair"
+                )
+            e, c = pair
+            if not (
+                isinstance(e, list)
+                and len(e) == n
+                and all(type(x) is int and x >= 0 for x in e)
+            ):
+                raise ParseError(
+                    f"exponents {e!r} must be a list of {n} non-negative integers"
+                )
+            try:
+                c = _coeff(c)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad coefficient {c!r}") from exc
             if c:
-                d[tuple(int(x) for x in e)] = c
+                d[tuple(e)] = c
         return cls(n, d)
 
     def __repr__(self):
@@ -336,25 +340,23 @@ class RatFun:
     def artifact_degree(self) -> int:
         return 2 * self.degree()
 
-    def display(self) -> str:
-        """Content-stripped display form (display only; values stay unreduced)."""
-        if self.is_zero():
-            return "0"
-        cn, pn = self.num.content_primitive()
-        cd, pd = self.den.content_primitive()
-        scale = coeff_str(cn / cd)
-        if pd == Poly.const(pd.n, 1):
-            return f"{scale} * {pn!r}"
-        return f"{scale} * ({pn!r}) / ({pd!r})"
-
     def __repr__(self):
         if self.den.is_constant() and self.den.constant_value() == 1:
             return f"RatFun({self.num!r})"
         return f"RatFun({self.num!r} / {self.den!r})"
 
 
-def weyl_poly_action(matrix, f: Poly) -> Poly:
-    return f.substitute_linear(matrix)
+def monomials_up_to(n: int, degree: int) -> list:
+    """Exponent tuples of every monomial in n variables of total degree at
+    most `degree`, by degree, then in combinations_with_replacement order."""
+    out = []
+    for d in range(degree + 1):
+        for combo in combinations_with_replacement(range(n), d):
+            e = [0] * n
+            for k in combo:
+                e[k] += 1
+            out.append(tuple(e))
+    return out
 
 
 def demazure(datum, k: int, f: Poly) -> Poly:

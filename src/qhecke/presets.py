@@ -159,9 +159,7 @@ class QuiverOracle:
         list of (target_seq, coefficient, permutation-as-tuple)."""
         d = self.d
         ident = tuple(range(d))
-        tau = list(ident)
-        tau[k], tau[k + 1] = tau[k + 1], tau[k]
-        tau = tuple(tau)
+        tau = tau_of(k, d)
         y = [0] * d
         y[k], y[k + 1] = 1, -1
         alpha = Poly.linear(tuple(y))

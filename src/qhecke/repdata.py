@@ -79,8 +79,7 @@ def validate(data: SpringerData, sub: SubSystem, strict: bool = False) -> list:
             )
         )
         for s_idx in range(datum.rank):
-            mat = datum.simple_reflection_matrix(s_idx)
-            sU = frozenset(tuple(sum(row[j] * a[j] for j in range(len(a))) for row in mat) for a in U)
+            sU = frozenset(group.act(group.simple[s_idx], a) for a in U)
             inter = U & sU
             bad = closed_under(pos, inter)
             results.append(
@@ -154,13 +153,12 @@ def q_poly(data: SpringerData, table: CosetTable, i: int, s: int) -> Poly:
     alpha in U_k with s(alpha) outside U_k and x_i(alpha) in V_k."""
     datum = data.datum
     group = table.group
-    mat = datum.simple_reflection_matrix(s)
+    s_elem = group.simple[s]
     x = table.rep(i)
     out = Poly.const(datum.ambient_rank, 1)
     for U, V in zip(data.U_sets, data.V_sets):
         for a in sorted(U):
-            sa = tuple(sum(row[j] * a[j] for j in range(len(a))) for row in mat)
-            if sa in U:
+            if group.act(s_elem, a) in U:
                 continue
             if group.act(x, a) in V:
                 out = out * Poly.linear(a)
@@ -207,13 +205,11 @@ def fiber_split_check(data: SpringerData, table: CosetTable) -> list:
             xs = group.mul(x, group.simple[s])
             lhs = fiber_weights(data, group, x)
             rhs = fiber_pair_weights(data, group, x, xs)
-            mat = datum.simple_reflection_matrix(s)
             expected = Counter()
             for U, V in zip(data.U_sets, data.V_sets):
                 for a in U:
-                    sa = tuple(sum(row[j] * a[j] for j in range(len(a))) for row in mat)
                     xa = group.act(x, a)
-                    if sa not in U and xa in V:
+                    if group.act(group.simple[s], a) not in U and xa in V:
                         expected[xa] += 1
             ok = lhs - rhs == expected and rhs - lhs == Counter()
             if ok and data.borel_flag:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -22,20 +22,3 @@ class CheckResult:
             out["counterexample"] = self.counterexample
         return out
 
-
-@dataclass
-class Report:
-    results: list = field(default_factory=list)
-
-    def add(self, name, passed, details="", counterexample=None):
-        self.results.append(CheckResult(name, passed, details, counterexample))
-
-    def extend(self, results):
-        self.results.extend(results)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def failures(self):
-        return [r for r in self.results if not r.passed]

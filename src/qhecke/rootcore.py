@@ -28,13 +28,6 @@ from .errors import InvalidRootDatum
 Vec = tuple
 
 # Cartan matrices C[i][j] = <alpha_i, alpha_j^vee>, Bourbaki numbering.
-_CARTAN_BUILDERS = {}
-
-
-def _register(prefix, builder):
-    _CARTAN_BUILDERS[prefix] = builder
-
-
 def _cartan_a(n):
     C = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -85,10 +78,12 @@ def _cartan_f4():
     ]
 
 
-_register("A", (_cartan_a, range(1, 5)))
-_register("B", (_cartan_b, range(2, 5)))
-_register("C", (_cartan_c, range(2, 5)))
-_register("D", (_cartan_d, range(2, 5)))
+_CARTAN_BUILDERS = {
+    "A": (_cartan_a, range(1, 5)),
+    "B": (_cartan_b, range(2, 5)),
+    "C": (_cartan_c, range(2, 5)),
+    "D": (_cartan_d, range(2, 5)),
+}
 
 
 def _dot(a, b):
@@ -127,7 +122,6 @@ def _reflection_matrix(n, root, coroot):
 
 
 def _mat_mul(a, b):
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(tuple(_dot(row, col) for col in bt) for row in a)
 
@@ -455,33 +449,6 @@ class WeylGroup:
         return m
 
 
-class WeylElement:
-    """Thin handle on a group element: its group plus its enumeration index."""
-
-    __slots__ = ("group", "idx")
-
-    def __init__(self, group: WeylGroup, idx: int):
-        self.group = group
-        self.idx = idx
-
-    @property
-    def matrix(self):
-        return self.group.matrix(self.idx)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.group is other.group
-            and self.idx == other.idx
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.idx))
-
-    def __repr__(self):
-        return f"WeylElement({self.group.reduced_word(self.idx)})"
-
-
 def build_root_datum(spec) -> RootDatum:
     """Root datum from a Cartan label, a GL-style spec, or explicit lists.
 
@@ -535,36 +502,3 @@ def _gl_datum(d: int) -> RootDatum:
         v[a], v[a + 1] = 1, -1
         simples.append(tuple(v))
     return RootDatum(d, simples, simples)
-
-
-def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    if a.group is not b.group:
-        raise ValueError("elements of different groups")
-    return WeylElement(a.group, a.group.mul(a.idx, b.idx))
-
-
-def weyl_inv(a: WeylElement) -> WeylElement:
-    return WeylElement(a.group, a.group.inv(a.idx))
-
-
-def weyl_act(a: WeylElement, v) -> Vec:
-    return a.group.act(a.idx, v)
-
-
-def length(w: WeylElement) -> int:
-    return w.group.length(w.idx)
-
-
-def reduced_word(w: WeylElement) -> tuple:
-    return w.group.reduced_word(w.idx)
-
-
-def all_elements(datum: RootDatum):
-    group = datum.weyl()
-    return [WeylElement(group, i) for i in range(len(group))]
-
-
-def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    if u.group is not w.group:
-        raise ValueError("elements of different groups")
-    return u.group.bruhat_leq(u.idx, w.idx)

@@ -68,19 +68,8 @@ class SubSystem:
         self._root_index = tuple(index[a] for a in sorted(self.roots))
         self._negative = bytes(r in self.negatives for r in group.roots)
         self._tangent = {}  # element -> tangent weights, filled by localize.tangent_n
-        members = {group.identity}
-        frontier = [group.identity]
-        while frontier:
-            new = []
-            for g in frontier:
-                for s in self._refl:
-                    h = group.mul(g, s)
-                    if h not in members:
-                        members.add(h)
-                        new.append(h)
-            frontier = new
-        self.members = frozenset(members)
-        self.group_order = len(members)
+        self.members = _subgroup_elements(group, self._refl)
+        self.group_order = len(self.members)
 
     def reflection(self, simple_index: int) -> int:
         """Group index of the reflection in the simple_index-th simple of Phi."""

@@ -229,9 +229,9 @@ def test_criterion_5_localization_crosscheck(configurations):
     t0 = time.monotonic()
     for name, (datum, sub, table, data) in configurations.items():
         lambdas = lambda_table(data, sub)
-        for r in pathway_agreement_check(data, sub, table, lambdas):
+        for r in pathway_agreement_check(data, table, lambdas):
             assert r.passed, (name, r.name)
-        for r in intertwining_check(data, sub, table, lambdas, 3):
+        for r in intertwining_check(data, table, lambdas, 3):
             assert r.passed, (name, r.name, r.counterexample)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
@@ -245,15 +245,15 @@ def test_criterion_5_localization_crosscheck(configurations):
 def test_criterion_6_euler_identities(configurations):
     for name, (datum, sub, table, data) in configurations.items():
         lambdas = lambda_table(data, sub)
-        for r in euler_identities_check(data, sub, table, lambdas):
+        for r in euler_identities_check(data, table, lambdas):
             assert r.passed, (name, r.name, r.counterexample)
-        for r in leading_term_suite(data, sub, table, lambdas):
+        for r in leading_term_suite(data, table, lambdas):
             assert r.passed, (name, r.name, r.counterexample)
         for F in (
             datum.positive_roots,
             tuple(tuple(-x for x in a) for a in datum.positive_roots),
         ):
-            for r in inversion_additivity_suite(datum, sub.group, F):
+            for r in inversion_additivity_suite(sub.group, F):
                 assert r.passed, (name, r.counterexample)
     _report(
         "euler-identities",
@@ -277,7 +277,7 @@ def test_criterion_7_klr_oracle():
 
 def test_criterion_8_combinatorial_layer(configurations):
     for name, (datum, sub, table, data) in configurations.items():
-        for r in cli._coset_checks(sub, table):
+        for r in cli._coset_checks(table):
             assert r.passed, (name, r.name, r.counterexample)
         for r in length_comparison_check(sub):
             assert r.passed, (name, r.name)

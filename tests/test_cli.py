@@ -269,3 +269,78 @@ class TestMalformedConfigAtTheBoundary:
         assert "error: springer.V weight [1] must be a list of 2 integers" in proc.stderr
         with pytest.raises(ParseError):
             build_setting(parse_config(json.dumps(raw)))
+
+
+class TestMalformedInputToMain:
+    """Malformed --poly, --quiver, operator scalars and options.checks are
+    parse errors from `cli.main` (exit 2), not tracebacks, hangs or silent
+    acceptance."""
+
+    def assert_parse_error(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ([[[-1, 0], "1"]], "must be a list of 2 non-negative integers"),
+            ([[[1], "1"]], "must be a list of 2 non-negative integers"),
+            ([[[1, 0, 0, 0], "1"]], "must be a list of 2 non-negative integers"),
+            ([[[True, 0], "1"]], "must be a list of 2 non-negative integers"),
+            ([[1, 2]], "must be a list of 2 non-negative integers"),
+            ([[[1, 0]]], "is not an [exponents, coefficient] pair"),
+            ([[[1, 0], "1", "2"]], "is not an [exponents, coefficient] pair"),
+            ([[[1, 0], "1/0"]], "bad coefficient"),
+            ([[[1, 0], 0.5]], "bad coefficient"),
+            ({"x": 1}, "must be a list of pairs"),
+        ],
+        ids=[
+            "negative-exponent", "short-exponents", "long-exponents", "bool-exponent",
+            "not-a-pair", "one-entry", "three-entries", "zero-denominator",
+            "float-coefficient", "not-a-list",
+        ],
+    )
+    def test_act_poly(self, capsys, a2_config, pairs, message):
+        argv = ["act", "--config", a2_config, "--expr", "s(0,0)", "--component", "0"]
+        self.assert_parse_error(capsys, argv + ["--poly", json.dumps(pairs)], message)
+
+    @pytest.mark.parametrize(
+        "quiver,message",
+        [
+            ({"arrows": [], "dimension": {"1": 2}}, "quiver needs fields ['vertices']"),
+            ({"vertices": [1]}, "quiver needs fields ['arrows', 'dimension']"),
+            ({"vertices": 1, "arrows": [], "dimension": {"1": 2}}, "vertices must be a list"),
+            ({"vertices": [1], "arrows": [1], "dimension": {"1": 2}}, "arrows must be a list"),
+            ({"vertices": [1], "arrows": [], "dimension": 2}, "dimension must be an object"),
+            ({"vertices": [1], "arrows": [], "dimension": [[2]]}, "dimension must be an object"),
+            ([1, 2], "quiver must be a JSON object"),
+        ],
+        ids=[
+            "missing-vertices", "missing-arrows-and-dimension", "vertices-not-a-list",
+            "arrow-not-a-pair", "dimension-not-a-collection", "dimension-value-a-list",
+            "not-an-object",
+        ],
+    )
+    def test_preset_quiver(self, capsys, quiver, message):
+        argv = ["preset", "--name", "klr", "--quiver", json.dumps(quiver)]
+        self.assert_parse_error(capsys, argv, message)
+
+    def test_zero_denominator_scalar(self, capsys, nil_setting, a2_config):
+        _, data, table = nil_setting
+        with pytest.raises(ParseError):
+            cli.parse_opexpr("1/0", data, table)
+        argv = ["act", "--config", a2_config, "--expr", "s(0,0) + 1/0"]
+        self.assert_parse_error(capsys, argv, "zero denominator")
+
+    @pytest.mark.parametrize(
+        "checks", ["coset", ["coset", 1], {"coset": True}], ids=["string", "int-entry", "object"]
+    )
+    def test_checks_not_a_list_of_names(self, capsys, tmp_path, checks):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"group": "A2", "options": {"checks": checks}}))
+        with pytest.raises(ParseError):
+            parse_config(path.read_text())
+        self.assert_parse_error(
+            capsys, ["check", "--config", str(path)], "options.checks must be a list"
+        )

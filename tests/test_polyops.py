@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from qhecke.polyops import (
     demazure,
     demazure_product_rule_check,
     demazure_word,
+    monomials_up_to,
 )
 from qhecke.rootcore import build_root_datum
 
@@ -92,6 +94,13 @@ class TestPoly:
         assert not (x + y * y).is_homogeneous()
         assert (x * y).degree() == 2
         assert (x * y).artifact_degree() == 4
+
+    @pytest.mark.parametrize("n,degree", [(1, 0), (1, 4), (2, 3), (3, 3), (4, 2), (5, 4)])
+    def test_monomials_up_to(self, n, degree):
+        # every monomial once, by degree, in combinations_with_replacement order
+        got = monomials_up_to(n, degree)
+        assert len(got) == comb(n + degree, degree)
+        assert got == monomials(n, degree)
 
     def test_serialization_roundtrip(self):
         x = Poly.variable(2, 0)
