@@ -21,8 +21,8 @@ import time
 from fractions import Fraction
 
 from . import algebra, localize, presets, repdata
-from .config import Config, build_setting, emit_config, parse_config
-from .errors import ParseError, QheckeError, UnknownIndex
+from .config import Config, build_setting, check_int, emit_config, parse_config
+from .errors import InternalInvariantError, ParseError, QheckeError, UnknownIndex
 from .polyops import Poly, RatFun, monomials_up_to
 from .report import CheckResult
 from .subgroup import factorization_check, length_comparison_check, member_of_W, s_adapted
@@ -164,20 +164,19 @@ def _module_element_json(m: algebra.ModuleElement):
 def _fp_matrix_json(mat, group):
     rows = []
     for (x, y) in sorted(mat):
-        c = mat[(x, y)]
         rows.append(
             {
                 "x_word": list(group.reduced_word(x)),
                 "y_word": list(group.reduced_word(y)),
-                "numerator": c.num.to_pairs(),
-                "denominator": c.den.to_pairs(),
+                **_ratfun_json(mat[(x, y)].expand()),
             }
         )
     return rows
 
 
-def run_checks(cfg: Config, selected=None) -> list:
-    """Run the selected named check suites on a config; returns CheckResults."""
+def run_checks(cfg: Config, selected=None) -> tuple:
+    """Run the selected named check suites on a config; returns the
+    CheckResults and the wall seconds of each suite by name."""
     datum, sub, table, data = build_setting(cfg)
     lambdas = None
 
@@ -216,12 +215,16 @@ def run_checks(cfg: Config, selected=None) -> list:
     if selected is None:
         selected = cfg.checks if cfg.checks is not None else sorted(suites)
     results = []
+    seconds = {}
     for name in selected:
         if name not in suites:
             raise UnknownIndex(f"unknown check suite {name!r}")
-        for r in suites[name]():
+        t0 = time.perf_counter()
+        suite_results = suites[name]()
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
+        for r in suite_results:
             results.append(CheckResult(f"{name}:{r.name}", r.passed, r.details, r.counterexample))
-    return results
+    return results, seconds
 
 
 def _all_generators(data, table):
@@ -413,6 +416,8 @@ def cmd_braid(cfg: Config, i: int, s: int, t: int) -> dict:
 
 
 def cmd_act(cfg: Config, expr: str, component: int | None, poly_pairs) -> dict:
+    if component is None and poly_pairs is not None:
+        raise ParseError("--poly needs --component")
     datum, sub, table, data = build_setting(cfg)
     op = parse_opexpr(expr, data, table)
     n = datum.ambient_rank
@@ -423,7 +428,7 @@ def cmd_act(cfg: Config, expr: str, component: int | None, poly_pairs) -> dict:
             results[str(i)] = _module_element_json(op.apply(m))
         return {"operator_terms": _operator_json(op, sub.group), "unit_images": results}
     _check_index(component, table)
-    f = Poly.from_pairs(n, poly_pairs) if poly_pairs else Poly.const(n, 1)
+    f = Poly.const(n, 1) if poly_pairs is None else Poly.from_pairs(n, poly_pairs)
     m = algebra.ModuleElement(n, {component: f})
     return {
         "operator_terms": _operator_json(op, sub.group),
@@ -467,7 +472,7 @@ def cmd_euler(cfg: Config) -> dict:
     out = {"lambda": [], "crossing_cells": []}
     for g in range(len(group)):
         out["lambda"].append(
-            {"word": list(group.reduced_word(g)), "value": lambdas[g].to_pairs()}
+            {"word": list(group.reduced_word(g)), "value": lambdas[g].expand().to_pairs()}
         )
     for g in range(len(group)):
         i = table.coset_of[g]
@@ -477,7 +482,7 @@ def cmd_euler(cfg: Config) -> dict:
                 {
                     "word": list(group.reduced_word(g)),
                     "s": s,
-                    "value": value.to_pairs(),
+                    "value": value.expand().to_pairs(),
                     "diagonal": table.stab(i, s),
                 }
             )
@@ -594,15 +599,18 @@ def main(argv=None) -> int:
             if args.strict:
                 cfg.strict_suitability = True
             if args.degree_bound is not None:
-                cfg.degree_bound = args.degree_bound
+                cfg.degree_bound = check_int(args.degree_bound, "--degree-bound", 0)
             if args.seed is not None:
                 cfg.seed = args.seed
             selected = args.checks.split(",") if args.checks else None
-            results = run_checks(cfg, selected)
+            results, suite_seconds = run_checks(cfg, selected)
             report = {
                 "config_echo": json.loads(emit_config(cfg)),
                 "checks": [r.as_dict() for r in results],
-                "timings": {"total_s": round(time.time() - t0, 3)},
+                "timings": {
+                    "total_s": round(time.time() - t0, 3),
+                    "suites": {k: round(v, 3) for k, v in suite_seconds.items()},
+                },
             }
             _emit(report, args.out)
             failures = [r for r in results if not r.passed]
@@ -618,7 +626,7 @@ def main(argv=None) -> int:
                 cfg,
                 args.expr,
                 args.component,
-                json.loads(args.poly) if args.poly else None,
+                None if args.poly is None else json.loads(args.poly),
             ),
             "localize": lambda: cmd_localize(cfg),
             "euler": lambda: cmd_euler(cfg),
@@ -636,6 +644,9 @@ def main(argv=None) -> int:
                 print(f"FAILED: {bad[0]['name']}", file=sys.stderr)
                 return 1
         return 0
+    except InternalInvariantError as exc:
+        print(f"internal invariant broken: {exc}", file=sys.stderr)
+        return 3
     except (QheckeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

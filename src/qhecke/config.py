@@ -47,6 +47,15 @@ def _rat(value) -> Fraction:
     raise ParseError(f"expected rational, got {value!r}")
 
 
+def check_int(value, name: str, minimum: int | None = None) -> int:
+    """An int (not a bool) no smaller than `minimum`, else ParseError."""
+    if type(value) is not int:
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ParseError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 def _rat_str(f: Fraction) -> str:
     return coeff_str(f)
 
@@ -84,7 +93,7 @@ def parse_config(text: str) -> Config:
     unknown = set(springer) - {"r", "U", "V"}
     if unknown:
         raise ParseError(f"unknown springer fields {sorted(unknown)}")
-    cfg.r = int(springer.get("r", 0))
+    cfg.r = check_int(springer.get("r", 0), "springer.r", 0)
     cfg.U = springer.get("U", [])
     cfg.V = springer.get("V", [])
     if len(cfg.U) != cfg.r or len(cfg.V) != cfg.r:
@@ -101,13 +110,13 @@ def parse_config(text: str) -> Config:
     if unknown:
         raise ParseError(f"unknown option fields {sorted(unknown)}")
     cfg.strict_suitability = bool(options.get("strict_suitability", False))
-    cfg.degree_bound = int(options.get("degree_bound", 4))
+    cfg.degree_bound = check_int(options.get("degree_bound", 4), "options.degree_bound", 0)
     cfg.checks = options.get("checks")
     if cfg.checks is not None and not (
         isinstance(cfg.checks, list) and all(isinstance(c, str) for c in cfg.checks)
     ):
         raise ParseError(f"options.checks must be a list of suite names, got {cfg.checks!r}")
-    cfg.seed = int(options.get("seed", 0))
+    cfg.seed = check_int(options.get("seed", 0), "options.seed")
     return cfg
 
 

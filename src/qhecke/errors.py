@@ -21,7 +21,12 @@ class DivisionByZeroDenominator(QheckeError):
     pass
 
 
-class InternalDivisibilityFailure(QheckeError):
+class InternalInvariantError(QheckeError):
+    """An invariant the program guarantees was found broken: a bug, not bad
+    input and not a failed check."""
+
+
+class InternalDivisibilityFailure(InternalInvariantError):
     """A division that is guaranteed exact failed; indicates an arithmetic bug."""
 
 
@@ -42,10 +47,6 @@ class ExtractionStuck(QheckeError):
 
 
 class ZeroWeight(QheckeError):
-    pass
-
-
-class ZeroEulerClass(QheckeError):
     pass
 
 

@@ -8,6 +8,12 @@ psi_{x,w} * psi_{w,y} = Lambda_w psi_{x,y}.  Comparing the operator
 translation of a generator with the multiplicity-formula matrix built from
 weight multisets is the central cross-check between the two pathways.
 
+Every Euler class here stays factored (`polyops.EulerClass`), and every
+fixed-point entry is a polynomial over one (`polyops.FactoredFrac`), so
+the Lambda_w in a rescaled product cancels as a multiset.  Only the
+operator translation `localize_op` works with the algebra's `RatFun`s,
+which keeps the pathway comparison independent.
+
 Orientation convention: n_w is computed from its definition (weights of the
 subsystem lying in w(negatives)), and the Euler class of the closure of a
 crossing cell at the pair (x, xw) uses the curve-direction multiset at the
@@ -21,25 +27,17 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .errors import ZeroEulerClass, ZeroWeight
-from .polyops import Poly, RatFun, monomials_up_to
+from .polyops import EulerClass, FactoredFrac, Poly, RatFun, monomials_up_to
 from .repdata import SpringerData, fiber_pair_weights, fiber_weights, h_count, q_poly
 from .report import CheckResult
 from .subgroup import CosetTable, SubSystem
 from .algebra import ModuleElement, TwistedOperator, gen_sigma, module_act
 
 
-def euler(ms: Counter, nvars: int) -> Poly:
-    """Product of the linear forms of a weight multiset; empty product is 1."""
-    out = Poly.const(nvars, 1)
-    for w in sorted(ms):
-        mult = ms[w]
-        if mult <= 0:
-            continue
-        if not any(w):
-            raise ZeroWeight("zero weight has zero Euler class")
-        out = out * Poly.linear(w) ** mult
-    return out
+def euler(ms: Counter, nvars: int) -> EulerClass:
+    """Product of the linear forms of a weight multiset, factored; the empty
+    product is 1 and a zero weight raises ZeroWeight."""
+    return EulerClass.of_weights(nvars, ms)
 
 
 def tangent_n(sub: SubSystem, g: int) -> Counter:
@@ -64,24 +62,19 @@ def tangent_m(sub: SubSystem, gx: int, gy: int) -> Counter:
     return nx - (nx & ny)
 
 
-def lambda_poly(data: SpringerData, sub: SubSystem, g: int) -> Poly:
+def lambda_poly(data: SpringerData, sub: SubSystem, g: int) -> EulerClass:
     """Euler class of the fixed point of g: fiber weights plus tangent weights."""
     ms = fiber_weights(data, sub.group, g) + tangent_n(sub, g)
     return euler(ms, data.datum.ambient_rank)
 
 
 def lambda_table(data: SpringerData, sub: SubSystem):
-    """Lambda_w for every group element; aborts on zero Euler classes."""
-    out = []
-    for g in range(len(sub.group)):
-        lam = lambda_poly(data, sub, g)
-        if lam.is_zero():
-            raise ZeroEulerClass(f"Lambda vanishes at element {g}")
-        out.append(lam)
-    return tuple(out)
+    """Lambda_w for every group element, factored; a product of nonzero
+    weights, so never zero."""
+    return tuple(lambda_poly(data, sub, g) for g in range(len(sub.group)))
 
 
-def q_translate(data: SpringerData, sub: SubSystem, gx: int, s: int) -> Poly:
+def q_translate(data: SpringerData, sub: SubSystem, gx: int, s: int) -> EulerClass:
     """Euler class of F_x / F_{x,xs}: the x-translate of the q-support."""
     group = sub.group
     xs = group.mul(gx, group.simple[s])
@@ -89,7 +82,7 @@ def q_translate(data: SpringerData, sub: SubSystem, gx: int, s: int) -> Poly:
     return euler(diff, data.datum.ambient_rank)
 
 
-def eu_zbar_w(data: SpringerData, sub: SubSystem, gx: int, w: int) -> Poly:
+def eu_zbar_w(data: SpringerData, sub: SubSystem, gx: int, w: int) -> EulerClass:
     """Euler class of the closed cell of w at the pair (x, xw):
     fiber pair weights, tangent at x, and the curve direction at xw."""
     group = sub.group
@@ -121,7 +114,7 @@ def theta(table: CosetTable, lambdas, m: ModuleElement) -> dict:
     out = {}
     for i, f in m.components.items():
         for g in table.fixed_points_of(i):
-            val = RatFun(f.substitute_linear(group.matrix(g)), lambdas[g])
+            val = FactoredFrac(f.substitute_linear(group.matrix(g)), lambdas[g])
             if val:
                 cur = out.get(g)
                 out[g] = val if cur is None else cur + val
@@ -133,14 +126,14 @@ def fp_mul(A: dict, B: dict, lambdas) -> dict:
     by_row: dict[int, list] = {}
     for (w, y), c in B.items():
         by_row.setdefault(w, []).append((y, c))
-    out: dict[tuple, RatFun] = {}
+    out: dict[tuple, FactoredFrac] = {}
     for (x, w), a in A.items():
         cols = by_row.get(w)
         if not cols:
             continue
-        mid = a * lambdas[w]
+        lam = lambdas[w]
         for y, b in cols:
-            c = mid * b
+            c = a * b * lam
             key = (x, y)
             cur = out.get(key)
             s = c if cur is None else cur + c
@@ -153,12 +146,12 @@ def fp_mul(A: dict, B: dict, lambdas) -> dict:
 
 def fp_apply(A: dict, v: dict, lambdas) -> dict:
     """(A*v)_x = sum_w A_{x,w} Lambda_w v_w."""
-    out: dict[int, RatFun] = {}
+    out: dict[int, FactoredFrac] = {}
     for (x, w), a in A.items():
         b = v.get(w)
         if b is None:
             continue
-        c = a * lambdas[w] * b
+        c = a * b * lambdas[w]
         cur = out.get(x)
         s = c if cur is None else cur + c
         if s:
@@ -169,18 +162,11 @@ def fp_apply(A: dict, v: dict, lambdas) -> dict:
 
 
 def fp_identity(table: CosetTable, lambdas) -> dict:
-    return {
-        (g, g): RatFun(Poly.const(lambdas[g].n, 1), lambdas[g])
-        for g in range(len(table.group))
-    }
+    return {(g, g): lambdas[g].reciprocal() for g in range(len(table.group))}
 
 
 def localize_unit(data: SpringerData, table: CosetTable, lambdas, i: int) -> dict:
-    n = data.datum.ambient_rank
-    return {
-        (g, g): RatFun(Poly.const(n, 1), lambdas[g])
-        for g in table.fixed_points_of(i)
-    }
+    return {(g, g): lambdas[g].reciprocal() for g in table.fixed_points_of(i)}
 
 
 def localize_var(data: SpringerData, table: CosetTable, lambdas, i: int, t: int) -> dict:
@@ -189,7 +175,7 @@ def localize_var(data: SpringerData, table: CosetTable, lambdas, i: int, t: int)
     out = {}
     for g in table.fixed_points_of(i):
         num = Poly.variable(n, t).substitute_linear(group.matrix(g))
-        val = RatFun(num, lambdas[g])
+        val = FactoredFrac(num, lambdas[g])
         if val:
             out[(g, g)] = val
     return out
@@ -199,19 +185,14 @@ def localize_sigma(data: SpringerData, table: CosetTable, i: int, s: int) -> dic
     """Multiplicity-formula matrix of a crossing generator: inverse Euler
     classes of the crossing cell at every fixed-point pair it touches."""
     group = table.group
-    n = data.datum.ambient_rank
-    one = Poly.const(n, 1)
     stab = table.stab(i, s)
     s_elem = group.simple[s]
     out = {}
     for g in table.fixed_points_of(i):
-        gs = group.mul(g, s_elem)
         off = eu_zbar_s(data, table, g, s)
-        if off.is_zero():
-            raise ZeroEulerClass(f"crossing cell Euler class vanishes at ({g},{gs})")
-        out[(g, gs)] = RatFun(one, off)
+        out[(g, group.mul(g, s_elem))] = off.reciprocal()
         if stab:
-            out[(g, g)] = RatFun(one, -off)
+            out[(g, g)] = (-off).reciprocal()
     return out
 
 
@@ -223,7 +204,7 @@ def localize_op(table: CosetTable, lambdas, op: TwistedOperator) -> dict:
     for (i, w), c in op.terms.items():
         for u in table.fixed_points_of(i):
             uw = group.mul(u, w)
-            val = c.substitute_linear(group.matrix(u)) / RatFun(lambdas[u])
+            val = c.substitute_linear(group.matrix(u)) / RatFun(lambdas[u].expand())
             key = (u, uw)
             cur = out.get(key)
             s = val if cur is None else cur + val
@@ -236,7 +217,8 @@ def localize_op(table: CosetTable, lambdas, op: TwistedOperator) -> dict:
 
 def pathway_agreement_check(data: SpringerData, table: CosetTable, lambdas) -> list:
     """Operator translation vs multiplicity formula, entry by entry, for
-    every generator."""
+    every generator: the factored geometric entries are expanded and
+    compared with the algebra side's RatFuns."""
     from .algebra import gen_unit, gen_var
 
     results = []
@@ -323,11 +305,8 @@ def theta_equivariance_check(data: SpringerData, table: CosetTable, lambdas, deg
                 c = ModuleElement.monomial(n, i, e)
                 lhs = theta(table, lambdas, module_act(table, w, c))
                 rhs = theta(table, lambdas, c)
-                lhs_n = {x: v * RatFun(lambdas[x]) for x, v in lhs.items()}
-                rhs_n = {
-                    group.mul(x, group.inv(w)): v * RatFun(lambdas[x])
-                    for x, v in rhs.items()
-                }
+                lhs_n = {x: v * lambdas[x] for x, v in lhs.items()}
+                rhs_n = {group.mul(x, group.inv(w)): v * lambdas[x] for x, v in rhs.items()}
                 lhs_n = {x: v for x, v in lhs_n.items() if v}
                 rhs_n = {x: v for x, v in rhs_n.items() if v}
                 if not _fp_equal(lhs_n, rhs_n):
@@ -359,7 +338,7 @@ def euler_identities_check(data: SpringerData, table: CosetTable, lambdas) -> li
         i = table.coset_of[g]
         for s in range(datum.rank):
             gs = group.mul(g, group.simple[s])
-            alpha_img = Poly.linear(group.act(g, datum.simple_roots[s]))
+            alpha_img = euler(Counter([group.act(g, datum.simple_roots[s])]), n)
             if table.stab(i, s):
                 if euler(tangent_m(sub, gs, g), n) != alpha_img:
                     ok, bad = False, {"element": group.reduced_word(g), "s": s, "which": "target"}
@@ -382,9 +361,7 @@ def euler_identities_check(data: SpringerData, table: CosetTable, lambdas) -> li
                     continue
                 gs = group.mul(g, group.simple[s])
                 h = h_count(data, table, i, s)
-                lhs = RatFun(lambdas[g])
-                rhs = RatFun(lambdas[gs]) * Fraction((-1) ** (1 + h))
-                if lhs != rhs:
+                if lambdas[g] != lambdas[gs] * (-1) ** (1 + h):
                     ok, bad = False, {"element": group.reduced_word(g), "s": s}
         results.append(CheckResult("lambda-sign-law", ok, "", bad))
 
@@ -394,10 +371,11 @@ def euler_identities_check(data: SpringerData, table: CosetTable, lambdas) -> li
             i = table.coset_of[g]
             for s in range(datum.rank):
                 h = h_count(data, table, i, s)
-                alpha_img = RatFun(Poly.linear(group.act(g, datum.simple_roots[s])))
-                value = RatFun(eu_zbar_s(data, table, g, s))
-                lam = RatFun(lambdas[g])
-                want = lam * alpha_img ** ((1 - h) if table.stab(i, s) else -h)
+                alpha_img = group.act(g, datum.simple_roots[s])
+                k = (1 - h) if table.stab(i, s) else -h
+                # value == Lambda_g * alpha_img**k, with k < 0 moved across
+                value = eu_zbar_s(data, table, g, s) * euler(Counter({alpha_img: -k}), n)
+                want = lambdas[g] * euler(Counter({alpha_img: k}), n)
                 if value != want:
                     ok, bad = False, {"element": group.reduced_word(g), "s": s}
         results.append(CheckResult("power-forms", ok, "", bad))
@@ -409,7 +387,7 @@ def euler_identities_check(data: SpringerData, table: CosetTable, lambdas) -> li
             via_fibers = q_translate(data, sub, g, s)
             i = table.coset_of[g]
             translated = q_poly(data, table, i, s).substitute_linear(group.matrix(g))
-            if via_fibers != translated:
+            if via_fibers.expand() != translated:
                 ok, bad = False, {"element": group.reduced_word(g), "s": s}
     results.append(CheckResult("q-translation", ok, "", bad))
 
@@ -424,18 +402,16 @@ def leading_term_check(data: SpringerData, table: CosetTable, lambdas, s: int, w
     sw = group.mul(s_elem, w)
     if group.length(sw) != group.length(w) + 1:
         raise ValueError("length must be additive")
-    n = data.datum.ambient_rank
-    one = Poly.const(n, 1)
     bad = None
     ok = True
     for u in range(len(group)):
         us = group.mul(u, s_elem)
         lhs = (
-            RatFun(one, eu_zbar_w(data, sub, u, s_elem))
-            * RatFun(lambdas[us])
-            * RatFun(one, eu_zbar_w(data, sub, us, w))
+            eu_zbar_w(data, sub, u, s_elem).reciprocal()
+            * eu_zbar_w(data, sub, us, w).reciprocal()
+            * lambdas[us]
         )
-        rhs = RatFun(one, eu_zbar_w(data, sub, u, sw))
+        rhs = eu_zbar_w(data, sub, u, sw).reciprocal()
         if lhs != rhs:
             ok = False
             bad = {"u": group.reduced_word(u)}

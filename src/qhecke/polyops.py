@@ -6,6 +6,10 @@ character lattice, so a root (an integer vector) becomes a linear form and a
 Weyl matrix acts by substituting linear forms for the generators.
 
 Rational functions are kept unreduced; equality is cross-multiplication.
+Euler classes (products of weights) are kept factored instead: an
+`EulerClass` is a rational scalar times a multiset of primitive linear forms,
+and a `FactoredFrac` is a polynomial over one, so products and quotients of
+Euler classes are multiset sums and differences.
 Divided-difference operators live here too: delta_s(f) = (s(f) - f)/alpha_s
 with exact division.
 
@@ -16,10 +20,19 @@ Grading convention: a linear form has artifact degree 2 (degrees are doubled);
 from __future__ import annotations
 
 import os
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import gcd
 
-from .errors import DivisionByZeroDenominator, InternalDivisibilityFailure, ParseError
+from .errors import (
+    DivisionByZeroDenominator,
+    InternalDivisibilityFailure,
+    InternalInvariantError,
+    ParseError,
+    ZeroWeight,
+)
 
 if os.environ.get("QHECKE_PURE"):
     from . import _kernel_py as _k
@@ -344,6 +357,176 @@ class RatFun:
         if self.den.is_constant() and self.den.constant_value() == 1:
             return f"RatFun({self.num!r})"
         return f"RatFun({self.num!r} / {self.den!r})"
+
+
+@lru_cache(maxsize=4096)
+def primitive_form(weight: tuple) -> tuple:
+    """Split a nonzero integer weight as c * form, with c a nonzero integer
+    and form primitive: coprime entries, the first nonzero one positive.
+    Weights are the few roots and twisting weights of a setting, so the
+    results are cached."""
+    g = 0
+    for x in weight:
+        if type(x) is not int:
+            raise InternalInvariantError(f"weight {weight!r} is not an integer vector")
+        g = gcd(g, x)
+    if not g:
+        raise ZeroWeight("zero weight has zero Euler class")
+    if next(x for x in weight if x) < 0:
+        g = -g
+    return g, tuple(x // g for x in weight)
+
+
+def _ratio(a, b):
+    """a / b for nonzero exact rationals, an int when integral."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return _k.norm_coeff(Fraction(a) / b)
+
+
+def _form_product(n: int, scalar, forms) -> dict:
+    """Kernel dict of scalar * prod(form ** mult)."""
+    d = {(0,) * n: scalar}
+    for form in sorted(forms):
+        lin = Poly.linear(form).d
+        mult = forms[form]
+        d = _k.kmul(d, lin if mult == 1 else _k.kpow(lin, mult, n))
+    return d
+
+
+class EulerClass:
+    """A product of weights kept factored: scalar * prod(form ** mult) over
+    a multiset of primitive linear forms (see `primitive_form`).  The gcds
+    and signs of the weights are folded into the nonzero rational scalar, so
+    two Euler classes are equal exactly when scalars and multisets are."""
+
+    __slots__ = ("n", "scalar", "forms", "_poly")
+
+    def __init__(self, n: int, scalar=1, forms=None):
+        if not scalar:
+            raise InternalInvariantError("an Euler class has a nonzero scalar")
+        self.n = n
+        self.scalar = scalar
+        self.forms = Counter() if forms is None else forms
+        self._poly = None
+
+    @classmethod
+    def of_weights(cls, n: int, weights) -> "EulerClass":
+        """Product of the linear forms of a weight multiset; entries of
+        multiplicity <= 0 are skipped, a zero weight raises ZeroWeight."""
+        scalar = 1
+        forms = Counter()
+        for w, mult in weights.items():
+            if mult > 0:
+                c, form = primitive_form(w)
+                forms[form] += mult
+                scalar *= c**mult
+        return cls(n, scalar, forms)
+
+    def __mul__(self, other):
+        if isinstance(other, EulerClass):
+            return EulerClass(self.n, self.scalar * other.scalar, self.forms + other.forms)
+        if isinstance(other, (int, Fraction)):
+            return EulerClass(self.n, _k.norm_coeff(self.scalar * other), self.forms)
+        return NotImplemented
+
+    def __neg__(self):
+        return EulerClass(self.n, -self.scalar, self.forms)
+
+    def __eq__(self, other):
+        if not isinstance(other, EulerClass):
+            return NotImplemented
+        return self.scalar == other.scalar and self.forms == other.forms
+
+    def expand(self) -> Poly:
+        """The product as a dense polynomial (computed once)."""
+        if self._poly is None:
+            self._poly = Poly(self.n, _form_product(self.n, self.scalar, self.forms))
+        return self._poly
+
+    def reciprocal(self) -> "FactoredFrac":
+        return FactoredFrac(Poly.const(self.n, 1), self)
+
+    def __repr__(self):
+        forms = " * ".join(
+            f"{list(f)}" + (f"^{m}" if m > 1 else "") for f, m in sorted(self.forms.items())
+        )
+        return f"EulerClass({coeff_str(self.scalar)}" + (f" * {forms})" if forms else ")")
+
+
+class FactoredFrac:
+    """A polynomial numerator over a factored Euler class, kept unreduced.
+
+    Multiplying by an Euler class cancels the common part of the two
+    multisets and multiplies the numerator by the forms left over; sums and
+    equality bring both sides to the lcm of the two multisets."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: EulerClass):
+        self.num = num
+        self.den = den
+
+    def __bool__(self):
+        return bool(self.num.d)
+
+    def __mul__(self, other):
+        if isinstance(other, FactoredFrac):
+            return FactoredFrac(self.num * other.num, self.den * other.den)
+        if isinstance(other, EulerClass):
+            den = self.den
+            common = den.forms & other.forms
+            left = other.forms - common if common else other.forms
+            scalar = _ratio(den.scalar, other.scalar)
+            num = self.num
+            if left:
+                num = Poly(num.n, _k.kmul(num.d, _form_product(num.n, 1, left)))
+            forms = den.forms - common if common else den.forms
+            return FactoredFrac(num, EulerClass(den.n, scalar, forms))
+        if isinstance(other, (int, Fraction)):
+            return FactoredFrac(self.num * other, self.den)
+        return NotImplemented
+
+    def _over_common(self, other: "FactoredFrac"):
+        """(a, b, den) with self = a/den and other = b/den, den the lcm."""
+        d1, d2 = self.den, other.den
+        a, b = self.num, other.num
+        if d1.forms == d2.forms:
+            if d1.scalar != d2.scalar:
+                b = b * _ratio(d1.scalar, d2.scalar)
+            return a, b, d1
+        lcm = d1.forms | d2.forms
+        n = a.n
+        if a.d:
+            missing = lcm - d1.forms
+            if missing:
+                a = Poly(n, _k.kmul(a.d, _form_product(n, 1, missing)))
+        if b.d:
+            b = Poly(n, _k.kmul(b.d, _form_product(n, _ratio(d1.scalar, d2.scalar), lcm - d2.forms)))
+        return a, b, EulerClass(d1.n, d1.scalar, lcm)
+
+    def __add__(self, other):
+        if not isinstance(other, FactoredFrac):
+            return NotImplemented
+        a, b, den = self._over_common(other)
+        return FactoredFrac(a + b, den)
+
+    def __eq__(self, other):
+        if isinstance(other, FactoredFrac):
+            if not self.num.d or not other.num.d:
+                return not self.num.d and not other.num.d
+            a, b, _ = self._over_common(other)
+            return a == b
+        if isinstance(other, RatFun):
+            return self.expand() == other
+        return NotImplemented
+
+    def expand(self) -> RatFun:
+        """The same value as a RatFun over the expanded Euler class."""
+        return RatFun(self.num, self.den.expand())
+
+    def __repr__(self):
+        return f"FactoredFrac({self.num!r} / {self.den!r})"
 
 
 def monomials_up_to(n: int, degree: int) -> list:

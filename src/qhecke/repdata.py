@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .errors import UnsuitableData
+from .errors import InternalInvariantError, UnsuitableData
 from .polyops import Poly
 from .report import CheckResult
 from .rootcore import RootDatum
@@ -142,7 +142,7 @@ def h_count(data: SpringerData, table: CosetTable, i: int, s: int) -> int:
     else:
         split = sum(1 for V in data.V_sets if w in V and not in_phi)
     if split != total:
-        raise AssertionError(
+        raise InternalInvariantError(
             f"wall/loop split mismatch at (i={i}, s={s}): {split} != {total}"
         )
     return total
@@ -166,7 +166,7 @@ def q_poly(data: SpringerData, table: CosetTable, i: int, s: int) -> Poly:
         h = h_count(data, table, i, s)
         expected = Poly.linear(datum.simple_roots[s]) ** h
         if out != expected:
-            raise AssertionError(f"q != alpha_s^h at (i={i}, s={s})")
+            raise InternalInvariantError(f"q != alpha_s^h at (i={i}, s={s})")
     return out
 
 

@@ -344,3 +344,114 @@ class TestMalformedInputToMain:
         self.assert_parse_error(
             capsys, ["check", "--config", str(path)], "options.checks must be a list"
         )
+
+
+class TestIntegerFields:
+    """options.degree_bound, options.seed and springer.r must be ints (not
+    bools); degree_bound and r, like --degree-bound, must be >= 0."""
+
+    def write(self, tmp_path, options=None, springer=None):
+        raw = {"group": "A2"}
+        if options is not None:
+            raw["options"] = options
+        if springer is not None:
+            raw["springer"] = springer
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "options,springer,message",
+        [
+            ({"degree_bound": [1]}, None, "options.degree_bound must be an integer"),
+            ({"degree_bound": "4"}, None, "options.degree_bound must be an integer"),
+            ({"degree_bound": 2.0}, None, "options.degree_bound must be an integer"),
+            ({"degree_bound": True}, None, "options.degree_bound must be an integer"),
+            ({"degree_bound": -1}, None, "options.degree_bound must be at least 0"),
+            ({"seed": "0"}, None, "options.seed must be an integer"),
+            ({"seed": False}, None, "options.seed must be an integer"),
+            (None, {"r": "1", "U": [], "V": []}, "springer.r must be an integer"),
+            (None, {"r": True, "U": ["positive_roots"], "V": ["all_roots"]},
+             "springer.r must be an integer"),
+            (None, {"r": -1, "U": [], "V": []}, "springer.r must be at least 0"),
+        ],
+        ids=[
+            "bound-list", "bound-string", "bound-float", "bound-bool", "bound-negative",
+            "seed-string", "seed-bool", "r-string", "r-bool", "r-negative",
+        ],
+    )
+    def test_config_field(self, capsys, tmp_path, options, springer, message):
+        path = self.write(tmp_path, options, springer)
+        assert cli.main(["check", "--config", path, "--checks", "coset"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_negative_seed_is_accepted(self, tmp_path):
+        path = self.write(tmp_path, {"seed": -3})
+        assert parse_config(open(path).read()).seed == -3
+
+    @pytest.mark.parametrize("suite", ["integrality", "products"])
+    def test_negative_degree_bound_flag(self, capsys, a2_config, suite):
+        argv = ["check", "--config", a2_config, "--checks", suite, "--degree-bound", "-1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--degree-bound must be at least 0" in err
+
+    def test_zero_degree_bound_flag_runs(self, capsys, a2_config):
+        argv = ["check", "--config", a2_config, "--checks", "integrality", "--degree-bound", "0"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"][0]["details"] == "degree bound 0"
+
+
+class TestActPoly:
+    def test_poly_without_component_is_refused(self, capsys, a2_config):
+        argv = ["act", "--config", a2_config, "--expr", "s(0,0)", "--poly", '[[[5,0],"1"]]']
+        assert cli.main(argv) == 2
+        assert "--poly needs --component" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{}", "0", ""], ids=["object", "zero", "empty"])
+    def test_falsy_poly_is_refused(self, capsys, a2_config, text):
+        argv = ["act", "--config", a2_config, "--expr", "1(0)", "--component", "0"]
+        assert cli.main(argv + ["--poly", text]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_empty_list_is_the_zero_polynomial(self, capsys, a2_config):
+        argv = ["act", "--config", a2_config, "--expr", "1(0)", "--component", "0"]
+        assert cli.main(argv + ["--poly", "[]"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["image"] == {}
+        assert cli.main(argv) == 0
+        image = json.loads(capsys.readouterr().out)["result"]["image"]
+        assert image == {"0": [[[0, 0], "1"]]}
+
+
+class TestExitCodes:
+    def test_broken_invariant_exits_3(self, capsys, monkeypatch, tmp_path):
+        from qhecke import repdata
+
+        path = tmp_path / "skew.json"
+        path.write_text(emit_config(preset_skew("A2")))
+        real = repdata.h_count
+        monkeypatch.setattr(repdata, "h_count", lambda *args: real(*args) + 1)
+        assert cli.main(["describe", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("internal invariant broken: q != alpha_s^h")
+
+    def test_divisibility_failure_exits_3(self, capsys, monkeypatch, a2_config):
+        from qhecke.errors import InternalDivisibilityFailure
+
+        def broken(*args):
+            raise InternalDivisibilityFailure("exact division failed")
+
+        monkeypatch.setattr(cli.localize, "lambda_table", broken)
+        assert cli.main(["euler", "--config", a2_config]) == 3
+        assert "exact division failed" in capsys.readouterr().err
+
+
+class TestCheckTimings:
+    def test_check_report_times_each_suite(self, capsys, a2_config):
+        assert cli.main(["check", "--config", a2_config, "--checks", "coset,euler"]) == 0
+        timings = json.loads(capsys.readouterr().out)["timings"]
+        assert set(timings) == {"total_s", "suites"}
+        assert set(timings["suites"]) == {"coset", "euler"}
+        assert all(isinstance(v, float) and v >= 0 for v in timings["suites"].values())
+        assert sum(timings["suites"].values()) <= timings["total_s"] + 0.002

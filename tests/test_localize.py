@@ -30,7 +30,7 @@ from qhecke.localize import (
     theta_equivariance_check,
     theta_injectivity_check,
 )
-from qhecke.polyops import Poly, RatFun
+from qhecke.polyops import EulerClass, FactoredFrac, Poly, RatFun
 from qhecke.repdata import SpringerData
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
@@ -75,10 +75,10 @@ def setting(request):
 
 class TestEuler:
     def test_empty_product(self):
-        assert euler(Counter(), 2) == Poly.const(2, 1)
+        assert euler(Counter(), 2).expand() == Poly.const(2, 1)
 
     def test_multiplicity(self):
-        assert euler(Counter({(1, 0): 2}), 2) == Poly.variable(2, 0) ** 2
+        assert euler(Counter({(1, 0): 2}), 2).expand() == Poly.variable(2, 0) ** 2
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ZeroWeight):
@@ -87,7 +87,7 @@ class TestEuler:
     def test_dual_sign(self):
         ms = Counter({(1, 0): 1, (1, 1): 2})
         dual = Counter({(-1, 0): 1, (-1, -1): 2})
-        assert euler(dual, 2) == euler(ms, 2) * Fraction((-1) ** 3)
+        assert euler(dual, 2).expand() == euler(ms, 2).expand() * Fraction((-1) ** 3)
 
 
 class TestTangent:
@@ -113,8 +113,8 @@ class TestTangent:
             for s in range(datum.rank):
                 gs = group.mul(g, group.simple[s])
                 img = Poly.linear(group.act(g, datum.simple_roots[s]))
-                assert euler(tangent_m(sub, gs, g), 2) == img
-                assert euler(tangent_m(sub, g, gs), 2) == -img
+                assert euler(tangent_m(sub, gs, g), 2).expand() == img
+                assert euler(tangent_m(sub, g, gs), 2).expand() == -img
 
     def test_wall_unstabilized_equal(self):
         datum, sub, table, data = make_setting(
@@ -137,8 +137,8 @@ class TestLambda:
         datum, sub, table, data = make_setting("A1")
         group = sub.group
         alpha = Poly.linear(datum.simple_roots[0])
-        assert lambda_poly(data, sub, group.identity) == -alpha
-        assert lambda_poly(data, sub, group.simple[0]) == alpha
+        assert lambda_poly(data, sub, group.identity).expand() == -alpha
+        assert lambda_poly(data, sub, group.simple[0]).expand() == alpha
 
     def test_empty_twist_is_tangent_product(self):
         datum, sub, table, data = make_setting("A2")
@@ -153,7 +153,7 @@ class TestCrossingCells:
         datum, sub, table, data = make_setting("A1")
         group = sub.group
         alpha = Poly.variable(1, 0)
-        assert eu_zbar_s(data, table, group.identity, 0) == -(alpha ** 2)
+        assert eu_zbar_s(data, table, group.identity, 0).expand() == -(alpha ** 2)
 
     def test_skew_rank_one_power_form(self):
         datum = build_root_datum("A1")
@@ -181,9 +181,9 @@ class TestCrossingCells:
         for g in range(len(group)):
             i = table.coset_of[g]
             for s in range(datum.rank):
-                value = RatFun(eu_zbar_s(data, table, g, s))
-                q_x = q_translate(data, sub, g, s)
-                lam = RatFun(lambdas[g])
+                value = RatFun(eu_zbar_s(data, table, g, s).expand())
+                q_x = q_translate(data, sub, g, s).expand()
+                lam = RatFun(lambdas[g].expand())
                 if table.stab(i, s):
                     img = RatFun(Poly.linear(group.act(g, datum.simple_roots[s])))
                     assert value == img * lam / RatFun(q_x)
@@ -203,7 +203,7 @@ class TestTheta:
         fixed = table.fixed_points_of(0)
         assert sorted(vec) == sorted(fixed)
         for g in fixed:
-            assert vec[g] == RatFun(Poly.const(datum.ambient_rank, 1), lambdas[g])
+            assert vec[g] == RatFun(Poly.const(datum.ambient_rank, 1), lambdas[g].expand())
 
     def test_injectivity(self, setting):
         datum, sub, table, data, lambdas = setting
@@ -232,13 +232,10 @@ class TestTheta:
             vb = theta(table, lambdas, b)
             vab = theta(table, lambdas, ab)
             for g in table.fixed_points_of(i):
-                lam = RatFun(lambdas[g])
-                lhs = vab.get(g, RatFun.from_scalar(n, 0)) * lam
-                rhs = (
-                    va.get(g, RatFun.from_scalar(n, 0))
-                    * lam
-                    * (vb.get(g, RatFun.from_scalar(n, 0)) * lam)
-                )
+                lam = lambdas[g]
+                zero = FactoredFrac(Poly.zero(n), lam)
+                lhs = vab.get(g, zero) * lam
+                rhs = va.get(g, zero) * lam * (vb.get(g, zero) * lam)
                 assert lhs == rhs
 
 
@@ -278,7 +275,7 @@ class TestFixedPointAlgebra:
                 x, y = rng.randrange(size), rng.randrange(size)
                 c = rng.randrange(-2, 3)
                 if c:
-                    out[(x, y)] = RatFun.from_scalar(n, c)
+                    out[(x, y)] = FactoredFrac(Poly.const(n, c), EulerClass(n))
             return out
 
         for _ in range(5):
@@ -326,7 +323,7 @@ class TestPathways:
         rhs = fp_mul(
             localize_op(table, lambdas, a),
             localize_op(table, lambdas, b),
-            lambdas,
+            [RatFun(lam.expand()) for lam in lambdas],
         )
         assert _fp_eq(lhs, rhs)
 
