@@ -25,7 +25,7 @@ from .errors import (
     NotInSpan,
 )
 from .polyops import Poly, RatFun
-from .repdata import SpringerData, h_count, q_poly
+from .repdata import Setting, h_count, q_poly
 from .report import CheckResult
 from .subgroup import CosetTable
 
@@ -231,15 +231,14 @@ def gen_var(table: CosetTable, i: int, t: int) -> TwistedOperator:
     )
 
 
-def gen_sigma(data: SpringerData, table: CosetTable, i: int, s: int) -> TwistedOperator:
+def gen_sigma(setting: Setting, i: int, s: int) -> TwistedOperator:
     """Crossing generator at (i, s): q-twisted divided difference when the
     reflection stabilizes the coset, q-twisted shift across the wall."""
-    datum = data.datum
-    group = table.group
-    q = q_poly(data, table, i, s)
+    table, group = setting.table, setting.group
+    q = q_poly(setting, i, s)
     s_elem = group.simple[s]
     if table.stab(i, s):
-        alpha = Poly.linear(datum.simple_roots[s])
+        alpha = Poly.linear(setting.datum.simple_roots[s])
         c = RatFun(q, alpha)
         return TwistedOperator(table, {(i, s_elem): c, (i, group.identity): -c})
     return TwistedOperator(table, {(i, s_elem): RatFun(q)})
@@ -260,32 +259,31 @@ def diag_mult(table: CosetTable, m: ModuleElement) -> TwistedOperator:
     return TwistedOperator(table, {(i, e): RatFun(f) for i, f in m.components.items()})
 
 
-def sigma_word(data: SpringerData, table: CosetTable, i: int, word) -> TwistedOperator:
+def sigma_word(setting: Setting, i: int, word) -> TwistedOperator:
     """Left-to-right crossing product with index tracking along the word."""
+    table = setting.table
     op = gen_unit(table, i)
     cur = i
     for k in word:
-        op = op * gen_sigma(data, table, cur, k)
+        op = op * gen_sigma(setting, cur, k)
         cur = table.act(cur, k)
     return op
 
 
-def sigma_basis_element(data: SpringerData, table: CosetTable, g: int) -> TwistedOperator:
+def sigma_basis_element(setting: Setting, g: int) -> TwistedOperator:
     """sigma(w) summed over all components, for the fixed reduced word of w."""
+    table = setting.table
     word = table.group.reduced_word(g)
     op = TwistedOperator(table)
     for i in table.indices:
-        op = op + sigma_word(data, table, i, word)
+        op = op + sigma_word(setting, i, word)
     return op
 
 
-def straightening_poly(data: SpringerData, table: CosetTable, i: int, s: int, t: int) -> ModuleElement:
+def straightening_poly(setting: Setting, i: int, s: int, t: int) -> ModuleElement:
     """The polynomial correction in the variable-crossing commutation."""
-    n = data.datum.ambient_rank
-    result = gen_sigma(data, table, i, s).apply(
-        ModuleElement(n, {i: Poly.variable(n, t)})
-    )
-    return result
+    n = setting.datum.ambient_rank
+    return gen_sigma(setting, i, s).apply(ModuleElement(n, {i: Poly.variable(n, t)}))
 
 
 @dataclass
@@ -308,7 +306,7 @@ class BraidDefect:
 
 
 def _dihedral_elements(group, s: int, t: int, m: int):
-    """Elements of <s,t> keyed by length; each короткое word is unique."""
+    """Elements of <s,t> keyed by length; each short word is unique."""
     out = {0: [group.identity]}
     words = {group.identity: ()}
     for length in range(1, m + 1):
@@ -323,16 +321,16 @@ def _dihedral_elements(group, s: int, t: int, m: int):
     return out, words
 
 
-def braid_defect(data: SpringerData, table: CosetTable, i: int, s: int, t: int) -> BraidDefect:
+def braid_defect(setting: Setting, i: int, s: int, t: int) -> BraidDefect:
     """Difference of the two alternating crossing words, eliminated against
     the shorter crossing words by descending length."""
-    group = table.group
+    table, group = setting.table, setting.group
     m = group.braid_order(s, t)
     if m not in (3, 4, 6):
         raise ValueError(f"braid extraction needs order 3, 4 or 6; got {m}")
     word_s = tuple((s, t)[j % 2] for j in range(m))
     word_t = tuple((t, s)[j % 2] for j in range(m))
-    delta = sigma_word(data, table, i, word_s) - sigma_word(data, table, i, word_t)
+    delta = sigma_word(setting, i, word_s) - sigma_word(setting, i, word_t)
     by_length, word_of = _dihedral_elements(group, s, t, m)
     x = group.mul_word(word_s)
     allowed = set(word_of) - {x}
@@ -356,7 +354,7 @@ def braid_defect(data: SpringerData, table: CosetTable, i: int, s: int, t: int) 
             raise ExtractionStuck(
                 f"maximal support element {group.reduced_word(v)} not below the braid word"
             )
-        basis = sigma_word(data, table, i, word_of[v])
+        basis = sigma_word(setting, i, word_of[v])
         lead = basis.terms[(i, v)]
         qv = delta.terms[(i, v)] / lead
         coefficients[v] = qv
@@ -364,26 +362,27 @@ def braid_defect(data: SpringerData, table: CosetTable, i: int, s: int, t: int) 
 
     for length in range(m):
         for g in by_length[length]:
-            coefficients.setdefault(g, RatFun.from_scalar(data.datum.ambient_rank, 0))
+            coefficients.setdefault(g, RatFun.from_scalar(setting.datum.ambient_rank, 0))
     flags = {g: c.is_polynomial() for g, c in coefficients.items()}
     return BraidDefect(
         i, s, t, m, coefficients, flags, {g: word_of[g] for g in coefficients}
     )
 
 
-def braid_assumptions_hold(data: SpringerData, table: CosetTable, s: int, t: int) -> bool:
+def braid_assumptions_hold(setting: Setting, s: int, t: int) -> bool:
     """Exponent bounds under which defect coefficients are certified
     polynomial: order 4 needs h in {0,1,2} on doubly stabilized indices,
     order 6 needs h = 0 there."""
-    if not data.borel_flag:
+    if not setting.data.borel_flag:
         return False
+    table = setting.table
     m = table.group.braid_order(s, t)
     if m in (2, 3):
         return True
     for i in table.indices:
         if table.stab(i, s) and table.stab(i, t):
-            hs = h_count(data, table, i, s)
-            ht = h_count(data, table, i, t)
+            hs = h_count(setting, i, s)
+            ht = h_count(setting, i, t)
             if m == 4 and not (hs in (0, 1, 2) and ht in (0, 1, 2)):
                 return False
             if m == 6 and not (hs == 0 and ht == 0):
@@ -401,11 +400,11 @@ class NormalForm:
         return sorted(self.coefficients)
 
 
-def normal_form(data: SpringerData, table: CosetTable, op: TwistedOperator) -> NormalForm:
+def normal_form(setting: Setting, op: TwistedOperator) -> NormalForm:
     """Descending-length elimination against sigma(w) for the fixed reduced
     words; coefficients must come out polynomial and the remainder zero."""
-    group = table.group
-    n = data.datum.ambient_rank
+    table, group = setting.table, setting.group
+    n = setting.datum.ambient_rank
     basis_cache: dict[int, TwistedOperator] = {}
     coeffs: dict[int, dict[int, Poly]] = {}
     remaining = TwistedOperator(table, dict(op.terms))
@@ -420,7 +419,7 @@ def normal_form(data: SpringerData, table: CosetTable, op: TwistedOperator) -> N
         )
         basis = basis_cache.get(v)
         if basis is None:
-            basis = sigma_basis_element(data, table, v)
+            basis = sigma_basis_element(setting, v)
             basis_cache[v] = basis
         row_coeffs = {}
         for i in table.indices:
@@ -449,17 +448,18 @@ def normal_form(data: SpringerData, table: CosetTable, op: TwistedOperator) -> N
     return NormalForm({g: ModuleElement(n, cs) for g, cs in coeffs.items()})
 
 
-def reassemble(data: SpringerData, table: CosetTable, nf: NormalForm) -> TwistedOperator:
+def reassemble(setting: Setting, nf: NormalForm) -> TwistedOperator:
+    table = setting.table
     out = TwistedOperator(table)
     for g, me in nf.coefficients.items():
-        out = out + diag_mult(table, me) * sigma_basis_element(data, table, g)
+        out = out + diag_mult(table, me) * sigma_basis_element(setting, g)
     return out
 
 
-def check_relations(data: SpringerData, table: CosetTable) -> list:
+def check_relations(setting: Setting) -> list:
     """Exact verification of the defining relations on all generators."""
-    datum = data.datum
-    group = table.group
+    datum, _, table, data = setting
+    group = setting.group
     n = datum.ambient_rank
     results = []
 
@@ -481,7 +481,7 @@ def check_relations(data: SpringerData, table: CosetTable) -> list:
             if gen_unit(table, i) * z * gen_unit(table, i) != z:
                 ok, bad = False, {"i": i, "t": t}
         for s in range(datum.rank):
-            sig = gen_sigma(data, table, i, s)
+            sig = gen_sigma(setting, i, s)
             if gen_unit(table, i) * sig * gen_unit(table, table.act(i, s)) != sig:
                 ok, bad = False, {"i": i, "s": s}
     results.append(CheckResult("idempotent-sandwich", ok, "", bad))
@@ -502,19 +502,19 @@ def check_relations(data: SpringerData, table: CosetTable) -> list:
         for i in table.indices:
             for s in range(datum.rank):
                 isx = table.act(i, s)
-                lhs = gen_sigma(data, table, i, s) * gen_sigma(data, table, isx, s)
+                lhs = gen_sigma(setting, i, s) * gen_sigma(setting, isx, s)
                 alpha = Poly.linear(datum.simple_roots[s])
-                h_i = h_count(data, table, i, s)
+                h_i = h_count(setting, i, s)
                 if isx == i:
                     if h_i % 2 == 0:
                         rhs = TwistedOperator(table)
                     else:
                         rhs = (
                             left_mult(table, i, alpha ** (h_i - 1))
-                            * gen_sigma(data, table, i, s)
+                            * gen_sigma(setting, i, s)
                         ).scale(-2)
                 else:
-                    h_is = h_count(data, table, isx, s)
+                    h_is = h_count(setting, isx, s)
                     value = alpha ** (h_i + h_is) * Fraction((-1) ** h_is)
                     rhs = left_mult(table, i, value)
                 if lhs != rhs:
@@ -527,12 +527,12 @@ def check_relations(data: SpringerData, table: CosetTable) -> list:
         for s in range(datum.rank):
             isx = table.act(i, s)
             smat = group.matrix(group.simple[s])
-            sig = gen_sigma(data, table, i, s)
+            sig = gen_sigma(setting, i, s)
             for t in range(n):
                 lhs = sig * gen_var(table, isx, t) - left_mult(
                     table, i, Poly.variable(n, t).substitute_linear(smat)
                 ) * sig
-                c = straightening_poly(data, table, i, s, t)
+                c = straightening_poly(setting, i, s, t)
                 rhs = diag_mult(table, c) if isx == i else TwistedOperator(table)
                 if lhs != rhs:
                     ok, bad = False, {"i": i, "s": s, "t": t}
@@ -545,12 +545,8 @@ def check_relations(data: SpringerData, table: CosetTable) -> list:
             if group.braid_order(s, t) != 2:
                 continue
             for i in table.indices:
-                lhs = gen_sigma(data, table, i, s) * gen_sigma(
-                    data, table, table.act(i, s), t
-                )
-                rhs = gen_sigma(data, table, i, t) * gen_sigma(
-                    data, table, table.act(i, t), s
-                )
+                lhs = gen_sigma(setting, i, s) * gen_sigma(setting, table.act(i, s), t)
+                rhs = gen_sigma(setting, i, t) * gen_sigma(setting, table.act(i, t), s)
                 if lhs != rhs:
                     ok, bad = False, {"i": i, "s": s, "t": t}
     results.append(CheckResult("commuting-braid", ok, "", bad))
@@ -564,10 +560,10 @@ def check_relations(data: SpringerData, table: CosetTable) -> list:
                 m = group.braid_order(s, t)
                 if m == 2:
                     continue
-                certified = braid_assumptions_hold(data, table, s, t)
+                certified = braid_assumptions_hold(setting, s, t)
                 for i in table.indices:
                     try:
-                        defect = braid_defect(data, table, i, s, t)
+                        defect = braid_defect(setting, i, s, t)
                     except ExtractionStuck as exc:
                         ok, bad = False, {"i": i, "s": s, "t": t, "error": str(exc)}
                         continue
@@ -581,10 +577,10 @@ def check_relations(data: SpringerData, table: CosetTable) -> list:
     return results
 
 
-def generator_grading_check(data: SpringerData, table: CosetTable) -> list:
+def generator_grading_check(setting: Setting) -> list:
     """Degree bookkeeping: units 0, variables 2, crossings 2 deg q - 2 on
     stabilized indices and 2 deg q across walls."""
-    datum = data.datum
+    datum, table = setting.datum, setting.table
     results = []
     ok = True
     bad = None
@@ -595,8 +591,8 @@ def generator_grading_check(data: SpringerData, table: CosetTable) -> list:
             if gen_var(table, i, t).graded_degree() != 2:
                 ok, bad = False, {"i": i, "gen": f"var{t}"}
         for s in range(datum.rank):
-            sig = gen_sigma(data, table, i, s)
-            q = q_poly(data, table, i, s)
+            sig = gen_sigma(setting, i, s)
+            q = q_poly(setting, i, s)
             want = 2 * q.degree() - 2 if table.stab(i, s) else 2 * q.degree()
             if sig.graded_degree() != want:
                 ok, bad = False, {"i": i, "s": s, "want": want}

@@ -59,10 +59,10 @@ class _Tokens:
         return int(self.text[start : self.pos])
 
 
-def parse_opexpr(text: str, data, table) -> algebra.TwistedOperator:
+def parse_opexpr(text: str, setting) -> algebra.TwistedOperator:
     """Parse and evaluate an operator expression against a built setting."""
     toks = _Tokens(text)
-    op = _parse_expr(toks, data, table)
+    op = _parse_expr(toks, setting)
     toks.skip_ws()
     if toks.pos != len(text):
         raise ParseError("trailing input", toks.pos)
@@ -74,37 +74,38 @@ def _check_index(i: int, table):
         raise UnknownIndex(f"coset index {i} out of range")
 
 
-def _parse_expr(toks, data, table):
+def _parse_expr(toks, setting):
     sign = 1
     if toks.peek() == "-":
         toks.take("-")
         sign = -1
-    op = _parse_term(toks, data, table)
+    op = _parse_term(toks, setting)
     if sign < 0:
         op = op.scale(-1)
     while toks.peek() in ("+", "-"):
         if toks.peek() == "+":
             toks.take("+")
-            op = op + _parse_term(toks, data, table)
+            op = op + _parse_term(toks, setting)
         else:
             toks.take("-")
-            op = op - _parse_term(toks, data, table)
+            op = op - _parse_term(toks, setting)
     return op
 
 
-def _parse_term(toks, data, table):
-    op = _parse_factor(toks, data, table)
+def _parse_term(toks, setting):
+    op = _parse_factor(toks, setting)
     while toks.peek() == "*":
         toks.take("*")
-        op = op * _parse_factor(toks, data, table)
+        op = op * _parse_factor(toks, setting)
     return op
 
 
-def _parse_factor(toks, data, table):
+def _parse_factor(toks, setting):
+    datum, table = setting.datum, setting.table
     ch = toks.peek()
     if ch == "(":
         toks.take("(")
-        op = _parse_expr(toks, data, table)
+        op = _parse_expr(toks, setting)
         toks.take(")")
         return op
     if ch == "1" and toks.text.startswith("1(", toks.pos):
@@ -120,7 +121,7 @@ def _parse_factor(toks, data, table):
         t = toks.integer()
         toks.take(")")
         _check_index(i, table)
-        if not 0 <= t < data.datum.ambient_rank:
+        if not 0 <= t < datum.ambient_rank:
             raise UnknownIndex(f"variable index {t} out of range")
         return algebra.gen_var(table, i, t)
     if ch == "s":
@@ -130,9 +131,9 @@ def _parse_factor(toks, data, table):
         k = toks.integer()
         toks.take(")")
         _check_index(i, table)
-        if not 0 <= k < data.datum.rank:
+        if not 0 <= k < datum.rank:
             raise UnknownIndex(f"simple reflection index {k} out of range")
-        return algebra.gen_sigma(data, table, i, k)
+        return algebra.gen_sigma(setting, i, k)
     # rational scalar: integer with optional /denominator
     num = toks.integer()
     if toks.peek() == "/":
@@ -177,40 +178,31 @@ def _fp_matrix_json(mat, group):
 def run_checks(cfg: Config, selected=None) -> tuple:
     """Run the selected named check suites on a config; returns the
     CheckResults and the wall seconds of each suite by name."""
-    datum, sub, table, data = build_setting(cfg)
-    lambdas = None
-
-    def lam():
-        nonlocal lambdas
-        if lambdas is None:
-            lambdas = localize.lambda_table(data, sub)
-        return lambdas
-
+    setting = build_setting(cfg)
+    datum, sub, table, _ = setting
     suites = {}
-    suites["suitability"] = lambda: repdata.validate(
-        data, sub, strict=cfg.strict_suitability
-    )
+    suites["suitability"] = lambda: repdata.validate(setting, strict=cfg.strict_suitability)
     suites["coset"] = lambda: _coset_checks(table)
     suites["length"] = lambda: length_comparison_check(sub)
     suites["factorization"] = lambda: _factorization_checks(sub)
-    suites["fibers"] = lambda: repdata.fiber_split_check(data, table)
-    suites["relations"] = lambda: algebra.check_relations(data, table)
-    suites["grading"] = lambda: algebra.generator_grading_check(data, table)
-    suites["euler"] = lambda: localize.euler_identities_check(data, table, lam())
+    suites["fibers"] = lambda: repdata.fiber_split_check(setting)
+    suites["relations"] = lambda: algebra.check_relations(setting)
+    suites["grading"] = lambda: algebra.generator_grading_check(setting)
+    suites["euler"] = lambda: localize.euler_identities_check(setting)
     suites["localization"] = lambda: (
-        localize.pathway_agreement_check(data, table, lam())
-        + localize.intertwining_check(data, table, lam())
-        + localize.theta_equivariance_check(data, table, lam())
+        localize.pathway_agreement_check(setting)
+        + localize.intertwining_check(setting)
+        + localize.theta_equivariance_check(setting)
     )
-    suites["leading"] = lambda: localize.leading_term_suite(data, table, lam())
+    suites["leading"] = lambda: localize.leading_term_suite(setting)
     suites["inversions"] = lambda: (
         localize.inversion_additivity_suite(table.group, datum.positive_roots)
         + localize.inversion_additivity_suite(
             table.group, tuple(tuple(-x for x in a) for a in datum.positive_roots)
         )
     )
-    suites["integrality"] = lambda: _integrality_checks(data, table, cfg.degree_bound)
-    suites["products"] = lambda: _product_checks(data, table, cfg.seed, cfg.degree_bound)
+    suites["integrality"] = lambda: _integrality_checks(setting, cfg.degree_bound)
+    suites["products"] = lambda: _product_checks(setting, cfg.seed, cfg.degree_bound)
 
     if selected is None:
         selected = cfg.checks if cfg.checks is not None else sorted(suites)
@@ -227,19 +219,19 @@ def run_checks(cfg: Config, selected=None) -> tuple:
     return results, seconds
 
 
-def _all_generators(data, table):
+def _all_generators(setting):
+    datum, table = setting.datum, setting.table
     gens = []
-    n = data.datum.ambient_rank
     for i in table.indices:
         gens.append((f"unit({i})", algebra.gen_unit(table, i)))
-        for t in range(n):
+        for t in range(datum.ambient_rank):
             gens.append((f"var({i},{t})", algebra.gen_var(table, i, t)))
-        for s in range(data.datum.rank):
-            gens.append((f"crossing({i},{s})", algebra.gen_sigma(data, table, i, s)))
+        for s in range(datum.rank):
+            gens.append((f"crossing({i},{s})", algebra.gen_sigma(setting, i, s)))
     return gens
 
 
-def _integrality_checks(data, table, degree_bound: int) -> list:
+def _integrality_checks(setting, degree_bound: int) -> list:
     """Generators stay polynomial on every monomial up to the degree bound.
 
     This is the documented property test, not a proof: exact divisibility is
@@ -247,12 +239,12 @@ def _integrality_checks(data, table, degree_bound: int) -> list:
     """
     from .errors import NonIntegralResult
 
-    n = data.datum.ambient_rank
+    n = setting.datum.ambient_rank
     monos = monomials_up_to(n, degree_bound)
     ok = True
     bad = None
-    for name, gen in _all_generators(data, table):
-        for i in table.indices:
+    for name, gen in _all_generators(setting):
+        for i in setting.table.indices:
             for e in monos:
                 m = algebra.ModuleElement.monomial(n, i, e)
                 try:
@@ -262,13 +254,13 @@ def _integrality_checks(data, table, degree_bound: int) -> list:
     return [CheckResult("generators-integral", ok, f"degree bound {degree_bound}", bad)]
 
 
-def _product_checks(data, table, seed: int, degree_bound: int) -> list:
+def _product_checks(setting, seed: int, degree_bound: int) -> list:
     """Sampled associativity and module-action compatibility."""
     import random
 
     rng = random.Random(seed)
-    gens = _all_generators(data, table)
-    n = data.datum.ambient_rank
+    gens = _all_generators(setting)
+    n = setting.datum.ambient_rank
     monos = monomials_up_to(n, min(degree_bound, 2))
     results = []
     ok = True
@@ -278,7 +270,7 @@ def _product_checks(data, table, seed: int, degree_bound: int) -> list:
         if (A * B) * C != A * (B * C):
             ok, bad = False, {"triple": (na, nb, nc)}
         m = algebra.ModuleElement.monomial(
-            n, rng.randrange(len(table.indices)), rng.choice(monos)
+            n, rng.randrange(len(setting.table.indices)), rng.choice(monos)
         )
         if (A * B).apply(m) != A.apply(B.apply(m)):
             ok, bad = False, {"pair": (na, nb), "monomial": True}
@@ -361,7 +353,8 @@ def _factorization_checks(sub) -> list:
 
 
 def cmd_describe(cfg: Config) -> dict:
-    datum, sub, table, data = build_setting(cfg)
+    setting = build_setting(cfg)
+    datum, sub, table, data = setting
     group = sub.group
     out = {
         "ambient_rank": datum.ambient_rank,
@@ -377,26 +370,24 @@ def cmd_describe(cfg: Config) -> dict:
     }
     if data.borel_flag:
         out["h_table"] = {
-            str(i): [repdata.h_count(data, table, i, s) for s in range(datum.rank)]
+            str(i): [repdata.h_count(setting, i, s) for s in range(datum.rank)]
             for i in table.indices
         }
     out["q_table"] = {
-        str(i): [
-            repdata.q_poly(data, table, i, s).to_pairs() for s in range(datum.rank)
-        ]
+        str(i): [repdata.q_poly(setting, i, s).to_pairs() for s in range(datum.rank)]
         for i in table.indices
     }
     return out
 
 
 def cmd_braid(cfg: Config, i: int, s: int, t: int) -> dict:
-    datum, sub, table, data = build_setting(cfg)
-    _check_index(i, table)
+    setting = build_setting(cfg)
+    _check_index(i, setting.table)
     for k in (s, t):
-        if not 0 <= k < datum.rank:
+        if not 0 <= k < setting.datum.rank:
             raise UnknownIndex(f"simple reflection index {k} out of range")
-    defect = algebra.braid_defect(data, table, i, s, t)
-    group = sub.group
+    defect = algebra.braid_defect(setting, i, s, t)
+    group = setting.group
     rows = []
     for g in sorted(defect.coefficients, key=lambda g: (group.length(g), g)):
         c = defect.coefficients[g]
@@ -418,8 +409,9 @@ def cmd_braid(cfg: Config, i: int, s: int, t: int) -> dict:
 def cmd_act(cfg: Config, expr: str, component: int | None, poly_pairs) -> dict:
     if component is None and poly_pairs is not None:
         raise ParseError("--poly needs --component")
-    datum, sub, table, data = build_setting(cfg)
-    op = parse_opexpr(expr, data, table)
+    setting = build_setting(cfg)
+    datum, sub, table, _ = setting
+    op = parse_opexpr(expr, setting)
     n = datum.ambient_rank
     if component is None:
         results = {}
@@ -450,34 +442,31 @@ def _operator_json(op, group):
 
 
 def cmd_localize(cfg: Config) -> dict:
-    datum, sub, table, data = build_setting(cfg)
-    lambdas = localize.lambda_table(data, sub)
-    group = sub.group
-    out = {"generators": {}, "checks": []}
-    for i in table.indices:
-        for s in range(datum.rank):
-            mat = localize.localize_sigma(data, table, i, s)
+    setting = build_setting(cfg)
+    group = setting.group
+    out = {"generators": {}}
+    for i in setting.table.indices:
+        for s in range(setting.datum.rank):
+            mat = localize.localize_sigma(setting, i, s)
             out["generators"][f"sigma({i},{s})"] = _fp_matrix_json(mat, group)
-    for r in localize.pathway_agreement_check(data, table, lambdas):
-        out["checks"].append(r.as_dict())
-    for r in localize.intertwining_check(data, table, lambdas):
-        out["checks"].append(r.as_dict())
+    checks = localize.pathway_agreement_check(setting) + localize.intertwining_check(setting)
+    out["checks"] = [r.as_dict() for r in checks]
     return out
 
 
 def cmd_euler(cfg: Config) -> dict:
-    datum, sub, table, data = build_setting(cfg)
-    lambdas = localize.lambda_table(data, sub)
-    group = sub.group
+    setting = build_setting(cfg)
+    datum, _, table, _ = setting
+    group = setting.group
     out = {"lambda": [], "crossing_cells": []}
-    for g in range(len(group)):
+    for g, lam in enumerate(setting.lambdas):
         out["lambda"].append(
-            {"word": list(group.reduced_word(g)), "value": lambdas[g].expand().to_pairs()}
+            {"word": list(group.reduced_word(g)), "value": lam.expand().to_pairs()}
         )
     for g in range(len(group)):
         i = table.coset_of[g]
         for s in range(datum.rank):
-            value = localize.eu_zbar_s(data, table, g, s)
+            value = localize.eu_zbar_s(setting, g, s)
             out["crossing_cells"].append(
                 {
                     "word": list(group.reduced_word(g)),
@@ -518,6 +507,8 @@ def cmd_preset(name: str, quiver_json: str | None) -> Config:
             isinstance(v, (str, int)) for v in dims
         ):
             raise ParseError(f"quiver dimension must be an object or a list, got {dims_raw!r}")
+        if len({str(v) for v in vertices}) != len(vertices):
+            raise ParseError(f"quiver vertex names must be unique, got {vertices!r}")
         vertices = tuple(vertices)
         if isinstance(dims_raw, dict):
             # JSON keys are strings; map them back onto the vertex objects
@@ -527,6 +518,8 @@ def cmd_preset(name: str, quiver_json: str | None) -> Config:
                 if key not in by_name:
                     raise ParseError(f"dimension at unknown vertex {key!r}")
                 dimension[by_name[key]] = int(value)
+        elif len(dims_raw) != len(vertices):
+            raise ParseError(f"quiver dimension list needs one entry per vertex, got {dims_raw!r}")
         else:
             dimension = {q: int(v) for q, v in zip(vertices, dims_raw)}
         quiver = presets.QuiverSpec(
@@ -647,10 +640,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant broken: {exc}", file=sys.stderr)
         return 3
-    except (QheckeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QheckeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

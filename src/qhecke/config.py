@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .polyops import coeff_str
-from .repdata import SpringerData
+from .repdata import Setting
 from .rootcore import build_root_datum
 from .subgroup import TorusConstraint, build_coset_table, fixed_subsystem
 
@@ -56,10 +56,6 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
-def _rat_str(f: Fraction) -> str:
-    return coeff_str(f)
-
-
 def parse_config(text: str) -> Config:
     try:
         raw = json.loads(text)
@@ -74,7 +70,7 @@ def parse_config(text: str) -> Config:
         raise ParseError("config needs a group")
     cfg = Config(group=raw["group"])
 
-    for entry in raw.get("torus", []):
+    for entry in _typed(raw.get("torus", []), "torus", list):
         if not isinstance(entry, dict):
             raise ParseError(f"torus entry must be an object, got {entry!r}")
         unknown = set(entry) - {"kind", "values"}
@@ -89,13 +85,13 @@ def parse_config(text: str) -> Config:
             {"kind": entry["kind"], "values": [_rat(v) for v in entry["values"]]}
         )
 
-    springer = raw.get("springer", {"r": 0, "U": [], "V": []})
+    springer = _typed(raw.get("springer", {}), "springer", dict)
     unknown = set(springer) - {"r", "U", "V"}
     if unknown:
         raise ParseError(f"unknown springer fields {sorted(unknown)}")
     cfg.r = check_int(springer.get("r", 0), "springer.r", 0)
-    cfg.U = springer.get("U", [])
-    cfg.V = springer.get("V", [])
+    cfg.U = _typed(springer.get("U", []), "springer.U", list)
+    cfg.V = _typed(springer.get("V", []), "springer.V", list)
     if len(cfg.U) != cfg.r or len(cfg.V) != cfg.r:
         raise ParseError("springer.U and springer.V must each have r entries")
     for entry in cfg.U:
@@ -105,11 +101,14 @@ def parse_config(text: str) -> Config:
         if not (entry == "all_roots" or isinstance(entry, list)):
             raise ParseError(f"bad V entry {entry!r}")
 
-    options = raw.get("options", {})
+    options = _typed(raw.get("options", {}), "options", dict)
     unknown = set(options) - _KNOWN_OPTIONS
     if unknown:
         raise ParseError(f"unknown option fields {sorted(unknown)}")
-    cfg.strict_suitability = bool(options.get("strict_suitability", False))
+    strict = options.get("strict_suitability", False)
+    if not isinstance(strict, bool):
+        raise ParseError(f"options.strict_suitability must be true or false, got {strict!r}")
+    cfg.strict_suitability = strict
     cfg.degree_bound = check_int(options.get("degree_bound", 4), "options.degree_bound", 0)
     cfg.checks = options.get("checks")
     if cfg.checks is not None and not (
@@ -124,7 +123,7 @@ def emit_config(cfg: Config) -> str:
     raw = {
         "group": cfg.group,
         "torus": [
-            {"kind": c["kind"], "values": [_rat_str(v) for v in c["values"]]}
+            {"kind": c["kind"], "values": [coeff_str(v) for v in c["values"]]}
             for c in cfg.torus
         ],
         "springer": {"r": cfg.r, "U": cfg.U, "V": cfg.V},
@@ -139,8 +138,9 @@ def emit_config(cfg: Config) -> str:
     return json.dumps(raw, indent=2, sort_keys=True)
 
 
-def build_setting(cfg: Config):
-    """Construct (datum, sub, table, data) from a parsed config."""
+def build_setting(cfg: Config) -> Setting:
+    """Construct the setting of a parsed config; its Lambda table is left
+    to be computed on first use."""
     datum = build_root_datum(cfg.group)
     constraints = [
         TorusConstraint(c["kind"], tuple(c["values"])) for c in cfg.torus
@@ -159,8 +159,7 @@ def build_setting(cfg: Config):
             V_sets.append(datum.roots)
         else:
             V_sets.append(_weights(entry, datum.ambient_rank, "V"))
-    data = SpringerData(datum, U_sets, V_sets)
-    return datum, sub, table, data
+    return Setting(table, U_sets, V_sets)
 
 
 def _weights(entry, rank: int, name: str) -> list:
@@ -171,5 +170,13 @@ def _weights(entry, rank: int, name: str) -> list:
             raise ParseError(
                 f"springer.{name} weight {v!r} must be a list of {rank} integers"
             )
-        out.append(tuple(int(x) for x in v))
+        out.append(tuple(check_int(x, f"springer.{name} weight entry") for x in v))
     return out
+
+
+def _typed(value, name: str, kind: type):
+    """`value` when it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ParseError(f"{name} must be {what}, got {value!r}")
+    return value

@@ -28,10 +28,9 @@ from collections import Counter
 from fractions import Fraction
 
 from .polyops import EulerClass, FactoredFrac, Poly, RatFun, monomials_up_to
-from .repdata import SpringerData, fiber_pair_weights, fiber_weights, h_count, q_poly
+from .repdata import Setting, fiber_pair_weights, fiber_weights, h_count, q_poly
 from .report import CheckResult
-from .subgroup import CosetTable, SubSystem
-from .algebra import ModuleElement, TwistedOperator, gen_sigma, module_act
+from .algebra import ModuleElement, TwistedOperator, gen_sigma, gen_unit, gen_var, module_act
 
 
 def euler(ms: Counter, nvars: int) -> EulerClass:
@@ -40,77 +39,76 @@ def euler(ms: Counter, nvars: int) -> EulerClass:
     return EulerClass.of_weights(nvars, ms)
 
 
-def tangent_n(sub: SubSystem, g: int) -> Counter:
+def tangent_n(setting: Setting, g: int) -> Counter:
     """Weights of the tangent space at the fixed point of g: the subsystem
     roots landing in the image of the negatives.  Computed once per element;
     every call returns a fresh Counter."""
-    weights = sub._tangent.get(g)
+    weights = setting.tangents.get(g)
     if weights is None:
-        group = sub.group
+        group = setting.group
         neg_big = group.negative
         pinv = group.perms[group.inv(g)]
         roots = group.roots
-        weights = tuple(roots[i] for i in sub._root_index if neg_big[pinv[i]])
-        sub._tangent[g] = weights
+        weights = tuple(roots[i] for i in setting.sub._root_index if neg_big[pinv[i]])
+        setting.tangents[g] = weights
     return Counter(weights)
 
 
-def tangent_m(sub: SubSystem, gx: int, gy: int) -> Counter:
+def tangent_m(setting: Setting, gx: int, gy: int) -> Counter:
     """n_x minus (n_x cap n_y), as a multiset."""
-    nx = tangent_n(sub, gx)
-    ny = tangent_n(sub, gy)
+    nx = tangent_n(setting, gx)
+    ny = tangent_n(setting, gy)
     return nx - (nx & ny)
 
 
-def lambda_poly(data: SpringerData, sub: SubSystem, g: int) -> EulerClass:
+def lambda_poly(setting: Setting, g: int) -> EulerClass:
     """Euler class of the fixed point of g: fiber weights plus tangent weights."""
-    ms = fiber_weights(data, sub.group, g) + tangent_n(sub, g)
-    return euler(ms, data.datum.ambient_rank)
+    ms = fiber_weights(setting, g) + tangent_n(setting, g)
+    return euler(ms, setting.datum.ambient_rank)
 
 
-def lambda_table(data: SpringerData, sub: SubSystem):
+def lambda_table(setting: Setting):
     """Lambda_w for every group element, factored; a product of nonzero
-    weights, so never zero."""
-    return tuple(lambda_poly(data, sub, g) for g in range(len(sub.group)))
+    weights, so never zero.  Read it as `setting.lambdas`, which keeps it."""
+    return tuple(lambda_poly(setting, g) for g in range(len(setting.group)))
 
 
-def q_translate(data: SpringerData, sub: SubSystem, gx: int, s: int) -> EulerClass:
+def q_translate(setting: Setting, gx: int, s: int) -> EulerClass:
     """Euler class of F_x / F_{x,xs}: the x-translate of the q-support."""
-    group = sub.group
+    group = setting.group
     xs = group.mul(gx, group.simple[s])
-    diff = fiber_weights(data, group, gx) - fiber_pair_weights(data, group, gx, xs)
-    return euler(diff, data.datum.ambient_rank)
+    diff = fiber_weights(setting, gx) - fiber_pair_weights(setting, gx, xs)
+    return euler(diff, setting.datum.ambient_rank)
 
 
-def eu_zbar_w(data: SpringerData, sub: SubSystem, gx: int, w: int) -> EulerClass:
+def eu_zbar_w(setting: Setting, gx: int, w: int) -> EulerClass:
     """Euler class of the closed cell of w at the pair (x, xw):
     fiber pair weights, tangent at x, and the curve direction at xw."""
-    group = sub.group
-    gxw = group.mul(gx, w)
+    gxw = setting.group.mul(gx, w)
     ms = (
-        fiber_pair_weights(data, group, gx, gxw)
-        + tangent_n(sub, gx)
-        + tangent_m(sub, gxw, gx)
+        fiber_pair_weights(setting, gx, gxw)
+        + tangent_n(setting, gx)
+        + tangent_m(setting, gxw, gx)
     )
-    return euler(ms, data.datum.ambient_rank)
+    return euler(ms, setting.datum.ambient_rank)
 
 
-def eu_zbar_s(data: SpringerData, table: CosetTable, gx: int, s: int, diagonal: bool = False):
+def eu_zbar_s(setting: Setting, gx: int, s: int, diagonal: bool = False):
     """Euler class of the crossing cell at (x, xs) (or at (x, x) for the
     diagonal entry on stabilized cosets, which is minus the off entry)."""
-    value = eu_zbar_w(data, table.sub, gx, table.group.simple[s])
+    value = eu_zbar_w(setting, gx, setting.group.simple[s])
     if diagonal:
-        i = table.coset_of[gx]
-        if not table.stab(i, s):
+        table = setting.table
+        if not table.stab(table.coset_of[gx], s):
             raise ValueError("diagonal entries exist only on stabilized cosets")
         return -value
     return value
 
 
-def theta(table: CosetTable, lambdas, m: ModuleElement) -> dict:
+def theta(setting: Setting, m: ModuleElement) -> dict:
     """Localization of a module element: coefficient w(c)/Lambda_w at each
     fixed point of the coset carrying the component."""
-    group = table.group
+    table, group, lambdas = setting.table, setting.group, setting.lambdas
     out = {}
     for i, f in m.components.items():
         for g in table.fixed_points_of(i):
@@ -161,17 +159,18 @@ def fp_apply(A: dict, v: dict, lambdas) -> dict:
     return out
 
 
-def fp_identity(table: CosetTable, lambdas) -> dict:
-    return {(g, g): lambdas[g].reciprocal() for g in range(len(table.group))}
+def fp_identity(setting: Setting) -> dict:
+    return {(g, g): lam.reciprocal() for g, lam in enumerate(setting.lambdas)}
 
 
-def localize_unit(data: SpringerData, table: CosetTable, lambdas, i: int) -> dict:
-    return {(g, g): lambdas[g].reciprocal() for g in table.fixed_points_of(i)}
+def localize_unit(setting: Setting, i: int) -> dict:
+    lambdas = setting.lambdas
+    return {(g, g): lambdas[g].reciprocal() for g in setting.table.fixed_points_of(i)}
 
 
-def localize_var(data: SpringerData, table: CosetTable, lambdas, i: int, t: int) -> dict:
-    n = data.datum.ambient_rank
-    group = table.group
+def localize_var(setting: Setting, i: int, t: int) -> dict:
+    n = setting.datum.ambient_rank
+    table, group, lambdas = setting.table, setting.group, setting.lambdas
     out = {}
     for g in table.fixed_points_of(i):
         num = Poly.variable(n, t).substitute_linear(group.matrix(g))
@@ -181,25 +180,25 @@ def localize_var(data: SpringerData, table: CosetTable, lambdas, i: int, t: int)
     return out
 
 
-def localize_sigma(data: SpringerData, table: CosetTable, i: int, s: int) -> dict:
+def localize_sigma(setting: Setting, i: int, s: int) -> dict:
     """Multiplicity-formula matrix of a crossing generator: inverse Euler
     classes of the crossing cell at every fixed-point pair it touches."""
-    group = table.group
+    table, group = setting.table, setting.group
     stab = table.stab(i, s)
     s_elem = group.simple[s]
     out = {}
     for g in table.fixed_points_of(i):
-        off = eu_zbar_s(data, table, g, s)
+        off = eu_zbar_s(setting, g, s)
         out[(g, group.mul(g, s_elem))] = off.reciprocal()
         if stab:
             out[(g, g)] = (-off).reciprocal()
     return out
 
 
-def localize_op(table: CosetTable, lambdas, op: TwistedOperator) -> dict:
+def localize_op(setting: Setting, op: TwistedOperator) -> dict:
     """Translate a twisted operator into the fixed-point matrix compatible
     with localization of module elements: entry u(c)/Lambda_u at (u, uw)."""
-    group = table.group
+    table, group, lambdas = setting.table, setting.group, setting.lambdas
     out: dict[tuple, RatFun] = {}
     for (i, w), c in op.terms.items():
         for u in table.fixed_points_of(i):
@@ -215,117 +214,108 @@ def localize_op(table: CosetTable, lambdas, op: TwistedOperator) -> dict:
     return out
 
 
-def pathway_agreement_check(data: SpringerData, table: CosetTable, lambdas) -> list:
+def pathway_agreement_check(setting: Setting) -> list:
     """Operator translation vs multiplicity formula, entry by entry, for
     every generator: the factored geometric entries are expanded and
     compared with the algebra side's RatFuns."""
-    from .algebra import gen_unit, gen_var
-
+    datum, table = setting.datum, setting.table
     results = []
-    n = data.datum.ambient_rank
     for i in table.indices:
-        geo = localize_unit(data, table, lambdas, i)
-        alg = localize_op(table, lambdas, gen_unit(table, i))
-        ok = _fp_equal(geo, alg)
-        results.append(CheckResult(f"pathway-unit(i={i})", ok))
-        for t in range(n):
-            geo = localize_var(data, table, lambdas, i, t)
-            alg = localize_op(table, lambdas, gen_var(table, i, t))
-            ok = _fp_equal(geo, alg)
-            results.append(CheckResult(f"pathway-var(i={i},t={t})", ok))
-        for s in range(data.datum.rank):
-            geo = localize_sigma(data, table, i, s)
-            alg = localize_op(table, lambdas, gen_sigma(data, table, i, s))
-            ok = _fp_equal(geo, alg)
-            results.append(CheckResult(f"pathway-crossing(i={i},s={s})", ok))
+        geo = localize_unit(setting, i)
+        alg = localize_op(setting, gen_unit(table, i))
+        results.append(CheckResult(f"pathway-unit(i={i})", geo == alg))
+        for t in range(datum.ambient_rank):
+            geo = localize_var(setting, i, t)
+            alg = localize_op(setting, gen_var(table, i, t))
+            results.append(CheckResult(f"pathway-var(i={i},t={t})", geo == alg))
+        for s in range(datum.rank):
+            geo = localize_sigma(setting, i, s)
+            alg = localize_op(setting, gen_sigma(setting, i, s))
+            results.append(CheckResult(f"pathway-crossing(i={i},s={s})", geo == alg))
     return results
 
 
-def _fp_equal(A: dict, B: dict) -> bool:
-    if set(A) != set(B):
-        return False
-    return all(A[k] == B[k] for k in A)
-
-
-def intertwining_check(data: SpringerData, table: CosetTable, lambdas, degree: int = 3) -> list:
+def intertwining_check(setting: Setting, degree: int = 3) -> list:
     """The localization map intertwines crossing generators with their
     fixed-point matrices on all monomials up to the given degree."""
-    n = data.datum.ambient_rank
+    datum, table, lambdas = setting.datum, setting.table, setting.lambdas
+    n = datum.ambient_rank
     results = []
     monomials = monomials_up_to(n, degree)
     for i in table.indices:
-        for s in range(data.datum.rank):
-            mat = localize_sigma(data, table, i, s)
-            sig = gen_sigma(data, table, i, s)
+        for s in range(datum.rank):
+            mat = localize_sigma(setting, i, s)
+            sig = gen_sigma(setting, i, s)
             src = table.act(i, s)
             ok = True
             bad = None
             for e in monomials:
                 f = ModuleElement.monomial(n, src, e)
-                lhs = fp_apply(mat, theta(table, lambdas, f), lambdas)
-                rhs = theta(table, lambdas, sig.apply(f))
-                if not _fp_equal(lhs, rhs):
+                lhs = fp_apply(mat, theta(setting, f), lambdas)
+                rhs = theta(setting, sig.apply(f))
+                if lhs != rhs:
                     ok, bad = False, {"i": i, "s": s, "monomial": e}
                     break
             results.append(CheckResult(f"intertwine(i={i},s={s})", ok, "", bad))
     return results
 
 
-def theta_injectivity_check(data: SpringerData, table: CosetTable, lambdas, degree: int = 3) -> list:
+def theta_injectivity_check(setting: Setting, degree: int = 3) -> list:
     """Distinct monomials of bounded degree have distinct localizations."""
-    n = data.datum.ambient_rank
+    n = setting.datum.ambient_rank
     monomials = monomials_up_to(n, degree)
     images = []
-    for i in table.indices:
+    for i in setting.table.indices:
         for e in monomials:
             m = ModuleElement.monomial(n, i, e)
-            images.append(((i, e), theta(table, lambdas, m)))
+            images.append(((i, e), theta(setting, m)))
     ok = True
     bad = None
     for a in range(len(images)):
         for b in range(a + 1, len(images)):
-            if _fp_equal(images[a][1], images[b][1]):
+            if images[a][1] == images[b][1]:
                 ok, bad = False, {"first": images[a][0], "second": images[b][0]}
     return [CheckResult("localization-injective", ok, f"{len(images)} monomials", bad)]
 
 
-def theta_equivariance_check(data: SpringerData, table: CosetTable, lambdas, degree: int = 3) -> list:
+def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
     """Group-equivariance of localization in the rescaled basis: the
     normalized coefficient of w(c) at x equals that of c at xw."""
-    n = data.datum.ambient_rank
-    group = table.group
+    datum, _, table, _ = setting
+    group, lambdas = setting.group, setting.lambdas
+    n = datum.ambient_rank
     results = []
     monomials = monomials_up_to(n, degree)
-    for k in range(data.datum.rank):
+    for k in range(datum.rank):
         w = group.simple[k]
         ok = True
         bad = None
         for i in table.indices:
             for e in monomials:
                 c = ModuleElement.monomial(n, i, e)
-                lhs = theta(table, lambdas, module_act(table, w, c))
-                rhs = theta(table, lambdas, c)
+                lhs = theta(setting, module_act(table, w, c))
+                rhs = theta(setting, c)
                 lhs_n = {x: v * lambdas[x] for x, v in lhs.items()}
                 rhs_n = {group.mul(x, group.inv(w)): v * lambdas[x] for x, v in rhs.items()}
                 lhs_n = {x: v for x, v in lhs_n.items() if v}
                 rhs_n = {x: v for x, v in rhs_n.items() if v}
-                if not _fp_equal(lhs_n, rhs_n):
+                if lhs_n != rhs_n:
                     ok, bad = False, {"i": i, "monomial": e, "simple": k}
         results.append(CheckResult(f"equivariance(s={k})", ok, "", bad))
     return results
 
 
-def euler_identities_check(data: SpringerData, table: CosetTable, lambdas) -> list:
+def euler_identities_check(setting: Setting) -> list:
     """Sign law, power forms, curve Euler classes and duality, exhaustively."""
-    sub, group = table.sub, table.group
-    datum = data.datum
+    datum, _, table, data = setting
+    group = setting.group
     n = datum.ambient_rank
     results = []
 
     ok = True
     bad = None
     for g in range(len(group)):
-        ms = tangent_n(sub, g) + fiber_weights(data, group, g)
+        ms = tangent_n(setting, g) + fiber_weights(setting, g)
         dual = Counter({tuple(-x for x in w): m for w, m in ms.items()})
         size = sum(ms.values())
         if euler(dual, n) != euler(ms, n) * Fraction((-1) ** size):
@@ -340,18 +330,19 @@ def euler_identities_check(data: SpringerData, table: CosetTable, lambdas) -> li
             gs = group.mul(g, group.simple[s])
             alpha_img = euler(Counter([group.act(g, datum.simple_roots[s])]), n)
             if table.stab(i, s):
-                if euler(tangent_m(sub, gs, g), n) != alpha_img:
+                if euler(tangent_m(setting, gs, g), n) != alpha_img:
                     ok, bad = False, {"element": group.reduced_word(g), "s": s, "which": "target"}
-                if euler(tangent_m(sub, g, gs), n) != -alpha_img:
+                if euler(tangent_m(setting, g, gs), n) != -alpha_img:
                     ok, bad = False, {"element": group.reduced_word(g), "s": s, "which": "source"}
             else:
-                if tangent_n(sub, g) != tangent_n(sub, gs):
+                if tangent_n(setting, g) != tangent_n(setting, gs):
                     ok, bad = False, {"element": group.reduced_word(g), "s": s, "which": "equal-n"}
-                if tangent_m(sub, g, gs) or tangent_m(sub, gs, g):
+                if tangent_m(setting, g, gs) or tangent_m(setting, gs, g):
                     ok, bad = False, {"element": group.reduced_word(g), "s": s, "which": "empty-m"}
     results.append(CheckResult("curve-euler-classes", ok, "", bad))
 
     if data.borel_flag:
+        lambdas = setting.lambdas
         ok = True
         bad = None
         for g in range(len(group)):
@@ -360,7 +351,7 @@ def euler_identities_check(data: SpringerData, table: CosetTable, lambdas) -> li
                 if not table.stab(i, s):
                     continue
                 gs = group.mul(g, group.simple[s])
-                h = h_count(data, table, i, s)
+                h = h_count(setting, i, s)
                 if lambdas[g] != lambdas[gs] * (-1) ** (1 + h):
                     ok, bad = False, {"element": group.reduced_word(g), "s": s}
         results.append(CheckResult("lambda-sign-law", ok, "", bad))
@@ -370,11 +361,11 @@ def euler_identities_check(data: SpringerData, table: CosetTable, lambdas) -> li
         for g in range(len(group)):
             i = table.coset_of[g]
             for s in range(datum.rank):
-                h = h_count(data, table, i, s)
+                h = h_count(setting, i, s)
                 alpha_img = group.act(g, datum.simple_roots[s])
                 k = (1 - h) if table.stab(i, s) else -h
                 # value == Lambda_g * alpha_img**k, with k < 0 moved across
-                value = eu_zbar_s(data, table, g, s) * euler(Counter({alpha_img: -k}), n)
+                value = eu_zbar_s(setting, g, s) * euler(Counter({alpha_img: -k}), n)
                 want = lambdas[g] * euler(Counter({alpha_img: k}), n)
                 if value != want:
                     ok, bad = False, {"element": group.reduced_word(g), "s": s}
@@ -384,9 +375,9 @@ def euler_identities_check(data: SpringerData, table: CosetTable, lambdas) -> li
     bad = None
     for g in range(len(group)):
         for s in range(datum.rank):
-            via_fibers = q_translate(data, sub, g, s)
+            via_fibers = q_translate(setting, g, s)
             i = table.coset_of[g]
-            translated = q_poly(data, table, i, s).substitute_linear(group.matrix(g))
+            translated = q_poly(setting, i, s).substitute_linear(group.matrix(g))
             if via_fibers.expand() != translated:
                 ok, bad = False, {"element": group.reduced_word(g), "s": s}
     results.append(CheckResult("q-translation", ok, "", bad))
@@ -394,10 +385,10 @@ def euler_identities_check(data: SpringerData, table: CosetTable, lambdas) -> li
     return results
 
 
-def leading_term_check(data: SpringerData, table: CosetTable, lambdas, s: int, w: int) -> CheckResult:
+def leading_term_check(setting: Setting, s: int, w: int) -> CheckResult:
     """Composition of crossing-cell classes matches the longer cell at all
     leading pairs (u, u*sw); needs l(sw) = l(w) + 1."""
-    sub, group = table.sub, table.group
+    group, lambdas = setting.group, setting.lambdas
     s_elem = group.simple[s]
     sw = group.mul(s_elem, w)
     if group.length(sw) != group.length(w) + 1:
@@ -407,11 +398,11 @@ def leading_term_check(data: SpringerData, table: CosetTable, lambdas, s: int, w
     for u in range(len(group)):
         us = group.mul(u, s_elem)
         lhs = (
-            eu_zbar_w(data, sub, u, s_elem).reciprocal()
-            * eu_zbar_w(data, sub, us, w).reciprocal()
+            eu_zbar_w(setting, u, s_elem).reciprocal()
+            * eu_zbar_w(setting, us, w).reciprocal()
             * lambdas[us]
         )
-        rhs = eu_zbar_w(data, sub, u, sw).reciprocal()
+        rhs = eu_zbar_w(setting, u, sw).reciprocal()
         if lhs != rhs:
             ok = False
             bad = {"u": group.reduced_word(u)}
@@ -421,14 +412,14 @@ def leading_term_check(data: SpringerData, table: CosetTable, lambdas, s: int, w
     )
 
 
-def leading_term_suite(data: SpringerData, table: CosetTable, lambdas) -> list:
+def leading_term_suite(setting: Setting) -> list:
     """All length-additive pairs (s, w), for positive-system twisting data.
 
     The multiplicativity rests on cut additivity of the twisting weight sets,
     which can fail for asymmetric custom data (e.g. a single highest-root
     copy); the suite is asserted only where the statement is available.
     """
-    if not data.borel_flag:
+    if not setting.data.borel_flag:
         return [
             CheckResult(
                 "leading-term",
@@ -436,13 +427,13 @@ def leading_term_suite(data: SpringerData, table: CosetTable, lambdas) -> list:
                 "skipped: asserted for positive-system twisting data only",
             )
         ]
-    group = table.group
+    group = setting.group
     results = []
-    for s in range(data.datum.rank):
+    for s in range(setting.datum.rank):
         s_elem = group.simple[s]
         for w in range(len(group)):
             if group.length(group.mul(s_elem, w)) == group.length(w) + 1:
-                results.append(leading_term_check(data, table, lambdas, s, w))
+                results.append(leading_term_check(setting, s, w))
     return results
 
 

@@ -209,8 +209,8 @@ def klr_oracle_check(quiver: QuiverSpec) -> list:
     from .config import build_setting
 
     cfg = preset_klr(quiver)
-    datum, sub, table, data = build_setting(cfg)
-    group = sub.group
+    setting = build_setting(cfg)
+    table, group = setting.table, setting.group
     d = quiver.total_dimension
     oracle = QuiverOracle(quiver)
     seqs = coset_sequences(quiver, table)
@@ -220,7 +220,7 @@ def klr_oracle_check(quiver: QuiverSpec) -> list:
     bad = None
     for i in table.indices:
         for k in range(d - 1):
-            root_h = h_count(data, table, i, k)
+            root_h = h_count(setting, i, k)
             orh = oracle.h_value(seqs[i], k)
             if root_h != orh:
                 ok, bad = False, {"i": i, "k": k, "root": root_h, "oracle": orh}
@@ -239,9 +239,7 @@ def klr_oracle_check(quiver: QuiverSpec) -> list:
     bad = None
     for i in table.indices:
         for k in range(d - 1):
-            root_sq = gen_sigma(data, table, i, k) * gen_sigma(
-                data, table, table.act(i, k), k
-            )
+            root_sq = gen_sigma(setting, i, k) * gen_sigma(setting, table.act(i, k), k)
             or_sq = oracle_as_operator(seqs[i], (k, k))
             if root_sq != or_sq:
                 ok, bad = False, {"i": i, "k": k}
@@ -251,7 +249,7 @@ def klr_oracle_check(quiver: QuiverSpec) -> list:
     bad = None
     for i in table.indices:
         for k in range(d - 2):
-            root_bd = braid_defect(data, table, i, k, k + 1)
+            root_bd = braid_defect(setting, i, k, k + 1)
             lhs = oracle_as_operator(seqs[i], (k, k + 1, k))
             rhs = oracle_as_operator(seqs[i], (k + 1, k, k + 1))
             delta = lhs - rhs

@@ -67,7 +67,6 @@ class SubSystem:
         self._neg_simple_index = tuple(index[tuple(-x for x in b)] for b in self.simples)
         self._root_index = tuple(index[a] for a in sorted(self.roots))
         self._negative = bytes(r in self.negatives for r in group.roots)
-        self._tangent = {}  # element -> tangent weights, filled by localize.tangent_n
         self.members = _subgroup_elements(group, self._refl)
         self.group_order = len(self.members)
 

@@ -26,13 +26,12 @@ from qhecke.localize import (
     euler_identities_check,
     intertwining_check,
     inversion_additivity_suite,
-    lambda_table,
     leading_term_suite,
     pathway_agreement_check,
 )
 from qhecke.polyops import Poly, RatFun, demazure, demazure_word
 from qhecke.presets import QuiverSpec, klr_oracle_check, preset_klr
-from qhecke.repdata import SpringerData, h_count
+from qhecke.repdata import Setting, q_poly
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import (
     TorusConstraint,
@@ -40,6 +39,8 @@ from qhecke.subgroup import (
     fixed_subsystem,
     length_comparison_check,
 )
+
+from conftest import make_setting
 
 QUIVERS = {
     "arrow-d11": QuiverSpec(vertices=(1, 2), arrows=((1, 2),), dimension={1: 1, 2: 1}),
@@ -50,27 +51,19 @@ QUIVERS = {
 
 
 def _nil(label):
-    datum = build_root_datum(label)
-    sub = fixed_subsystem(datum, [])
-    return datum, sub, build_coset_table(sub), SpringerData(datum, [], [])
+    return make_setting(label)
 
 
 def _skew(label, copies=1):
     datum = build_root_datum(label)
-    sub = fixed_subsystem(datum, [])
-    table = build_coset_table(sub)
-    data = SpringerData(
-        datum, [datum.positive_roots] * copies, [datum.roots] * copies
-    )
-    return datum, sub, table, data
+    table = build_coset_table(fixed_subsystem(datum, []))
+    return Setting(table, [datum.positive_roots] * copies, [datum.roots] * copies)
 
 
 def _halfint_a2():
-    datum = build_root_datum("A2")
-    sub = fixed_subsystem(datum, [TorusConstraint("torsion", (Fraction(1, 2), 0))])
-    table = build_coset_table(sub)
-    data = SpringerData(datum, [datum.positive_roots], [datum.roots])
-    return datum, sub, table, data
+    return make_setting(
+        "A2", constraints=(TorusConstraint("torsion", (Fraction(1, 2), 0)),), kind="skew"
+    )
 
 
 def _klr(name):
@@ -89,8 +82,8 @@ def configurations():
     configs["halfint-A2"] = _halfint_a2()
     for name in QUIVERS:
         configs[f"klr-{name}"] = _klr(name)
-    for name, (datum, sub, table, data) in configs.items():
-        assert len(sub.group) <= 48, name
+    for name, setting in configs.items():
+        assert len(setting.group) <= 48, name
     return configs
 
 
@@ -117,15 +110,16 @@ def test_criterion_1_nilhecke_suite():
     timings = []
     for label in ("A2", "B2", "G2"):
         t0 = time.monotonic()
-        datum, sub, table, data = _nil(label)
+        setting = _nil(label)
+        datum, sub, _, _ = setting
         for s in range(datum.rank):
-            sig = gen_sigma(data, table, 0, s)
+            sig = gen_sigma(setting, 0, s)
             assert (sig * sig).is_zero(), (label, s)
         for s in range(datum.rank):
             for t in range(s + 1, datum.rank):
                 if sub.group.braid_order(s, t) < 3:
                     continue
-                defect = braid_defect(data, table, 0, s, t)
+                defect = braid_defect(setting, 0, s, t)
                 assert defect.all_zero(), (label, s, t)
         elapsed = time.monotonic() - t0
         timings.append((label, elapsed))
@@ -137,15 +131,16 @@ def test_criterion_1_nilhecke_suite():
 def test_criterion_2_skew_suite():
     t0 = time.monotonic()
     for label in ("A2", "B2"):
-        datum, sub, table, data = _skew(label)
+        setting = _skew(label)
+        datum, sub, table, _ = setting
         group = sub.group
         n = datum.ambient_rank
         unit = gen_unit(table, 0)
         for s in range(datum.rank):
-            sig = gen_sigma(data, table, 0, s)
+            sig = gen_sigma(setting, 0, s)
             assert sig * sig == sig.scale(-2), (label, s)
         m_st = group.braid_order(0, 1)
-        shifted = [gen_sigma(data, table, 0, s) + unit for s in range(2)]
+        shifted = [gen_sigma(setting, 0, s) + unit for s in range(2)]
         power = unit
         for _ in range(m_st):
             power = power * shifted[0] * shifted[1]
@@ -160,8 +155,8 @@ def test_criterion_2_skew_suite():
 def test_criterion_3_relation_suite(configurations):
     t0 = time.monotonic()
     failures = []
-    for name, (datum, sub, table, data) in configurations.items():
-        for r in check_relations(data, table):
+    for name, setting in configurations.items():
+        for r in check_relations(setting):
             if not r.passed:
                 failures.append((name, r.name, r.counterexample))
     elapsed = time.monotonic() - t0
@@ -176,32 +171,33 @@ def test_criterion_3_relation_suite(configurations):
 
 def test_criterion_4_braid_defects(configurations):
     pairs = 0
-    for name, (datum, sub, table, data) in configurations.items():
+    for name, setting in configurations.items():
+        datum, sub, table, _ = setting
         group = sub.group
         for s in range(datum.rank):
             for t in range(s + 1, datum.rank):
                 m = group.braid_order(s, t)
                 if m < 3:
                     continue
-                certified = braid_assumptions_hold(data, table, s, t)
+                certified = braid_assumptions_hold(setting, s, t)
                 for i in table.indices:
-                    defect = braid_defect(data, table, i, s, t)
+                    defect = braid_defect(setting, i, s, t)
                     pairs += 1
                     if certified:
                         assert defect.all_polynomial(), (name, i, s, t)
 
     # closed form, order 3, full stabilizer with unit exponents
-    datum, sub, table, data = _skew("A2")
-    group = sub.group
-    defect = braid_defect(data, table, 0, 0, 1)
+    setting = _skew("A2")
+    group = setting.group
+    defect = braid_defect(setting, 0, 0, 1)
     one = RatFun.from_scalar(2, 1)
     assert defect.coefficients[group.simple[0]] == one
     assert defect.coefficients[group.simple[1]] == -one
 
     # closed form, order 4, full stabilizer, exponents one and two
     for copies in (1, 2):
-        datum, sub, table, data = _skew("B2", copies=copies)
-        group = sub.group
+        setting = _skew("B2", copies=copies)
+        datum, group = setting.datum, setting.group
         h = copies
         a_s = Poly.linear(datum.simple_roots[0])
         a_t = Poly.linear(datum.simple_roots[1])
@@ -212,7 +208,7 @@ def test_criterion_4_braid_defects(configurations):
             + (a_t ** h).substitute_linear(s_m) * demazure_word(datum, (0, 1), a_s ** h)
             + (a_s ** h).substitute_linear(t_m) * demazure_word(datum, (1, 0), a_t ** h)
         )
-        defect = braid_defect(data, table, 0, 0, 1)
+        defect = braid_defect(setting, 0, 0, 1)
         st = group.mul(group.simple[0], group.simple[1])
         ts = group.mul(group.simple[1], group.simple[0])
         assert defect.coefficients[st] == RatFun(q_st), f"copies={copies}"
@@ -227,11 +223,10 @@ def test_criterion_4_braid_defects(configurations):
 
 def test_criterion_5_localization_crosscheck(configurations):
     t0 = time.monotonic()
-    for name, (datum, sub, table, data) in configurations.items():
-        lambdas = lambda_table(data, sub)
-        for r in pathway_agreement_check(data, table, lambdas):
+    for name, setting in configurations.items():
+        for r in pathway_agreement_check(setting):
             assert r.passed, (name, r.name)
-        for r in intertwining_check(data, table, lambdas, 3):
+        for r in intertwining_check(setting, 3):
             assert r.passed, (name, r.name, r.counterexample)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
@@ -243,11 +238,11 @@ def test_criterion_5_localization_crosscheck(configurations):
 
 
 def test_criterion_6_euler_identities(configurations):
-    for name, (datum, sub, table, data) in configurations.items():
-        lambdas = lambda_table(data, sub)
-        for r in euler_identities_check(data, table, lambdas):
+    for name, setting in configurations.items():
+        datum, sub, _, _ = setting
+        for r in euler_identities_check(setting):
             assert r.passed, (name, r.name, r.counterexample)
-        for r in leading_term_suite(data, table, lambdas):
+        for r in leading_term_suite(setting):
             assert r.passed, (name, r.name, r.counterexample)
         for F in (
             datum.positive_roots,
@@ -292,18 +287,17 @@ def test_criterion_8_combinatorial_layer(configurations):
 
 
 def test_criterion_9_grading(configurations):
-    for name, (datum, sub, table, data) in configurations.items():
-        for r in generator_grading_check(data, table):
+    for name, setting in configurations.items():
+        for r in generator_grading_check(setting):
             assert r.passed, (name, r.counterexample)
         # degree bookkeeping spelled out: units 0, variables 2, crossings per
         # the two cases
-        from qhecke.repdata import q_poly
-
+        datum, _, table, _ = setting
         for i in table.indices:
             assert gen_unit(table, i).graded_degree() == 0
             for s in range(datum.rank):
-                sig = gen_sigma(data, table, i, s)
-                q = q_poly(data, table, i, s)
+                sig = gen_sigma(setting, i, s)
+                q = q_poly(setting, i, s)
                 if table.stab(i, s):
                     assert sig.graded_degree() == 2 * q.degree() - 2
                 else:

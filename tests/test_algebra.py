@@ -22,22 +22,11 @@ from qhecke.algebra import (
 )
 from qhecke.errors import NonIntegralResult
 from qhecke.polyops import Poly, RatFun, demazure_word
-from qhecke.repdata import SpringerData, h_count, q_poly
+from qhecke.repdata import Setting, q_poly
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
 
-
-def make_setting(label, constraints=(), kind="nil"):
-    datum = build_root_datum(label)
-    sub = fixed_subsystem(datum, list(constraints))
-    table = build_coset_table(sub)
-    if kind == "nil":
-        data = SpringerData(datum, [], [])
-    elif kind == "skew":
-        data = SpringerData(datum, [datum.positive_roots], [datum.roots])
-    else:
-        raise ValueError(kind)
-    return datum, sub, table, data
+from conftest import make_setting
 
 
 @pytest.fixture(scope="module")
@@ -93,18 +82,18 @@ class TestGenerators:
 
     def test_sigma_apply_own_root(self, skew_a2):
         # crossing applied to its own root is -2 q on a stabilized index
-        datum, _, table, data = skew_a2
+        datum, _, _, _ = skew_a2
         n = datum.ambient_rank
         alpha = Poly.linear(datum.simple_roots[0])
-        out = gen_sigma(data, table, 0, 0).apply(ModuleElement(n, {0: alpha}))
-        q = q_poly(data, table, 0, 0)
+        out = gen_sigma(skew_a2, 0, 0).apply(ModuleElement(n, {0: alpha}))
+        q = q_poly(skew_a2, 0, 0)
         assert out.components == {0: -2 * q}
 
     def test_nilhecke_sigma_is_divided_difference(self, nil_a2):
-        datum, _, table, data = nil_a2
+        datum, _, _, _ = nil_a2
         n = datum.ambient_rank
         f = Poly.variable(n, 0) ** 2 * Poly.variable(n, 1)
-        out = sigma_word(data, table, 0, (0, 1, 0)).apply(ModuleElement(n, {0: f}))
+        out = sigma_word(nil_a2, 0, (0, 1, 0)).apply(ModuleElement(n, {0: f}))
         expected = demazure_word(datum, (0, 1, 0), f)
         got = out.components.get(0, Poly.zero(n))
         assert got == expected
@@ -123,63 +112,61 @@ class TestGenerators:
 
 class TestSigmaWord:
     def test_empty_word_is_unit(self, skew_a2):
-        _, _, table, data = skew_a2
-        assert sigma_word(data, table, 0, ()) == gen_unit(table, 0)
+        _, _, table, _ = skew_a2
+        assert sigma_word(skew_a2, 0, ()) == gen_unit(table, 0)
 
     def test_single_letter(self, skew_a2):
-        _, _, table, data = skew_a2
-        assert sigma_word(data, table, 0, (1,)) == gen_sigma(data, table, 0, 1)
+        assert sigma_word(skew_a2, 0, (1,)) == gen_sigma(skew_a2, 0, 1)
 
     def test_braid_words_agree_nilhecke(self, nil_a2):
-        _, _, table, data = nil_a2
-        assert sigma_word(data, table, 0, (0, 1, 0)) == sigma_word(data, table, 0, (1, 0, 1))
+        assert sigma_word(nil_a2, 0, (0, 1, 0)) == sigma_word(nil_a2, 0, (1, 0, 1))
 
     def test_filtration_support(self, halfint_a2):
-        datum, sub, table, data = halfint_a2
+        _, sub, table, _ = halfint_a2
         group = sub.group
         for g in range(len(group)):
             word = group.reduced_word(g)
             for i in table.indices:
-                op = sigma_word(data, table, i, word)
+                op = sigma_word(halfint_a2, i, word)
                 for (_, v) in op.terms:
                     assert group.bruhat_leq(v, g)
 
     def test_reduced_word_independence_mod_lower(self, halfint_a2):
-        datum, sub, table, data = halfint_a2
+        _, sub, table, _ = halfint_a2
         group = sub.group
         for g in range(len(group)):
             words = group.all_reduced_words(g)
             for i in table.indices:
-                base = sigma_word(data, table, i, words[0])
+                base = sigma_word(halfint_a2, i, words[0])
                 for word in words[1:]:
-                    diff = base - sigma_word(data, table, i, word)
+                    diff = base - sigma_word(halfint_a2, i, word)
                     for (_, v) in diff.terms:
                         assert group.bruhat_leq(v, g) and v != g
 
 
 class TestStraightening:
     def test_cross_wall_correction_vanishes(self, halfint_a2):
-        datum, _, table, data = halfint_a2
+        datum, _, table, _ = halfint_a2
         for i in table.indices:
             for s in range(datum.rank):
                 if table.act(i, s) != i:
-                    assert straightening_poly(data, table, i, s, 0).is_zero()
+                    assert straightening_poly(halfint_a2, i, s, 0).is_zero()
 
     def test_nilhecke_constant(self, nil_a2):
-        datum, _, table, data = nil_a2
+        datum, _, _, _ = nil_a2
         n = datum.ambient_rank
         for t in range(n):
-            c = straightening_poly(data, table, 0, 0, t)
+            c = straightening_poly(nil_a2, 0, 0, t)
             coroot = datum.coroot(datum.simple_roots[0])
             expected = Poly.const(n, -Fraction(coroot[t]))
             got = c.components.get(0, Poly.zero(n))
             assert got == expected
 
     def test_skew_multiple_of_q(self, skew_a2):
-        datum, _, table, data = skew_a2
+        datum, _, _, _ = skew_a2
         n = datum.ambient_rank
-        c = straightening_poly(data, table, 0, 0, 1)
-        q = q_poly(data, table, 0, 0)
+        c = straightening_poly(skew_a2, 0, 0, 1)
+        q = q_poly(skew_a2, 0, 0)
         coroot = datum.coroot(datum.simple_roots[0])
         assert c.components[0] == q * (-Fraction(coroot[1]))
 
@@ -187,30 +174,27 @@ class TestStraightening:
 class TestRelations:
     @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
     def test_nilhecke(self, label):
-        _, _, table, data = make_setting(label)
-        for r in check_relations(data, table):
+        setting = make_setting(label)
+        for r in check_relations(setting):
             assert r.passed, (label, r.name, r.counterexample)
 
     @pytest.mark.parametrize("label", ["A2", "B2"])
     def test_skew(self, label):
-        _, _, table, data = make_setting(label, kind="skew")
-        for r in check_relations(data, table):
+        setting = make_setting(label, kind="skew")
+        for r in check_relations(setting):
             assert r.passed, (label, r.name, r.counterexample)
 
     def test_half_integral(self, halfint_a2):
-        _, _, table, data = halfint_a2
-        for r in check_relations(data, table):
+        for r in check_relations(halfint_a2):
             assert r.passed, (r.name, r.counterexample)
 
     def test_general_twisting_data(self):
         # custom twisting data (highest-root power): the closed-form square
         # and braid extraction are skipped, the rest must hold exactly
         datum = build_root_datum("A2")
-        sub = fixed_subsystem(datum, [])
-        table = build_coset_table(sub)
-        data = SpringerData(datum, [[(1, 1)]], [datum.roots])
-        assert not data.borel_flag
-        results = check_relations(data, table)
+        setting = Setting(build_coset_table(fixed_subsystem(datum, [])), [[(1, 1)]], [datum.roots])
+        assert not setting.data.borel_flag
+        results = check_relations(setting)
         names = {r.name for r in results}
         assert "square-closed-form" not in names
         assert "braid-defect-extraction" not in names
@@ -218,29 +202,26 @@ class TestRelations:
             assert r.passed, (r.name, r.counterexample)
 
     def test_skew_square(self, skew_a2):
-        _, _, table, data = skew_a2
-        sig = gen_sigma(data, table, 0, 0)
+        sig = gen_sigma(skew_a2, 0, 0)
         assert sig * sig == sig.scale(-2)
 
     def test_grading(self, skew_a2, nil_a2, halfint_a2):
         for setting in (skew_a2, nil_a2, halfint_a2):
-            _, _, table, data = setting
-            for r in generator_grading_check(data, table):
+            for r in generator_grading_check(setting):
                 assert r.passed, r.counterexample
 
 
 class TestBraidDefect:
     def test_nilhecke_all_zero(self, nil_a2):
-        _, _, table, data = nil_a2
-        defect = braid_defect(data, table, 0, 0, 1)
+        defect = braid_defect(nil_a2, 0, 0, 1)
         assert defect.all_zero() and defect.all_polynomial()
 
     def test_skew_a2_unit_coefficients(self, skew_a2):
         # full stabilizer with exponent one: the defect is the difference of
         # the two wall-crossing generators themselves
-        _, sub, table, data = skew_a2
+        _, sub, _, _ = skew_a2
         group = sub.group
-        defect = braid_defect(data, table, 0, 0, 1)
+        defect = braid_defect(skew_a2, 0, 0, 1)
         assert defect.order == 3
         one = RatFun.from_scalar(2, 1)
         assert defect.coefficients[group.simple[0]] == one
@@ -253,9 +234,10 @@ class TestBraidDefect:
     def test_skew_b2_matches_closed_form(self):
         from qhecke.polyops import demazure
 
-        datum, sub, table, data = make_setting("B2", kind="skew")
+        setting = make_setting("B2", kind="skew")
+        datum, sub, _, _ = setting
         group = sub.group
-        defect = braid_defect(data, table, 0, 0, 1)
+        defect = braid_defect(setting, 0, 0, 1)
         assert defect.order == 4
         a_s = Poly.linear(datum.simple_roots[0])
         a_t = Poly.linear(datum.simple_roots[1])
@@ -277,61 +259,60 @@ class TestBraidDefect:
         datum = build_root_datum("GL3")
         sub = fixed_subsystem(datum, [TorusConstraint("generic", (0, 1, 2))])
         table = build_coset_table(sub)
-        data = SpringerData(datum, [datum.positive_roots], [datum.roots])
+        setting = Setting(table, [datum.positive_roots], [datum.roots])
         for i in table.indices:
-            defect = braid_defect(data, table, i, 0, 1)
+            defect = braid_defect(setting, i, 0, 1)
             assert defect.all_zero()
 
     @pytest.mark.parametrize("label", ["B2", "G2"])
     def test_assumption_certification(self, label):
-        _, _, table, data = make_setting(label)
-        assert braid_assumptions_hold(data, table, 0, 1)
+        setting = make_setting(label)
+        assert braid_assumptions_hold(setting, 0, 1)
         if label == "G2":
-            _, _, table2, data2 = make_setting(label, kind="skew")
-            assert not braid_assumptions_hold(data2, table2, 0, 1)
+            assert not braid_assumptions_hold(make_setting(label, kind="skew"), 0, 1)
 
 
 class TestNormalForm:
     def test_unit(self, halfint_a2):
-        datum, sub, table, data = halfint_a2
+        datum, sub, table, _ = halfint_a2
         group = sub.group
-        nf = normal_form(data, table, gen_unit(table, 1))
+        nf = normal_form(halfint_a2, gen_unit(table, 1))
         assert nf.support() == [group.identity]
         me = nf.coefficients[group.identity]
         assert me.components == {1: Poly.const(datum.ambient_rank, 1)}
 
     def test_sigma(self, halfint_a2):
-        datum, sub, table, data = halfint_a2
+        datum, sub, table, _ = halfint_a2
         group = sub.group
         for i in table.indices:
             for s in range(datum.rank):
-                sig = gen_sigma(data, table, i, s)
-                nf = normal_form(data, table, sig)
+                sig = gen_sigma(halfint_a2, i, s)
+                nf = normal_form(halfint_a2, sig)
                 top = nf.coefficients[group.simple[s]]
                 assert top.components[i] == Poly.const(datum.ambient_rank, 1)
-                assert reassemble(data, table, nf) == sig
+                assert reassemble(halfint_a2, nf) == sig
 
     def test_roundtrip_random_products(self, halfint_a2):
         import random
 
-        datum, sub, table, data = halfint_a2
+        datum, _, table, _ = halfint_a2
         rng = random.Random(3)
         gens = []
         for i in table.indices:
             gens.append(gen_unit(table, i))
             gens.append(gen_var(table, i, 0))
             for s in range(datum.rank):
-                gens.append(gen_sigma(data, table, i, s))
+                gens.append(gen_sigma(halfint_a2, i, s))
         for _ in range(10):
             op = rng.choice(gens)
             for _ in range(rng.randrange(1, 3)):
                 op = op * rng.choice(gens)
-            nf = normal_form(data, table, op)
-            assert reassemble(data, table, nf) == op
+            nf = normal_form(halfint_a2, op)
+            assert reassemble(halfint_a2, nf) == op
 
     def test_leading_coefficient_of_products(self, halfint_a2):
         # length-additive crossing products have unit leading coefficient
-        datum, sub, table, data = halfint_a2
+        datum, sub, _, _ = halfint_a2
         group = sub.group
         one = Poly.const(datum.ambient_rank, 1)
         for s in range(datum.rank):
@@ -339,10 +320,10 @@ class TestNormalForm:
                 sw = group.mul(group.simple[s], w)
                 if group.length(sw) != group.length(w) + 1:
                     continue
-                op = sigma_basis_element(data, table, group.simple[s]) * sigma_basis_element(
-                    data, table, w
+                op = sigma_basis_element(halfint_a2, group.simple[s]) * sigma_basis_element(
+                    halfint_a2, w
                 )
-                nf = normal_form(data, table, op)
+                nf = normal_form(halfint_a2, op)
                 top = nf.coefficients.get(sw)
                 assert top is not None
                 assert all(f == one for f in top.components.values())
@@ -350,7 +331,7 @@ class TestNormalForm:
     def test_not_in_span(self, halfint_a2):
         from qhecke.errors import NonPolynomialCoefficient, NotInSpan
 
-        datum, sub, table, data = halfint_a2
+        datum, sub, table, _ = halfint_a2
         group = sub.group
         alpha = Poly.linear(datum.simple_roots[0])
         ratio = TwistedOperator(
@@ -358,14 +339,14 @@ class TestNormalForm:
             {(0, group.identity): RatFun(Poly.const(datum.ambient_rank, 1), alpha)},
         )
         with pytest.raises((NotInSpan, NonPolynomialCoefficient)):
-            normal_form(data, table, ratio)
+            normal_form(halfint_a2, ratio)
 
 
 class TestAssociativity:
     def test_random_triples(self, halfint_a2):
         import random
 
-        datum, _, table, data = halfint_a2
+        datum, _, table, _ = halfint_a2
         rng = random.Random(11)
         gens = []
         for i in table.indices:
@@ -373,7 +354,7 @@ class TestAssociativity:
             for t in range(datum.ambient_rank):
                 gens.append(gen_var(table, i, t))
             for s in range(datum.rank):
-                gens.append(gen_sigma(data, table, i, s))
+                gens.append(gen_sigma(halfint_a2, i, s))
         for _ in range(15):
             a, b, c = (rng.choice(gens) for _ in range(3))
             assert (a * b) * c == a * (b * c)

@@ -12,57 +12,47 @@ from qhecke.presets import preset_nilhecke, preset_skew
 
 @pytest.fixture(scope="module")
 def nil_setting():
-    cfg = preset_nilhecke("A2")
-    datum, sub, table, data = build_setting(cfg)
-    return cfg, data, table
+    return build_setting(preset_nilhecke("A2"))
 
 
 class TestOpExpr:
     def test_unit_product(self, nil_setting):
-        _, data, table = nil_setting
-        op = cli.parse_opexpr("1(0)*1(0)", data, table)
-        assert op == cli.parse_opexpr("1(0)", data, table)
+        op = cli.parse_opexpr("1(0)*1(0)", nil_setting)
+        assert op == cli.parse_opexpr("1(0)", nil_setting)
 
     def test_nilhecke_square_is_zero(self, nil_setting):
-        _, data, table = nil_setting
-        assert cli.parse_opexpr("s(0,1)*s(0,1)", data, table).is_zero()
+        assert cli.parse_opexpr("s(0,1)*s(0,1)", nil_setting).is_zero()
 
     def test_variable_commutator_is_zero(self, nil_setting):
-        _, data, table = nil_setting
         expr = "z(0,1)*z(0,0) - z(0,0)*z(0,1)"
-        assert cli.parse_opexpr(expr, data, table).is_zero()
+        assert cli.parse_opexpr(expr, nil_setting).is_zero()
 
     def test_whitespace_insensitive(self, nil_setting):
-        _, data, table = nil_setting
-        a = cli.parse_opexpr("s(0,0) * s(0,1)  +  2 * 1(0)", data, table)
-        b = cli.parse_opexpr("s(0,0)*s(0,1)+2*1(0)", data, table)
+        a = cli.parse_opexpr("s(0,0) * s(0,1)  +  2 * 1(0)", nil_setting)
+        b = cli.parse_opexpr("s(0,0)*s(0,1)+2*1(0)", nil_setting)
         assert a == b
 
     def test_rational_scalars_and_parens(self, nil_setting):
-        _, data, table = nil_setting
-        a = cli.parse_opexpr("(1/2) * (s(0,0) + s(0,1)) * 2", data, table)
-        b = cli.parse_opexpr("s(0,0) + s(0,1)", data, table)
+        a = cli.parse_opexpr("(1/2) * (s(0,0) + s(0,1)) * 2", nil_setting)
+        b = cli.parse_opexpr("s(0,0) + s(0,1)", nil_setting)
         assert a == b
 
     def test_leading_minus(self, nil_setting):
-        _, data, table = nil_setting
-        a = cli.parse_opexpr("-s(0,0) + s(0,0)", data, table)
+        a = cli.parse_opexpr("-s(0,0) + s(0,0)", nil_setting)
         assert a.is_zero()
 
     def test_parse_error_has_location(self, nil_setting):
-        _, data, table = nil_setting
         with pytest.raises(ParseError) as e:
-            cli.parse_opexpr("s(0,0) + ", data, table)
+            cli.parse_opexpr("s(0,0) + ", nil_setting)
         assert "position" in str(e.value)
 
     def test_unknown_index(self, nil_setting):
-        _, data, table = nil_setting
         with pytest.raises(UnknownIndex):
-            cli.parse_opexpr("1(5)", data, table)
+            cli.parse_opexpr("1(5)", nil_setting)
         with pytest.raises(UnknownIndex):
-            cli.parse_opexpr("z(0,9)", data, table)
+            cli.parse_opexpr("z(0,9)", nil_setting)
         with pytest.raises(UnknownIndex):
-            cli.parse_opexpr("s(0,7)", data, table)
+            cli.parse_opexpr("s(0,7)", nil_setting)
 
 
 class TestConfig:
@@ -315,11 +305,20 @@ class TestMalformedInputToMain:
             ({"vertices": [1], "arrows": [], "dimension": 2}, "dimension must be an object"),
             ({"vertices": [1], "arrows": [], "dimension": [[2]]}, "dimension must be an object"),
             ([1, 2], "quiver must be a JSON object"),
+            ({"vertices": ["a"], "arrows": [], "dimension": [2, 3]},
+             "dimension list needs one entry per vertex"),
+            ({"vertices": ["a", "b"], "arrows": [], "dimension": [2]},
+             "dimension list needs one entry per vertex"),
+            ({"vertices": ["a", "a"], "arrows": [], "dimension": {"a": 1}},
+             "vertex names must be unique"),
+            ({"vertices": [1, "1"], "arrows": [], "dimension": [1, 1]},
+             "vertex names must be unique"),
         ],
         ids=[
             "missing-vertices", "missing-arrows-and-dimension", "vertices-not-a-list",
             "arrow-not-a-pair", "dimension-not-a-collection", "dimension-value-a-list",
-            "not-an-object",
+            "not-an-object", "dimension-list-too-long", "dimension-list-too-short",
+            "duplicate-vertex", "vertex-names-collide-as-keys",
         ],
     )
     def test_preset_quiver(self, capsys, quiver, message):
@@ -327,11 +326,42 @@ class TestMalformedInputToMain:
         self.assert_parse_error(capsys, argv, message)
 
     def test_zero_denominator_scalar(self, capsys, nil_setting, a2_config):
-        _, data, table = nil_setting
         with pytest.raises(ParseError):
-            cli.parse_opexpr("1/0", data, table)
+            cli.parse_opexpr("1/0", nil_setting)
         argv = ["act", "--config", a2_config, "--expr", "s(0,0) + 1/0"]
         self.assert_parse_error(capsys, argv, "zero denominator")
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ({"springer": {"r": 1, "U": [[[1.7, 0]]], "V": ["all_roots"]}},
+             "springer.U weight entry must be an integer, got 1.7"),
+            ({"springer": {"r": 1, "U": [[[True, 0]]], "V": ["all_roots"]}},
+             "springer.U weight entry must be an integer, got True"),
+            ({"springer": {"r": 1, "U": ["positive_roots"], "V": [[["1", 0]]]}},
+             "springer.V weight entry must be an integer, got '1'"),
+            ({"torus": 5}, "torus must be a list, got 5"),
+            ({"springer": 5}, "springer must be an object, got 5"),
+            ({"options": 5}, "options must be an object, got 5"),
+            ({"springer": {"r": 0, "U": {}, "V": []}}, "springer.U must be a list"),
+            ({"options": {"strict_suitability": "no"}},
+             "options.strict_suitability must be true or false, got 'no'"),
+            ({"options": {"strict_suitability": 1}},
+             "options.strict_suitability must be true or false, got 1"),
+        ],
+        ids=[
+            "float-weight", "bool-weight", "string-weight", "torus-not-a-list",
+            "springer-not-an-object", "options-not-an-object", "U-not-a-list",
+            "strict-string", "strict-int",
+        ],
+    )
+    def test_config_of_the_wrong_type(self, capsys, tmp_path, raw, message):
+        text = json.dumps({"group": "A2", **raw})
+        with pytest.raises(ParseError):
+            build_setting(parse_config(text))
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        self.assert_parse_error(capsys, ["describe", "--config", str(path)], message)
 
     @pytest.mark.parametrize(
         "checks", ["coset", ["coset", 1], {"coset": True}], ids=["string", "int-entry", "object"]

@@ -18,7 +18,6 @@ from qhecke.localize import (
     inversion_additivity_check,
     inversion_additivity_suite,
     lambda_poly,
-    lambda_table,
     leading_term_suite,
     localize_op,
     localize_sigma,
@@ -31,22 +30,11 @@ from qhecke.localize import (
     theta_injectivity_check,
 )
 from qhecke.polyops import EulerClass, FactoredFrac, Poly, RatFun
-from qhecke.repdata import SpringerData
+from qhecke.repdata import Setting
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
 
-
-def make_setting(label, constraints=(), kind="nil"):
-    datum = build_root_datum(label)
-    sub = fixed_subsystem(datum, list(constraints))
-    table = build_coset_table(sub)
-    if kind == "nil":
-        data = SpringerData(datum, [], [])
-    elif kind == "skew":
-        data = SpringerData(datum, [datum.positive_roots], [datum.roots])
-    else:
-        raise ValueError(kind)
-    return datum, sub, table, data
+from conftest import make_setting
 
 
 SETTINGS = [
@@ -67,10 +55,7 @@ SETTINGS = [
 
 @pytest.fixture(scope="module", params=[s[0] for s in SETTINGS])
 def setting(request):
-    maker = dict(SETTINGS)[request.param]
-    datum, sub, table, data = maker()
-    lambdas = lambda_table(data, sub)
-    return datum, sub, table, data, lambdas
+    return dict(SETTINGS)[request.param]()
 
 
 class TestEuler:
@@ -92,34 +77,38 @@ class TestEuler:
 
 class TestTangent:
     def test_identity_full_subsystem(self):
-        datum, sub, table, data = make_setting("A2")
+        setting = make_setting("A2")
+        datum, sub, _, _ = setting
         negatives = {tuple(-x for x in r) for r in datum.positive_roots}
-        assert tangent_n(sub, sub.group.identity) == Counter(negatives)
+        assert tangent_n(setting, sub.group.identity) == Counter(negatives)
 
     def test_cached_values_cannot_be_changed_by_callers(self):
-        datum, sub, table, data = make_setting("A2")
+        setting = make_setting("A2")
+        _, sub, _, _ = setting
         g = sub.group.simple[0]
-        first = tangent_n(sub, g)
+        first = tangent_n(setting, g)
         expected = Counter(first)
         first[(1, 0)] += 5
         first.clear()
-        assert tangent_n(sub, g) == expected
-        assert tangent_n(sub, g) is not tangent_n(sub, g)
+        assert tangent_n(setting, g) == expected
+        assert tangent_n(setting, g) is not tangent_n(setting, g)
 
     def test_curve_weights(self):
-        datum, sub, table, data = make_setting("A2")
+        setting = make_setting("A2")
+        datum, sub, _, _ = setting
         group = sub.group
         for g in range(len(group)):
             for s in range(datum.rank):
                 gs = group.mul(g, group.simple[s])
                 img = Poly.linear(group.act(g, datum.simple_roots[s]))
-                assert euler(tangent_m(sub, gs, g), 2).expand() == img
-                assert euler(tangent_m(sub, g, gs), 2).expand() == -img
+                assert euler(tangent_m(setting, gs, g), 2).expand() == img
+                assert euler(tangent_m(setting, g, gs), 2).expand() == -img
 
     def test_wall_unstabilized_equal(self):
-        datum, sub, table, data = make_setting(
+        setting = make_setting(
             "A2", constraints=(TorusConstraint("torsion", (Fraction(1, 2), 0)),), kind="skew"
         )
+        datum, sub, table, _ = setting
         group = sub.group
         for g in range(len(group)):
             i = table.coset_of[g]
@@ -127,62 +116,60 @@ class TestTangent:
                 if table.stab(i, s):
                     continue
                 gs = group.mul(g, group.simple[s])
-                assert tangent_n(sub, g) == tangent_n(sub, gs)
-                assert not tangent_m(sub, g, gs)
-                assert not tangent_m(sub, gs, g)
+                assert tangent_n(setting, g) == tangent_n(setting, gs)
+                assert not tangent_m(setting, g, gs)
+                assert not tangent_m(setting, gs, g)
 
 
 class TestLambda:
     def test_rank_one_values(self):
-        datum, sub, table, data = make_setting("A1")
+        setting = make_setting("A1")
+        datum, sub, _, _ = setting
         group = sub.group
         alpha = Poly.linear(datum.simple_roots[0])
-        assert lambda_poly(data, sub, group.identity).expand() == -alpha
-        assert lambda_poly(data, sub, group.simple[0]).expand() == alpha
+        assert lambda_poly(setting, group.identity).expand() == -alpha
+        assert lambda_poly(setting, group.simple[0]).expand() == alpha
 
     def test_empty_twist_is_tangent_product(self):
-        datum, sub, table, data = make_setting("A2")
+        setting = make_setting("A2")
+        _, sub, _, _ = setting
         group = sub.group
         for g in range(len(group)):
-            expected = euler(tangent_n(sub, g), 2)
-            assert lambda_poly(data, sub, g) == expected
+            expected = euler(tangent_n(setting, g), 2)
+            assert lambda_poly(setting, g) == expected
 
 
 class TestCrossingCells:
     def test_rank_one_closed_form(self):
-        datum, sub, table, data = make_setting("A1")
+        setting = make_setting("A1")
+        _, sub, _, _ = setting
         group = sub.group
         alpha = Poly.variable(1, 0)
-        assert eu_zbar_s(data, table, group.identity, 0).expand() == -(alpha ** 2)
+        assert eu_zbar_s(setting, group.identity, 0).expand() == -(alpha ** 2)
 
     def test_skew_rank_one_power_form(self):
-        datum = build_root_datum("A1")
-        sub = fixed_subsystem(datum, [])
-        table = build_coset_table(sub)
-        data = SpringerData(datum, [datum.positive_roots], [datum.roots])
-        group = sub.group
-        lam_e = lambda_poly(data, sub, group.identity)
+        setting = make_setting("A1", kind="skew")
+        e = setting.group.identity
         # h = 1: the power form collapses to Lambda itself
-        assert eu_zbar_s(data, table, group.identity, 0) == lam_e
+        assert eu_zbar_s(setting, e, 0) == lambda_poly(setting, e)
 
     def test_general_matches_simple_case(self, setting):
-        datum, sub, table, data, lambdas = setting
+        datum, sub, _, _ = setting
         group = sub.group
         for g in range(len(group)):
             for s in range(datum.rank):
-                assert eu_zbar_w(data, sub, g, group.simple[s]) == eu_zbar_s(
-                    data, table, g, s
-                )
+                assert eu_zbar_w(setting, g, group.simple[s]) == eu_zbar_s(setting, g, s)
 
     def test_closed_form_identity(self, setting):
         # multiset pathway equals x(alpha_s) * Lambda_x / Q_x(s)
-        datum, sub, table, data, lambdas = setting
+        datum, sub, table, _ = setting
+        lambdas = setting.lambdas
         group = sub.group
         for g in range(len(group)):
             i = table.coset_of[g]
             for s in range(datum.rank):
-                value = RatFun(eu_zbar_s(data, table, g, s).expand())
-                q_x = q_translate(data, sub, g, s).expand()
+                value = RatFun(eu_zbar_s(setting, g, s).expand())
+                q_x = q_translate(setting, g, s).expand()
                 lam = RatFun(lambdas[g].expand())
                 if table.stab(i, s):
                     img = RatFun(Poly.linear(group.act(g, datum.simple_roots[s])))
@@ -193,34 +180,35 @@ class TestCrossingCells:
 
 class TestTheta:
     def test_zero(self, setting):
-        datum, sub, table, data, lambdas = setting
-        assert theta(table, lambdas, ModuleElement(datum.ambient_rank)) == {}
+        datum, _, _, _ = setting
+        assert theta(setting, ModuleElement(datum.ambient_rank)) == {}
 
     def test_unit_support(self, setting):
-        datum, sub, table, data, lambdas = setting
+        datum, _, table, _ = setting
+        lambdas = setting.lambdas
         m = ModuleElement.unit(datum.ambient_rank, 0)
-        vec = theta(table, lambdas, m)
+        vec = theta(setting, m)
         fixed = table.fixed_points_of(0)
         assert sorted(vec) == sorted(fixed)
         for g in fixed:
             assert vec[g] == RatFun(Poly.const(datum.ambient_rank, 1), lambdas[g].expand())
 
     def test_injectivity(self, setting):
-        datum, sub, table, data, lambdas = setting
+        _, sub, _, _ = setting
         if len(sub.group) > 8:
             degree = 2
         else:
             degree = 3
-        for r in theta_injectivity_check(data, table, lambdas, degree):
+        for r in theta_injectivity_check(setting, degree):
             assert r.passed, r.counterexample
 
     def test_equivariance(self, setting):
-        datum, sub, table, data, lambdas = setting
-        for r in theta_equivariance_check(data, table, lambdas, 2):
+        for r in theta_equivariance_check(setting, 2):
             assert r.passed, r.counterexample
 
     def test_multiplicative_normalized(self, setting):
-        datum, sub, table, data, lambdas = setting
+        datum, _, table, _ = setting
+        lambdas = setting.lambdas
         n = datum.ambient_rank
         x = Poly.variable(n, 0)
         y = Poly.variable(n, min(1, n - 1))
@@ -228,9 +216,9 @@ class TestTheta:
             a = ModuleElement(n, {i: x})
             b = ModuleElement(n, {i: y})
             ab = ModuleElement(n, {i: x * y})
-            va = theta(table, lambdas, a)
-            vb = theta(table, lambdas, b)
-            vab = theta(table, lambdas, ab)
+            va = theta(setting, a)
+            vb = theta(setting, b)
+            vab = theta(setting, ab)
             for g in table.fixed_points_of(i):
                 lam = lambdas[g]
                 zero = FactoredFrac(Poly.zero(n), lam)
@@ -241,16 +229,17 @@ class TestTheta:
 
 class TestFixedPointAlgebra:
     def test_identity_element(self, setting):
-        datum, sub, table, data, lambdas = setting
-        ident = fp_identity(table, lambdas)
-        mat = localize_sigma(data, table, 0, 0)
+        lambdas = setting.lambdas
+        ident = fp_identity(setting)
+        mat = localize_sigma(setting, 0, 0)
         assert fp_mul(ident, mat, lambdas) == mat or _fp_eq(
             fp_mul(ident, mat, lambdas), mat
         )
         assert _fp_eq(fp_mul(mat, ident, lambdas), mat)
 
     def test_mismatched_middle_vanishes(self, setting):
-        datum, sub, table, data, lambdas = setting
+        datum, sub, _, _ = setting
+        lambdas = setting.lambdas
         n = datum.ambient_rank
         group = sub.group
         if len(group) < 2:
@@ -263,7 +252,8 @@ class TestFixedPointAlgebra:
     def test_associativity_random(self, setting):
         import random
 
-        datum, sub, table, data, lambdas = setting
+        datum, sub, _, _ = setting
+        lambdas = setting.lambdas
         n = datum.ambient_rank
         group = sub.group
         rng = random.Random(5)
@@ -286,11 +276,12 @@ class TestFixedPointAlgebra:
             )
 
     def test_apply_matches_mul(self, setting):
-        datum, sub, table, data, lambdas = setting
+        datum, _, table, _ = setting
+        lambdas = setting.lambdas
         n = datum.ambient_rank
-        mat = localize_sigma(data, table, 0, 0)
+        mat = localize_sigma(setting, 0, 0)
         m = ModuleElement.unit(n, table.act(0, 0))
-        vec = theta(table, lambdas, m)
+        vec = theta(setting, m)
         via_apply = fp_apply(mat, vec, lambdas)
         as_matrix = {(g, 0): c for g, c in vec.items()}
         via_mul = fp_mul(mat, as_matrix, lambdas)
@@ -305,24 +296,23 @@ def _fp_eq(a, b):
 
 class TestPathways:
     def test_agreement(self, setting):
-        datum, sub, table, data, lambdas = setting
-        for r in pathway_agreement_check(data, table, lambdas):
+        for r in pathway_agreement_check(setting):
             assert r.passed, r.name
 
     def test_intertwining(self, setting):
-        datum, sub, table, data, lambdas = setting
-        for r in intertwining_check(data, table, lambdas, 3):
+        for r in intertwining_check(setting, 3):
             assert r.passed, (r.name, r.counterexample)
 
     def test_localize_op_of_product(self, setting):
         # translation is multiplicative against the rescaled product
-        datum, sub, table, data, lambdas = setting
-        a = gen_sigma(data, table, 0, 0)
-        b = gen_sigma(data, table, table.act(0, 0), 0)
-        lhs = localize_op(table, lambdas, a * b)
+        _, _, table, _ = setting
+        lambdas = setting.lambdas
+        a = gen_sigma(setting, 0, 0)
+        b = gen_sigma(setting, table.act(0, 0), 0)
+        lhs = localize_op(setting, a * b)
         rhs = fp_mul(
-            localize_op(table, lambdas, a),
-            localize_op(table, lambdas, b),
+            localize_op(setting, a),
+            localize_op(setting, b),
             [RatFun(lam.expand()) for lam in lambdas],
         )
         assert _fp_eq(lhs, rhs)
@@ -330,13 +320,11 @@ class TestPathways:
 
 class TestEulerIdentities:
     def test_suite(self, setting):
-        datum, sub, table, data, lambdas = setting
-        for r in euler_identities_check(data, table, lambdas):
+        for r in euler_identities_check(setting):
             assert r.passed, (r.name, r.counterexample)
 
     def test_leading_terms(self, setting):
-        datum, sub, table, data, lambdas = setting
-        for r in leading_term_suite(data, table, lambdas):
+        for r in leading_term_suite(setting):
             assert r.passed, (r.name, r.counterexample)
 
 
@@ -345,23 +333,20 @@ class TestNonBorelBoundary:
         # asymmetric custom twisting data breaks cut additivity, so the
         # multiplicativity genuinely fails there; the suite declares the skip
         datum = build_root_datum("A2")
-        sub = fixed_subsystem(datum, [])
-        table = build_coset_table(sub)
-        data = SpringerData(datum, [[(1, 1)]], [datum.roots])
-        lambdas = lambda_table(data, sub)
-        results = leading_term_suite(data, table, lambdas)
+        setting = Setting(build_coset_table(fixed_subsystem(datum, [])), [[(1, 1)]], [datum.roots])
+        results = leading_term_suite(setting)
         assert len(results) == 1 and results[0].passed
         assert "skipped" in results[0].details
         # and the raw check indeed fails on such data
         from qhecke.localize import leading_term_check
 
-        group = sub.group
+        group = setting.group
         failures = [
             (s, w)
             for s in range(2)
             for w in range(len(group))
             if group.length(group.mul(group.simple[s], w)) == group.length(w) + 1
-            and not leading_term_check(data, table, lambdas, s, w).passed
+            and not leading_term_check(setting, s, w).passed
         ]
         assert failures
 

@@ -43,15 +43,16 @@ class TestNilHecke:
     @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
     def test_build_and_relations(self, label):
         cfg = preset_nilhecke(label)
-        datum, sub, table, data = build_setting(cfg)
+        setting = build_setting(cfg)
+        _, _, table, data = setting
         assert len(table) == 1 and data.r == 0
-        assert all(r.passed for r in check_relations(data, table))
+        assert all(r.passed for r in check_relations(setting))
 
     def test_squares_vanish(self):
         cfg = preset_nilhecke("A2")
-        _, _, table, data = build_setting(cfg)
+        setting = build_setting(cfg)
         for s in range(2):
-            sig = gen_sigma(data, table, 0, s)
+            sig = gen_sigma(setting, 0, s)
             assert (sig * sig).is_zero()
 
 
@@ -59,9 +60,9 @@ class TestSkew:
     @pytest.mark.parametrize("label", ["A2", "B2"])
     def test_square_is_minus_two(self, label):
         cfg = preset_skew(label)
-        _, _, table, data = build_setting(cfg)
+        setting = build_setting(cfg)
         for s in range(2):
-            sig = gen_sigma(data, table, 0, s)
+            sig = gen_sigma(setting, 0, s)
             assert sig * sig == sig.scale(-2)
 
     @pytest.mark.parametrize("label", ["A2", "B2"])
@@ -69,12 +70,13 @@ class TestSkew:
         # (sigma(s)+1)^2 = 1 and the braid power of the shifted pair acts as
         # the identity on all monomials of degree <= 4
         cfg = preset_skew(label)
-        datum, sub, table, data = build_setting(cfg)
+        setting = build_setting(cfg)
+        datum, sub, table, _ = setting
         group = sub.group
         n = datum.ambient_rank
         unit = gen_unit(table, 0)
         m_st = group.braid_order(0, 1)
-        shifted = [gen_sigma(data, table, 0, s) + unit for s in range(2)]
+        shifted = [gen_sigma(setting, 0, s) + unit for s in range(2)]
         for s in range(2):
             assert shifted[s] * shifted[s] == unit
         power = unit
@@ -87,32 +89,34 @@ class TestSkew:
     def test_relations(self):
         for label in ("A2", "B2"):
             cfg = preset_skew(label)
-            _, _, table, data = build_setting(cfg)
-            assert all(r.passed for r in check_relations(data, table))
+            setting = build_setting(cfg)
+            assert all(r.passed for r in check_relations(setting))
 
 
 class TestKlrPresets:
     def test_arrow_11(self):
         cfg = preset_klr(ARROW_11)
-        datum, sub, table, data = build_setting(cfg)
+        setting = build_setting(cfg)
+        _, sub, table, _ = setting
         assert len(table) == 2
         assert sub.group_order == 1
         seqs = coset_sequences(ARROW_11, table)
         h_by_seq = {
-            seqs[i]: h_count(data, table, i, 0) for i in table.indices
+            seqs[i]: h_count(setting, i, 0) for i in table.indices
         }
         # arrow 1 -> 2 twists the crossing on the (2,1) side of the wall
         assert h_by_seq == {(1, 2): 0, (2, 1): 1}
 
     def test_arrow_11_wall_square(self):
         cfg = preset_klr(ARROW_11)
-        datum, sub, table, data = build_setting(cfg)
+        setting = build_setting(cfg)
+        _, sub, table, _ = setting
         seqs = coset_sequences(ARROW_11, table)
         i12 = seqs.index((1, 2))
         i21 = seqs.index((2, 1))
         group = sub.group
         # sigma_{12}(s) sigma_{21}(s) = (-1)^{h_{21}} alpha^{h_{12}+h_{21}} 1_{12}
-        lhs = gen_sigma(data, table, i12, 0) * gen_sigma(data, table, i21, 0)
+        lhs = gen_sigma(setting, i12, 0) * gen_sigma(setting, i21, 0)
         from qhecke.polyops import Poly, RatFun
 
         value = RatFun(-Poly.linear((1, -1)))
@@ -121,10 +125,11 @@ class TestKlrPresets:
 
     def test_jordan_loop(self):
         cfg = preset_klr(JORDAN)
-        datum, sub, table, data = build_setting(cfg)
+        setting = build_setting(cfg)
+        _, _, table, _ = setting
         assert len(table) == 1
-        assert h_count(data, table, 0, 0) == 1
-        sig = gen_sigma(data, table, 0, 0)
+        assert h_count(setting, 0, 0) == 1
+        sig = gen_sigma(setting, 0, 0)
         assert sig * sig == sig.scale(-2)
 
     def test_arrow_21_counts(self):
@@ -139,7 +144,8 @@ class TestKlrPresets:
         # h equals the arrow count into the left slot, read off the quiver
         for quiver in (ARROW_11, ARROW_21, ARROW_22, JORDAN):
             cfg = preset_klr(quiver)
-            datum, sub, table, data = build_setting(cfg)
+            setting = build_setting(cfg)
+            _, _, table, _ = setting
             seqs = coset_sequences(quiver, table)
             for i in table.indices:
                 for k in range(quiver.total_dimension - 1):
@@ -148,13 +154,13 @@ class TestKlrPresets:
                         for (q, qp) in quiver.arrows
                         if q == seqs[i][k + 1] and qp == seqs[i][k]
                     )
-                    assert h_count(data, table, i, k) == expected
+                    assert h_count(setting, i, k) == expected
 
     def test_relations_all_quivers(self):
         for quiver in (ARROW_11, ARROW_21, ARROW_22, JORDAN):
             cfg = preset_klr(quiver)
-            _, _, table, data = build_setting(cfg)
-            assert all(r.passed for r in check_relations(data, table))
+            setting = build_setting(cfg)
+            assert all(r.passed for r in check_relations(setting))
 
     def test_dimension_bounds(self):
         with pytest.raises(UnsupportedDimension):
@@ -180,10 +186,11 @@ class TestOracle:
             vertices=(1, 2), arrows=((1, 2), (1, 2)), dimension={1: 1, 2: 1}
         )
         cfg = preset_klr(double)
-        datum, sub, table, data = build_setting(cfg)
+        setting = build_setting(cfg)
+        _, _, table, _ = setting
         seqs = coset_sequences(double, table)
         i21 = seqs.index((2, 1))
-        assert h_count(data, table, i21, 0) == 2
+        assert h_count(setting, i21, 0) == 2
         for r in klr_oracle_check(double):
             assert r.passed, (r.name, r.counterexample)
 

@@ -6,7 +6,7 @@ import pytest
 from qhecke.errors import UnsuitableData
 from qhecke.polyops import Poly
 from qhecke.repdata import (
-    SpringerData,
+    Setting,
     fiber_pair_weights,
     fiber_split_check,
     fiber_weights,
@@ -24,124 +24,109 @@ def a2():
 
 
 @pytest.fixture(scope="module")
-def a2_setting(a2):
-    sub = fixed_subsystem(a2, [])
-    return sub, build_coset_table(sub)
+def a2_table(a2):
+    return build_coset_table(fixed_subsystem(a2, []))
 
 
 @pytest.fixture(scope="module")
-def gl2_setting():
+def gl2_table():
     gl2 = build_root_datum("GL2")
-    sub = fixed_subsystem(gl2, [TorusConstraint("generic", (0, 1))])
-    return gl2, sub, build_coset_table(sub)
+    return build_coset_table(fixed_subsystem(gl2, [TorusConstraint("generic", (0, 1))]))
 
 
 class TestValidate:
-    def test_positive_system_suitable(self, a2, a2_setting):
-        sub, _ = a2_setting
-        data = SpringerData(a2, [a2.positive_roots], [a2.roots])
-        assert data.borel_flag
-        assert all(r.passed for r in validate(data, sub))
+    def test_positive_system_suitable(self, a2, a2_table):
+        setting = Setting(a2_table, [a2.positive_roots], [a2.roots])
+        assert setting.data.borel_flag
+        assert all(r.passed for r in validate(setting))
 
-    def test_highest_root_power_suitable(self, a2, a2_setting):
-        sub, _ = a2_setting
-        data = SpringerData(a2, [[(1, 1)]], [a2.roots])
-        assert not data.borel_flag
-        assert all(r.passed for r in validate(data, sub))
+    def test_highest_root_power_suitable(self, a2, a2_table):
+        setting = Setting(a2_table, [[(1, 1)]], [a2.roots])
+        assert not setting.data.borel_flag
+        assert all(r.passed for r in validate(setting))
 
-    def test_single_simple_fails_closure(self, a2, a2_setting):
-        sub, _ = a2_setting
-        data = SpringerData(a2, [[(1, 0)]], [a2.roots])
-        results = validate(data, sub)
+    def test_single_simple_fails_closure(self, a2, a2_table):
+        setting = Setting(a2_table, [[(1, 0)]], [a2.roots])
+        results = validate(setting)
         assert not all(r.passed for r in results)
         with pytest.raises(UnsuitableData):
-            validate(data, sub, strict=True)
+            validate(setting, strict=True)
 
-    def test_zero_weights_of_v_dropped(self, a2, a2_setting):
-        sub, _ = a2_setting
-        data = SpringerData(a2, [a2.positive_roots], [list(a2.roots) + [(0, 0)]])
-        assert (0, 0) not in data.V_sets[0]
-        assert all(r.passed for r in validate(data, sub))
+    def test_zero_weights_of_v_dropped(self, a2, a2_table):
+        setting = Setting(a2_table, [a2.positive_roots], [list(a2.roots) + [(0, 0)]])
+        assert (0, 0) not in setting.data.V_sets[0]
+        assert all(r.passed for r in validate(setting))
 
     def test_non_w_stable_v_fails(self, a2):
         constraint = TorusConstraint("torsion", (Fraction(1, 2), 0))
-        sub = fixed_subsystem(a2, [constraint])
-        data = SpringerData(a2, [a2.positive_roots], [[(0, 1)]])
-        results = validate(data, sub)
+        table = build_coset_table(fixed_subsystem(a2, [constraint]))
+        results = validate(Setting(table, [a2.positive_roots], [[(0, 1)]]))
         assert not all(r.passed for r in results)
 
 
 class TestCounts:
-    def test_empty_v_gives_zero(self, a2, a2_setting):
-        sub, table = a2_setting
-        data = SpringerData(a2, [], [])
+    def test_empty_v_gives_zero(self, a2_table):
+        setting = Setting(a2_table)
         # no copies at all: borel flag vacuous, every h is 0
-        assert data.borel_flag
-        assert h_count(data, table, 0, 0) == 0
-        assert q_poly(data, table, 0, 0) == Poly.const(2, 1)
+        assert setting.data.borel_flag
+        assert h_count(setting, 0, 0) == 0
+        assert q_poly(setting, 0, 0) == Poly.const(2, 1)
 
-    def test_gl2_quiver_h_with_explicit_v(self, gl2_setting):
+    def test_gl2_quiver_h_with_explicit_v(self, gl2_table):
         # V = {e_1 - e_2}: counts 1 at the identity coset, 0 across the wall
-        gl2, sub, table = gl2_setting
-        data = SpringerData(gl2, [gl2.positive_roots], [[(1, -1)]])
-        i_e = next(i for i in table.indices if table.rep(i) == sub.group.identity)
+        gl2 = gl2_table.sub.datum
+        setting = Setting(gl2_table, [gl2.positive_roots], [[(1, -1)]])
+        table = gl2_table
+        i_e = next(i for i in table.indices if table.rep(i) == table.group.identity)
         i_s = table.act(i_e, 0)
-        assert h_count(data, table, i_e, 0) == 1
-        assert h_count(data, table, i_s, 0) == 0
+        assert h_count(setting, i_e, 0) == 1
+        assert h_count(setting, i_s, 0) == 0
 
-    def test_jordan_adjoint_h_is_one_everywhere(self, gl2_setting):
-        gl2, _, _ = gl2_setting
-        sub_triv = fixed_subsystem(gl2, [])
-        table = build_coset_table(sub_triv)
-        data = SpringerData(gl2, [gl2.positive_roots], [gl2.roots])
+    def test_jordan_adjoint_h_is_one_everywhere(self, gl2_table):
+        gl2 = gl2_table.sub.datum
+        table = build_coset_table(fixed_subsystem(gl2, []))
+        setting = Setting(table, [gl2.positive_roots], [gl2.roots])
         for i in table.indices:
-            assert h_count(data, table, i, 0) == 1
+            assert h_count(setting, i, 0) == 1
 
-    def test_borel_q_is_root_power(self, a2, a2_setting):
-        sub, table = a2_setting
-        data = SpringerData(a2, [a2.positive_roots] * 2, [a2.roots] * 2)
-        for i in table.indices:
+    def test_borel_q_is_root_power(self, a2, a2_table):
+        setting = Setting(a2_table, [a2.positive_roots] * 2, [a2.roots] * 2)
+        for i in a2_table.indices:
             for s in range(2):
-                h = h_count(data, table, i, s)
+                h = h_count(setting, i, s)
                 assert h == 2
-                assert q_poly(data, table, i, s) == Poly.linear(a2.simple_roots[s]) ** h
+                assert q_poly(setting, i, s) == Poly.linear(a2.simple_roots[s]) ** h
 
-    def test_q_highest_root_example(self, a2, a2_setting):
+    def test_q_highest_root_example(self, a2, a2_table):
         # U = {highest root}: only it leaves U under either reflection, so q
         # is the highest-root form exactly when its image lies in V
-        sub, table = a2_setting
         theta = (1, 1)
-        data_in = SpringerData(a2, [[theta]], [a2.roots])
-        assert q_poly(data_in, table, 0, 0) == Poly.linear(theta)
-        data_out = SpringerData(a2, [[theta]], [[(1, 0), (-1, 0)]])
-        assert q_poly(data_out, table, 0, 0) == Poly.const(2, 1)
+        setting_in = Setting(a2_table, [[theta]], [a2.roots])
+        assert q_poly(setting_in, 0, 0) == Poly.linear(theta)
+        setting_out = Setting(a2_table, [[theta]], [[(1, 0), (-1, 0)]])
+        assert q_poly(setting_out, 0, 0) == Poly.const(2, 1)
 
-    def test_h_requires_borel(self, a2, a2_setting):
-        sub, table = a2_setting
-        data = SpringerData(a2, [[(1, 1)]], [a2.roots])
+    def test_h_requires_borel(self, a2, a2_table):
+        setting = Setting(a2_table, [[(1, 1)]], [a2.roots])
         with pytest.raises(ValueError):
-            h_count(data, table, 0, 0)
+            h_count(setting, 0, 0)
 
 
 class TestFibers:
-    def test_identity_fiber_contains_u(self, a2, a2_setting):
-        sub, _ = a2_setting
-        group = sub.group
-        data = SpringerData(a2, [a2.positive_roots], [a2.roots])
-        fw = fiber_weights(data, group, group.identity)
+    def test_identity_fiber_contains_u(self, a2, a2_table):
+        setting = Setting(a2_table, [a2.positive_roots], [a2.roots])
+        fw = fiber_weights(setting, setting.group.identity)
         assert fw == Counter(a2.positive_roots)
 
-    def test_empty_v(self, a2, a2_setting):
-        sub, _ = a2_setting
-        data = SpringerData(a2, [], [])
-        assert fiber_weights(data, sub.group, sub.group.identity) == Counter()
+    def test_empty_v(self, a2_table):
+        setting = Setting(a2_table)
+        assert fiber_weights(setting, setting.group.identity) == Counter()
 
-    def test_pair_fiber_is_intersection(self, a2, a2_setting):
-        sub, _ = a2_setting
-        group = sub.group
-        data = SpringerData(a2, [a2.positive_roots], [a2.roots])
+    def test_pair_fiber_is_intersection(self, a2, a2_table):
+        setting = Setting(a2_table, [a2.positive_roots], [a2.roots])
+        group = setting.group
         s0 = group.simple[0]
-        fp = fiber_pair_weights(data, group, group.identity, s0)
+        fp = fiber_pair_weights(setting, group.identity, s0)
         expected = Counter(
             set(a2.positive_roots) & {group.act(s0, r) for r in a2.positive_roots}
         )
@@ -159,14 +144,12 @@ class TestFibers:
     def test_split_identity(self, label, constraint):
         datum = build_root_datum(label)
         constraints = [TorusConstraint(*constraint)] if constraint else []
-        sub = fixed_subsystem(datum, constraints)
-        table = build_coset_table(sub)
-        data = SpringerData(datum, [datum.positive_roots], [datum.roots])
-        for r in fiber_split_check(data, table):
+        table = build_coset_table(fixed_subsystem(datum, constraints))
+        setting = Setting(table, [datum.positive_roots], [datum.roots])
+        for r in fiber_split_check(setting):
             assert r.passed, (label, r.name)
 
-    def test_split_identity_non_borel(self, a2, a2_setting):
-        sub, table = a2_setting
-        data = SpringerData(a2, [[(1, 1)]], [a2.roots])
-        for r in fiber_split_check(data, table):
+    def test_split_identity_non_borel(self, a2, a2_table):
+        setting = Setting(a2_table, [[(1, 1)]], [a2.roots])
+        for r in fiber_split_check(setting):
             assert r.passed, r.name
