@@ -87,12 +87,11 @@ class ModuleElement:
 def module_act(table: CosetTable, g: int, m: ModuleElement) -> ModuleElement:
     """Left group action on the module: component i lands in i*g^{-1}."""
     group = table.group
-    mat = group.matrix(g)
     ginv = group.inv(g)
     out = {}
     for i, f in m.components.items():
         j = table.act_elem(i, ginv)
-        img = f.substitute_linear(mat)
+        img = f.weyl_image(group, g)
         if j in out:
             img = out[j] + img
         if img:
@@ -146,12 +145,11 @@ class TwistedOperator:
         out = {}
         for (i, g1), c1 in self.terms.items():
             j = table.act_elem(i, g1)
-            m1 = group.matrix(g1)
             for (j2, g2), c2 in other.terms.items():
                 if j2 != j:
                     continue
                 key = (i, group.mul(g1, g2))
-                c = c1 * c2.substitute_linear(m1)
+                c = c1 * c2.weyl_image(group, g1)
                 cur = out.get(key)
                 s = c if cur is None else cur + c
                 if s:
@@ -181,7 +179,7 @@ class TwistedOperator:
             f = m.components.get(j)
             if f is None:
                 continue
-            val = c * RatFun(f.substitute_linear(group.matrix(g)))
+            val = c * RatFun(f.weyl_image(group, g))
             cur = acc.get(i)
             acc[i] = val if cur is None else cur + val
         out = {}
@@ -526,11 +524,10 @@ def check_relations(setting: Setting) -> list:
     for i in table.indices:
         for s in range(datum.rank):
             isx = table.act(i, s)
-            smat = group.matrix(group.simple[s])
             sig = gen_sigma(setting, i, s)
             for t in range(n):
                 lhs = sig * gen_var(table, isx, t) - left_mult(
-                    table, i, Poly.variable(n, t).substitute_linear(smat)
+                    table, i, Poly.variable(n, t).weyl_image(group, group.simple[s])
                 ) * sig
                 c = straightening_poly(setting, i, s, t)
                 rhs = diag_mult(table, c) if isx == i else TwistedOperator(table)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import algebra, localize, presets, repdata
 from .config import Config, build_setting, check_int, emit_config, parse_config
 from .errors import InternalInvariantError, ParseError, QheckeError, UnknownIndex
-from .polyops import Poly, RatFun, monomials_up_to
+from .polyops import KERNEL_NAME, Poly, RatFun, monomials_up_to
 from .report import CheckResult
 from .subgroup import factorization_check, length_comparison_check, member_of_W, s_adapted
 
@@ -177,7 +177,8 @@ def _fp_matrix_json(mat, group):
 
 def run_checks(cfg: Config, selected=None) -> tuple:
     """Run the selected named check suites on a config; returns the
-    CheckResults and the wall seconds of each suite by name."""
+    CheckResults, the wall seconds of each suite by name, and the sizes of
+    the setting: |W_big|, |W|, #I and the number of checks."""
     setting = build_setting(cfg)
     datum, sub, table, _ = setting
     suites = {}
@@ -216,7 +217,13 @@ def run_checks(cfg: Config, selected=None) -> tuple:
         seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
         for r in suite_results:
             results.append(CheckResult(f"{name}:{r.name}", r.passed, r.details, r.counterexample))
-    return results, seconds
+    sizes = {
+        "big_group_order": len(table.group),
+        "group_order": sub.group_order,
+        "cosets": len(table.indices),
+        "checks": len(results),
+    }
+    return results, seconds, sizes
 
 
 def _all_generators(setting):
@@ -517,11 +524,13 @@ def cmd_preset(name: str, quiver_json: str | None) -> Config:
             for key, value in dims_raw.items():
                 if key not in by_name:
                     raise ParseError(f"dimension at unknown vertex {key!r}")
-                dimension[by_name[key]] = int(value)
+                dimension[by_name[key]] = check_int(value, f"quiver dimension at {key!r}", 0)
         elif len(dims_raw) != len(vertices):
             raise ParseError(f"quiver dimension list needs one entry per vertex, got {dims_raw!r}")
         else:
-            dimension = {q: int(v) for q, v in zip(vertices, dims_raw)}
+            dimension = {
+                q: check_int(v, f"quiver dimension at {q!r}", 0) for q, v in zip(vertices, dims_raw)
+            }
         quiver = presets.QuiverSpec(
             vertices=vertices,
             arrows=tuple(tuple(a) for a in arrows),
@@ -596,13 +605,15 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 cfg.seed = args.seed
             selected = args.checks.split(",") if args.checks else None
-            results, suite_seconds = run_checks(cfg, selected)
+            results, suite_seconds, sizes = run_checks(cfg, selected)
             report = {
                 "config_echo": json.loads(emit_config(cfg)),
                 "checks": [r.as_dict() for r in results],
                 "timings": {
                     "total_s": round(time.time() - t0, 3),
                     "suites": {k: round(v, 3) for k, v in suite_seconds.items()},
+                    "kernel": KERNEL_NAME,
+                    "sizes": sizes,
                 },
             }
             _emit(report, args.out)

@@ -112,7 +112,7 @@ def theta(setting: Setting, m: ModuleElement) -> dict:
     out = {}
     for i, f in m.components.items():
         for g in table.fixed_points_of(i):
-            val = FactoredFrac(f.substitute_linear(group.matrix(g)), lambdas[g])
+            val = FactoredFrac(f.weyl_image(group, g), lambdas[g])
             if val:
                 cur = out.get(g)
                 out[g] = val if cur is None else cur + val
@@ -173,7 +173,7 @@ def localize_var(setting: Setting, i: int, t: int) -> dict:
     table, group, lambdas = setting.table, setting.group, setting.lambdas
     out = {}
     for g in table.fixed_points_of(i):
-        num = Poly.variable(n, t).substitute_linear(group.matrix(g))
+        num = Poly.variable(n, t).weyl_image(group, g)
         val = FactoredFrac(num, lambdas[g])
         if val:
             out[(g, g)] = val
@@ -203,7 +203,7 @@ def localize_op(setting: Setting, op: TwistedOperator) -> dict:
     for (i, w), c in op.terms.items():
         for u in table.fixed_points_of(i):
             uw = group.mul(u, w)
-            val = c.substitute_linear(group.matrix(u)) / RatFun(lambdas[u].expand())
+            val = c.weyl_image(group, u) / RatFun(lambdas[u].expand())
             key = (u, uw)
             cur = out.get(key)
             s = val if cur is None else cur + val
@@ -377,7 +377,7 @@ def euler_identities_check(setting: Setting) -> list:
         for s in range(datum.rank):
             via_fibers = q_translate(setting, g, s)
             i = table.coset_of[g]
-            translated = q_poly(setting, i, s).substitute_linear(group.matrix(g))
+            translated = q_poly(setting, i, s).weyl_image(group, g)
             if via_fibers.expand() != translated:
                 ok, bad = False, {"element": group.reduced_word(g), "s": s}
     results.append(CheckResult("q-translation", ok, "", bad))

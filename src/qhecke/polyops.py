@@ -3,7 +3,9 @@
 Polynomials are sparse dicts from exponent tuples to exact rational
 coefficients; the ambient variables are the coordinate functions of the
 character lattice, so a root (an integer vector) becomes a linear form and a
-Weyl matrix acts by substituting linear forms for the generators.
+Weyl matrix acts by substituting linear forms for the generators.  A Weyl
+group element acts by its index (`weyl_image`): each monomial's image is
+substituted once per group and element, then summed from the memo.
 
 Rational functions are kept unreduced; equality is cross-multiplication.
 Euler classes (products of weights) are kept factored instead: an
@@ -56,6 +58,12 @@ def _coeff(value):
     if isinstance(value, str):
         return _k.norm_coeff(Fraction(value))
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _columns(matrix, n: int) -> tuple:
+    """The columns of a square matrix: the linear forms `ksubst` puts in
+    for the variables."""
+    return tuple(tuple(row[k] for row in matrix) for k in range(n))
 
 
 def coeff_str(c) -> str:
@@ -165,8 +173,35 @@ class Poly:
         Variable k is replaced by the linear form given by column k, so this
         realizes the Weyl action: w(root linear form) = linear form of w(root).
         """
-        cols = tuple(tuple(row[k] for row in matrix) for k in range(self.n))
-        return Poly(self.n, _k.ksubst(self.d, cols, self.n))
+        return Poly(self.n, _k.ksubst(self.d, _columns(matrix, self.n), self.n))
+
+    def weyl_image(self, group, g: int) -> "Poly":
+        """g(self) for the element index g of a `WeylGroup`: the identity
+        returns self, otherwise the sum of c * g(monomial) over the terms.
+        A monomial's image is substituted on first use only and kept in
+        `group.monomial_images(g)`."""
+        if g == group.identity or not self.d:
+            return self
+        n = self.n
+        memo = group.monomial_images(g)
+        norm = _k.norm_coeff
+        out = None
+        for e, c in self.d.items():
+            img = memo.get(e)
+            if img is None:
+                img = memo[e] = _k.ksubst({e: 1}, _columns(group.matrix(g), n), n)
+            if out is None:
+                # the first term starts a fresh dict: most arguments are
+                # single monomials with coefficient 1
+                out = dict(img) if c == 1 else _k.kscale(img, c)
+                continue
+            for e2, c2 in img.items():
+                s = out.get(e2, 0) + c * c2
+                if s:
+                    out[e2] = norm(s)
+                elif e2 in out:
+                    del out[e2]
+        return Poly(n, out)
 
     def divexact(self, other: "Poly"):
         """Exact quotient self/other, or None when not divisible."""
@@ -333,6 +368,16 @@ class RatFun:
 
     def substitute_linear(self, matrix) -> "RatFun":
         return RatFun(self.num.substitute_linear(matrix), self.den.substitute_linear(matrix))
+
+    def weyl_image(self, group, g: int) -> "RatFun":
+        """g(self) by element index (see `Poly.weyl_image`).  g is a ring
+        automorphism fixing constants, so a reduced fraction (den 1, or den
+        not dividing num) stays reduced and needs no second division."""
+        if g == group.identity:
+            return self
+        return RatFun(
+            self.num.weyl_image(group, g), self.den.weyl_image(group, g), reduce=False
+        )
 
     def is_polynomial(self) -> bool:
         return self.num.divexact(self.den) is not None

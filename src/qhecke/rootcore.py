@@ -14,9 +14,11 @@ Elements of the Weyl group are the permutations they induce on the roots;
 the group object enumerates them once (desk scale) by composing the simple
 reflections' permutations, and orders elements canonically by (length,
 reduced word).  Acting on a root, multiplying, lengths, descents and reduced
-words are index lookups.  Integer matrices, which substitution into
-polynomials needs, are built lazily from the reduced word and cached; acting
-on a vector that is not a root goes through the matrix.
+words are index lookups.  Integer matrices are built lazily from the reduced
+word and cached; acting on a vector that is not a root goes through the
+matrix.  Polynomials are acted on by element index (`Poly.weyl_image`): the
+image of each monomial under an element is substituted once and kept in
+that element's memo here, so it lives as long as the group does.
 """
 
 from __future__ import annotations
@@ -276,7 +278,8 @@ class WeylGroup:
     Element g is stored as the bytes p with datum.roots[p[i]] = g(datum.roots[i])
     (a faithful action: W fixes the common kernel of the coroots pointwise).
     Products compose permutations, lengths are breadth-first depths, and
-    integer matrices are built only on request, from the reduced word.
+    integer matrices are built only on request, from the reduced word, as
+    are the per-element memos of monomial images (`monomial_images`).
     """
 
     def __init__(self, datum: RootDatum):
@@ -335,6 +338,7 @@ class WeylGroup:
         self.simple = tuple(self._index[s] for s in gens)
         self._inv = [None] * len(ordered)
         self._matrices = [None] * len(ordered)
+        self._images = [None] * len(ordered)
         self._downset_cache = {}
 
     def _perm_of(self, images) -> bytes:
@@ -372,6 +376,14 @@ class WeylGroup:
                 m = _mat_mul(self.matrix(prefix), self.datum._simple_refl[k])
             self._matrices[g] = m
         return m
+
+    def monomial_images(self, g: int) -> dict:
+        """The memo of g's action on monomials: exponent tuple -> kernel dict
+        of its image under `matrix(g)`.  `polyops` fills and reads it."""
+        memo = self._images[g]
+        if memo is None:
+            memo = self._images[g] = {}
+        return memo
 
     def mul(self, a: int, b: int) -> int:
         return self._index[self.perms[b].translate(self._tables[a])]

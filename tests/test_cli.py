@@ -7,6 +7,7 @@ import pytest
 from qhecke import cli
 from qhecke.config import build_setting, emit_config, parse_config
 from qhecke.errors import ParseError, UnknownIndex
+from qhecke.polyops import KERNEL_NAME
 from qhecke.presets import preset_nilhecke, preset_skew
 
 
@@ -313,12 +314,29 @@ class TestMalformedInputToMain:
              "vertex names must be unique"),
             ({"vertices": [1, "1"], "arrows": [], "dimension": [1, 1]},
              "vertex names must be unique"),
+            ({"vertices": ["a", "b"], "arrows": [], "dimension": {"a": -1, "b": 3}},
+             "quiver dimension at 'a' must be at least 0, got -1"),
+            ({"vertices": ["a", "b"], "arrows": [], "dimension": [-1, 3]},
+             "quiver dimension at 'a' must be at least 0, got -1"),
+            ({"vertices": ["a"], "arrows": [], "dimension": {"a": True}},
+             "quiver dimension at 'a' must be an integer, got True"),
+            ({"vertices": ["a"], "arrows": [], "dimension": [True]},
+             "quiver dimension at 'a' must be an integer, got True"),
+            ({"vertices": ["a"], "arrows": [], "dimension": {"a": 1.5}},
+             "must be an object or a list, got {'a': 1.5}"),
+            ({"vertices": ["a"], "arrows": [], "dimension": {"a": "2"}},
+             "quiver dimension at 'a' must be an integer, got '2'"),
+            ({"vertices": ["a"], "arrows": [], "dimension": ["2"]},
+             "quiver dimension at 'a' must be an integer, got '2'"),
         ],
         ids=[
             "missing-vertices", "missing-arrows-and-dimension", "vertices-not-a-list",
             "arrow-not-a-pair", "dimension-not-a-collection", "dimension-value-a-list",
             "not-an-object", "dimension-list-too-long", "dimension-list-too-short",
             "duplicate-vertex", "vertex-names-collide-as-keys",
+            "negative-dimension", "negative-dimension-list", "bool-dimension",
+            "bool-dimension-list", "float-dimension", "string-dimension",
+            "string-dimension-list",
         ],
     )
     def test_preset_quiver(self, capsys, quiver, message):
@@ -481,7 +499,25 @@ class TestCheckTimings:
     def test_check_report_times_each_suite(self, capsys, a2_config):
         assert cli.main(["check", "--config", a2_config, "--checks", "coset,euler"]) == 0
         timings = json.loads(capsys.readouterr().out)["timings"]
-        assert set(timings) == {"total_s", "suites"}
+        assert set(timings) == {"total_s", "suites", "kernel", "sizes"}
         assert set(timings["suites"]) == {"coset", "euler"}
         assert all(isinstance(v, float) and v >= 0 for v in timings["suites"].values())
         assert sum(timings["suites"].values()) <= timings["total_s"] + 0.002
+
+    def test_check_report_names_kernel_and_sizes(self, capsys, tmp_path):
+        # KLR on the arrow 1 -> 2 with dimension (2, 1): GL3 cut to GL2 x GL1,
+        # so |W_big| = 6, |W| = 2 and 3 cosets
+        quiver = {"vertices": [1, 2], "arrows": [[1, 2]], "dimension": [2, 1]}
+        path = tmp_path / "klr.json"
+        path.write_text(emit_config(cli.cmd_preset("klr", json.dumps(quiver))))
+        assert cli.main(["check", "--config", str(path), "--checks", "coset,euler"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        timings = report["timings"]
+        assert timings["kernel"] == KERNEL_NAME
+        assert report["checks"]
+        assert timings["sizes"] == {
+            "big_group_order": 6,
+            "group_order": 2,
+            "cosets": 3,
+            "checks": len(report["checks"]),
+        }

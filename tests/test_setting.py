@@ -26,6 +26,48 @@ def _functions():
                 yield path.stem, node.name, names
 
 
+def _is_group_matrix(node) -> bool:
+    """`group.matrix(...)` or `<anything>.group.matrix(...)`."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    owner = node.func.value
+    return node.func.attr == "matrix" and (
+        (isinstance(owner, ast.Name) and owner.id == "group")
+        or (isinstance(owner, ast.Attribute) and owner.attr == "group")
+    )
+
+
+def group_matrix_substitutions(source: str, module: str) -> list:
+    """(module, function, line) of every `substitute_linear` call that is
+    handed a group element's matrix, directly or through a local name.
+    Group elements act by index (`weyl_image`); substitute_linear is left to
+    matrices that are not group elements, the divided differences'
+    reflections and the KLR oracle's own permutation matrices."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = {
+            t.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and _is_group_matrix(node.value)
+            for t in node.targets
+            if isinstance(t, ast.Name)
+        }
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "substitute_linear"
+                and any(
+                    _is_group_matrix(a) or (isinstance(a, ast.Name) and a.id in names)
+                    for a in node.args
+                )
+            ):
+                out.append((module, fn.name, node.lineno))
+    return out
+
+
 class TestCallingConvention:
     def test_lambdas_only_in_the_matrix_products(self):
         bad = [
@@ -42,6 +84,27 @@ class TestCallingConvention:
             if "data" in args and args & {"table", "sub", "group"}
         ]
         assert bad == []
+
+    def test_group_elements_act_by_index_not_by_matrix(self):
+        bad = [
+            site
+            for path in sorted(SRC.glob("*.py"))
+            for site in group_matrix_substitutions(path.read_text(encoding="utf-8"), path.stem)
+        ]
+        assert bad == []
+
+    def test_matrix_scan_sees_both_spellings(self):
+        source = (
+            "def f(table, group, p, g):\n"
+            "    mat = group.matrix(g)\n"
+            "    p.substitute_linear(mat)\n"
+            "    p.substitute_linear(table.group.matrix(g))\n"
+            "    p.substitute_linear(other(g))\n"
+        )
+        assert group_matrix_substitutions(source, "algebra") == [
+            ("algebra", "f", 3),
+            ("algebra", "f", 4),
+        ]
 
     def test_subsystem_keeps_no_tangent_memo(self):
         tree = ast.parse((SRC / "subgroup.py").read_text(encoding="utf-8"))

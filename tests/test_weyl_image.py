@@ -1,0 +1,152 @@
+"""The Weyl action by element index (`weyl_image`, with its per-group memo
+of monomial images) against the matrix path it replaced: substituting
+`group.matrix(g)` into the whole polynomial."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qhecke import algebra, localize
+from qhecke.config import build_setting
+from qhecke.polyops import Poly, RatFun
+from qhecke.presets import preset_nilhecke, preset_skew
+
+LABELS = ("A2", "B2", "G2", "A3", "B3", "GL4")
+# one setting per label for the whole module: its group's memo stays warm
+# from one example to the next, as it does across the suites of a check
+SETTINGS = {label: build_setting(preset_nilhecke(label)) for label in LABELS}
+
+
+@st.composite
+def poly(draw, n, max_terms=4):
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple),
+                st.fractions(min_value=-3, max_value=3, max_denominator=3),
+            ),
+            max_size=max_terms,
+        )
+    )
+    d = {}
+    for e, c in terms:
+        d[e] = d.get(e, 0) + c
+    # integral coefficients as ints, as the kernel keeps them
+    return Poly(n, {e: int(c) if c.denominator == 1 else c for e, c in d.items() if c})
+
+
+@st.composite
+def label_and_poly(draw):
+    label = draw(st.sampled_from(LABELS))
+    return label, draw(poly(SETTINGS[label].datum.ambient_rank))
+
+
+@st.composite
+def label_and_ratfun(draw):
+    """A reduced RatFun: built with reduce=True, its denominator a random
+    polynomial or a product of roots (the algebra's denominators)."""
+    label = draw(st.sampled_from(LABELS))
+    datum = SETTINGS[label].datum
+    n = datum.ambient_rank
+    num = draw(poly(n))
+    if draw(st.booleans()):
+        den = draw(poly(n).filter(bool))
+    else:
+        den = Poly.const(n, draw(st.sampled_from((1, 2, -3))))
+        for r in draw(st.lists(st.sampled_from(datum.roots), max_size=3)):
+            den = den * Poly.linear(r)
+    return label, RatFun(num, den)
+
+
+class TestAgainstTheMatrixPath:
+    @settings(max_examples=40, deadline=None)
+    @given(label_and_poly())
+    def test_poly_every_element(self, case):
+        label, f = case
+        group = SETTINGS[label].group
+        for g in range(len(group)):
+            want = f.substitute_linear(group.matrix(g))
+            assert f.weyl_image(group, g) == want
+            # a second call reads the memo only
+            assert f.weyl_image(group, g) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(label_and_ratfun())
+    def test_ratfun_every_element(self, case):
+        label, f = case
+        group = SETTINGS[label].group
+        for g in range(len(group)):
+            got = f.weyl_image(group, g)
+            m = group.matrix(g)
+            # the matrix path constructs with reduce=True; the unreduced
+            # construction must land on the same num and den
+            want = RatFun(f.num.substitute_linear(m), f.den.substitute_linear(m))
+            assert got.num == want.num and got.den == want.den
+            assert got == f.substitute_linear(m)
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_identity_returns_its_argument(self, label):
+        group = SETTINGS[label].group
+        n = SETTINGS[label].datum.ambient_rank
+        f = Poly.variable(n, 0) * 3 + 1
+        r = RatFun(f, Poly.variable(n, n - 1))
+        assert f.weyl_image(group, group.identity) is f
+        assert r.weyl_image(group, group.identity) is r
+
+    def test_memo_fills_per_monomial_on_first_use(self):
+        setting = build_setting(preset_nilhecke("A2"))
+        group = setting.group
+        g = group.mul(group.simple[0], group.simple[1])
+        f = Poly(2, {(2, 0): 1, (0, 1): -2, (0, 0): 5})
+        assert group.monomial_images(g) == {}
+        f.weyl_image(group, g)
+        assert set(group.monomial_images(g)) == set(f.d)
+        f.weyl_image(group, group.identity)
+        assert group.monomial_images(group.identity) == {}
+
+    def test_second_setting_keeps_its_own_memo(self):
+        cfg = preset_nilhecke("B2")
+        first, second = build_setting(cfg), build_setting(cfg)
+        assert first.group is not second.group
+        f = Poly(2, {(1, 2): 1, (3, 0): -1})
+        images = [f.weyl_image(first.group, g) for g in range(len(first.group))]
+        assert all(second.group.monomial_images(g) == {} for g in range(len(second.group)))
+        # a wrong entry in the first memo does not reach the second setting
+        first.group.monomial_images(first.group.simple[0])[(1, 2)] = {(0, 0): 7}
+        assert [f.weyl_image(second.group, g) for g in range(len(second.group))] == images
+
+
+def corrupt_one_image(setting):
+    """Replace the memoized image of x_0 under the first simple reflection
+    by a wrong one that still differs from the true one by a multiple of
+    alpha_0, so divided differences stay polynomial and the suites run."""
+    group, datum = setting.group, setting.datum
+    n = datum.ambient_rank
+    s0 = group.simple[0]
+    x0 = Poly.variable(n, 0)
+    wrong = x0.substitute_linear(group.matrix(s0)) + Poly.linear(datum.simple_roots[0]) * 2
+    group.monomial_images(s0)[x0.d.popitem()[0]] = wrong.d
+
+
+class TestCorruptedMemoIsCaught:
+    @pytest.mark.parametrize("label", ("A2", "B2"))
+    def test_localization_suite_fails(self, label):
+        setting = build_setting(preset_nilhecke(label))
+        assert all(r.passed for r in localize.intertwining_check(setting))
+        assert all(r.passed for r in localize.theta_equivariance_check(setting))
+        corrupt_one_image(setting)
+        assert not all(r.passed for r in localize.intertwining_check(setting))
+        assert not all(r.passed for r in localize.theta_equivariance_check(setting))
+
+    @pytest.mark.parametrize("label", ("A2", "B2"))
+    def test_relations_suite_fails(self, label):
+        setting = build_setting(preset_nilhecke(label))
+        corrupt_one_image(setting)
+        assert not all(r.passed for r in algebra.check_relations(setting))
+        assert all(r.passed for r in algebra.check_relations(build_setting(preset_nilhecke(label))))
+
+    def test_skew_localization_fails(self):
+        setting = build_setting(preset_skew("A2"))
+        corrupt_one_image(setting)
+        assert not all(r.passed for r in localize.intertwining_check(setting))
+        assert not all(r.passed for r in localize.theta_equivariance_check(setting))
