@@ -3,8 +3,7 @@
 A polynomial is a dict mapping exponent tuples (fixed length, nonnegative
 ints) to nonzero exact rational coefficients.  Coefficients are plain ints
 whenever integral and fractions.Fraction otherwise; both compare and hash
-consistently, so mixed dicts are fine.  A compiled twin of this module lives
-in _kernel.pyx; qhecke.polyops picks one at import time.
+consistently, so mixed dicts are fine.
 """
 
 from fractions import Fraction

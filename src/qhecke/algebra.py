@@ -186,11 +186,12 @@ class TwistedOperator:
         for i, val in acc.items():
             if val.is_zero():
                 continue
-            if not val.is_polynomial():
+            q = val.polynomial()
+            if q is None:
                 raise NonIntegralResult(
                     f"component {i} evaluated to a non-polynomial: {val!r}"
                 )
-            out[i] = val.as_poly()
+            out[i] = q
         return ModuleElement(m.n, out)
 
     def graded_degree(self):
@@ -361,7 +362,7 @@ def braid_defect(setting: Setting, i: int, s: int, t: int) -> BraidDefect:
     for length in range(m):
         for g in by_length[length]:
             coefficients.setdefault(g, RatFun.from_scalar(setting.datum.ambient_rank, 0))
-    flags = {g: c.is_polynomial() for g, c in coefficients.items()}
+    flags = {g: c.polynomial() is not None for g, c in coefficients.items()}
     return BraidDefect(
         i, s, t, m, coefficients, flags, {g: word_of[g] for g in coefficients}
     )
@@ -425,12 +426,12 @@ def normal_form(setting: Setting, op: TwistedOperator) -> NormalForm:
             if c is None:
                 continue
             lead = basis.terms[(i, v)]
-            q = c / lead
-            if not q.is_polynomial():
+            q = (c / lead).polynomial()
+            if q is None:
                 raise NonPolynomialCoefficient(
                     f"coefficient of sigma({group.reduced_word(v)}) at row {i}"
                 )
-            row_coeffs[i] = q.as_poly()
+            row_coeffs[i] = q
         if not row_coeffs:
             raise NotInSpan(
                 f"no eliminable row at {group.reduced_word(v)}"

@@ -207,14 +207,19 @@ def run_checks(cfg: Config, selected=None) -> tuple:
 
     if selected is None:
         selected = cfg.checks if cfg.checks is not None else sorted(suites)
-    results = []
-    seconds = {}
+    if not selected or "" in selected or len(set(selected)) < len(selected):
+        raise ParseError(
+            f"check suites must be a non-empty list of distinct names, got {selected!r}"
+        )
     for name in selected:
         if name not in suites:
             raise UnknownIndex(f"unknown check suite {name!r}")
+    results = []
+    seconds = {}
+    for name in selected:
         t0 = time.perf_counter()
         suite_results = suites[name]()
-        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
+        seconds[name] = time.perf_counter() - t0
         for r in suite_results:
             results.append(CheckResult(f"{name}:{r.name}", r.passed, r.details, r.counterexample))
     sizes = {
@@ -604,7 +609,7 @@ def main(argv=None) -> int:
                 cfg.degree_bound = check_int(args.degree_bound, "--degree-bound", 0)
             if args.seed is not None:
                 cfg.seed = args.seed
-            selected = args.checks.split(",") if args.checks else None
+            selected = None if args.checks is None else args.checks.split(",")
             results, suite_seconds, sizes = run_checks(cfg, selected)
             report = {
                 "config_echo": json.loads(emit_config(cfg)),

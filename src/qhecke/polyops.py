@@ -21,13 +21,13 @@ Grading convention: a linear form has artifact degree 2 (degrees are doubled);
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd
 
+from . import _kernel_py as _k
 from .errors import (
     DivisionByZeroDenominator,
     InternalDivisibilityFailure,
@@ -36,19 +36,8 @@ from .errors import (
     ZeroWeight,
 )
 
-if os.environ.get("QHECKE_PURE"):
-    from . import _kernel_py as _k
-
-    KERNEL_NAME = "pure"
-else:
-    try:
-        from . import _kernel as _k  # type: ignore[attr-defined]
-
-        KERNEL_NAME = "compiled"
-    except ImportError:
-        from . import _kernel_py as _k
-
-        KERNEL_NAME = "pure"
+# Named in the `check` report's `timings.kernel`.
+KERNEL_NAME = "pure"
 
 
 def _coeff(value):
@@ -379,14 +368,9 @@ class RatFun:
             self.num.weyl_image(group, g), self.den.weyl_image(group, g), reduce=False
         )
 
-    def is_polynomial(self) -> bool:
-        return self.num.divexact(self.den) is not None
-
-    def as_poly(self) -> Poly:
-        q = self.num.divexact(self.den)
-        if q is None:
-            raise InternalDivisibilityFailure(f"not a polynomial: {self!r}")
-        return q
+    def polynomial(self) -> Poly | None:
+        """The quotient num/den if it is a polynomial, else None."""
+        return self.num.divexact(self.den)
 
     def is_homogeneous(self) -> bool:
         return self.num.is_homogeneous() and self.den.is_homogeneous()

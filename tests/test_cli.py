@@ -393,6 +393,31 @@ class TestMalformedInputToMain:
             capsys, ["check", "--config", str(path)], "options.checks must be a list"
         )
 
+    @pytest.mark.parametrize(
+        "checks", ["", "coset,coset", "coset,,coset"], ids=["empty", "repeated", "empty-name"]
+    )
+    def test_checks_argument_not_distinct_names(self, capsys, a2_config, checks):
+        self.assert_parse_error(
+            capsys,
+            ["check", "--config", a2_config, "--checks", checks],
+            "check suites must be a non-empty list of distinct names",
+        )
+
+    @pytest.mark.parametrize(
+        "checks", [[], [""], ["coset", "coset"], ["coset", "", "length"]],
+        ids=["empty", "empty-name", "repeated", "empty-name-between"],
+    )
+    def test_checks_option_not_distinct_names(self, capsys, tmp_path, checks):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"group": "A2", "options": {"checks": checks}}))
+        with pytest.raises(ParseError):
+            cli.run_checks(parse_config(path.read_text()))
+        self.assert_parse_error(
+            capsys,
+            ["check", "--config", str(path)],
+            "check suites must be a non-empty list of distinct names",
+        )
+
 
 class TestIntegerFields:
     """options.degree_bound, options.seed and springer.r must be ints (not

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhecke import _kernel_py
+import qhecke
 from qhecke.errors import DivisionByZeroDenominator
 from qhecke.polyops import (
     Poly,
@@ -147,9 +150,8 @@ class TestRatFun:
     def test_is_polynomial(self):
         x = Poly.variable(2, 0)
         y = Poly.variable(2, 1)
-        assert RatFun(x * y, y, reduce=False).is_polynomial()
-        assert not RatFun(x, y).is_polynomial()
-        assert RatFun(x * y, y, reduce=False).as_poly() == x
+        assert RatFun(x * y, y, reduce=False).polynomial() == x
+        assert RatFun(x, y).polynomial() is None
 
 
 class TestDemazure:
@@ -215,38 +217,21 @@ class TestDemazure:
         assert demazure_product_rule_check(datum, k, x, f)
 
 
-class TestKernelParity:
-    """The compiled kernel must agree with the pure twin bit-for-bit."""
-
-    def _workload(self):
-        import random
-
-        rng = random.Random(7)
-        polys = []
-        for _ in range(6):
-            d = {}
-            for _ in range(rng.randrange(1, 8)):
-                e = tuple(rng.randrange(4) for _ in range(3))
-                c = rng.randrange(-9, 10)
-                if c:
-                    d[e] = c
-            polys.append(d)
-        return polys
-
-    def test_against_compiled(self):
-        try:
-            from qhecke import _kernel
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        polys = self._workload()
-        cols = ((1, 0, 0), (1, 1, 0), (0, -1, 1))
-        for a in polys:
-            for b in polys:
-                assert _kernel.kadd(a, b) == _kernel_py.kadd(a, b)
-                assert _kernel.kmul(a, b) == _kernel_py.kmul(a, b)
-                if b:
-                    assert _kernel.kdivexact(
-                        _kernel.kmul(a, b), b
-                    ) == _kernel_py.kdivexact(_kernel_py.kmul(a, b), b)
-            assert _kernel.ksubst(a, cols, 3) == _kernel_py.ksubst(a, cols, 3)
-            assert _kernel.kpow(a, 3, 3) == _kernel_py.kpow(a, 3, 3)
+def test_no_stale_module_or_environment_picks_the_kernel():
+    """`polyops` always runs on `_kernel_py`: a stale compiled
+    `qhecke._kernel` and a `QHECKE_PURE` variable are both ignored.  In a
+    subprocess, because reloading `polyops` here would make a second `Poly`
+    class."""
+    script = (
+        "import sys, types\n"
+        "sys.modules['qhecke._kernel'] = types.ModuleType('qhecke._kernel')\n"
+        "from qhecke import polyops\n"
+        "print(polyops._k.__name__, polyops.KERNEL_NAME)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qhecke.__file__))
+    env = {**os.environ, "QHECKE_PURE": "", "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["qhecke._kernel_py", "pure"]
