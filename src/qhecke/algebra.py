@@ -24,7 +24,7 @@ from .errors import (
     NonPolynomialCoefficient,
     NotInSpan,
 )
-from .polyops import Poly, RatFun
+from .polyops import Poly, RatFun, add_term
 from .repdata import Setting, h_count, q_poly
 from .report import CheckResult
 from .subgroup import CosetTable
@@ -55,12 +55,7 @@ class ModuleElement:
     def __add__(self, other):
         out = dict(self.components)
         for i, f in other.components.items():
-            g = out.get(i)
-            s = f if g is None else g + f
-            if s:
-                out[i] = s
-            elif i in out:
-                del out[i]
+            add_term(out, i, f)
         return ModuleElement(self.n, out)
 
     def __sub__(self, other):
@@ -88,15 +83,11 @@ def module_act(table: CosetTable, g: int, m: ModuleElement) -> ModuleElement:
     """Left group action on the module: component i lands in i*g^{-1}."""
     group = table.group
     ginv = group.inv(g)
-    out = {}
-    for i, f in m.components.items():
-        j = table.act_elem(i, ginv)
-        img = f.weyl_image(group, g)
-        if j in out:
-            img = out[j] + img
-        if img:
-            out[j] = img
-    return ModuleElement(m.n, out)
+    # i -> i*g^{-1} permutes the cosets, so no two components collide
+    return ModuleElement(
+        m.n,
+        {table.act_elem(i, ginv): f.weyl_image(group, g) for i, f in m.components.items()},
+    )
 
 
 class TwistedOperator:
@@ -116,12 +107,7 @@ class TwistedOperator:
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            cur = out.get(key)
-            s = c if cur is None else cur + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            add_term(out, key, c)
         return TwistedOperator(self.table, out)
 
     def __sub__(self, other):
@@ -148,14 +134,7 @@ class TwistedOperator:
             for (j2, g2), c2 in other.terms.items():
                 if j2 != j:
                     continue
-                key = (i, group.mul(g1, g2))
-                c = c1 * c2.weyl_image(group, g1)
-                cur = out.get(key)
-                s = c if cur is None else cur + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                add_term(out, (i, group.mul(g1, g2)), c1 * c2.weyl_image(group, g1))
         return TwistedOperator(table, out)
 
     __rmul__ = scale
@@ -179,13 +158,9 @@ class TwistedOperator:
             f = m.components.get(j)
             if f is None:
                 continue
-            val = c * RatFun(f.weyl_image(group, g))
-            cur = acc.get(i)
-            acc[i] = val if cur is None else cur + val
+            add_term(acc, i, c * RatFun(f.weyl_image(group, g)))
         out = {}
         for i, val in acc.items():
-            if val.is_zero():
-                continue
             q = val.polynomial()
             if q is None:
                 raise NonIntegralResult(
@@ -217,17 +192,11 @@ class TwistedOperator:
 
 
 def gen_unit(table: CosetTable, i: int) -> TwistedOperator:
-    n = table.sub.datum.ambient_rank
-    return TwistedOperator(
-        table, {(i, table.group.identity): RatFun.from_scalar(n, 1)}
-    )
+    return left_mult(table, i, 1)
 
 
 def gen_var(table: CosetTable, i: int, t: int) -> TwistedOperator:
-    n = table.sub.datum.ambient_rank
-    return TwistedOperator(
-        table, {(i, table.group.identity): RatFun(Poly.variable(n, t))}
-    )
+    return left_mult(table, i, Poly.variable(table.sub.datum.ambient_rank, t))
 
 
 def gen_sigma(setting: Setting, i: int, s: int) -> TwistedOperator:

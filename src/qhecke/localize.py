@@ -12,7 +12,9 @@ Every Euler class here stays factored (`polyops.EulerClass`), and every
 fixed-point entry is a polynomial over one (`polyops.FactoredFrac`), so
 the Lambda_w in a rescaled product cancels as a multiset.  Only the
 operator translation `localize_op` works with the algebra's `RatFun`s,
-which keeps the pathway comparison independent.
+which keeps the pathway comparison independent.  The unit and variable
+matrices are theta's diagonal on the unit and on x_t, and leading terms
+compare Euler classes with denominators cleared.
 
 Orientation convention: n_w is computed from its definition (weights of the
 subsystem lying in w(negatives)), and the Euler class of the closure of a
@@ -27,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .polyops import EulerClass, FactoredFrac, Poly, RatFun, monomials_up_to
+from .polyops import EulerClass, FactoredFrac, Poly, RatFun, add_term, monomials_up_to
 from .repdata import Setting, fiber_pair_weights, fiber_weights, h_count, q_poly
 from .report import CheckResult
 from .algebra import ModuleElement, TwistedOperator, gen_sigma, gen_unit, gen_var, module_act
@@ -93,16 +95,10 @@ def eu_zbar_w(setting: Setting, gx: int, w: int) -> EulerClass:
     return euler(ms, setting.datum.ambient_rank)
 
 
-def eu_zbar_s(setting: Setting, gx: int, s: int, diagonal: bool = False):
-    """Euler class of the crossing cell at (x, xs) (or at (x, x) for the
-    diagonal entry on stabilized cosets, which is minus the off entry)."""
-    value = eu_zbar_w(setting, gx, setting.group.simple[s])
-    if diagonal:
-        table = setting.table
-        if not table.stab(table.coset_of[gx], s):
-            raise ValueError("diagonal entries exist only on stabilized cosets")
-        return -value
-    return value
+def eu_zbar_s(setting: Setting, gx: int, s: int) -> EulerClass:
+    """Euler class of the crossing cell at (x, xs); on stabilized cosets
+    the diagonal entry at (x, x) is minus it."""
+    return eu_zbar_w(setting, gx, setting.group.simple[s])
 
 
 def theta(setting: Setting, m: ModuleElement) -> dict:
@@ -112,11 +108,8 @@ def theta(setting: Setting, m: ModuleElement) -> dict:
     out = {}
     for i, f in m.components.items():
         for g in table.fixed_points_of(i):
-            val = FactoredFrac(f.weyl_image(group, g), lambdas[g])
-            if val:
-                cur = out.get(g)
-                out[g] = val if cur is None else cur + val
-    return {g: v for g, v in out.items() if v}
+            add_term(out, g, FactoredFrac(f.weyl_image(group, g), lambdas[g]))
+    return out
 
 
 def fp_mul(A: dict, B: dict, lambdas) -> dict:
@@ -131,14 +124,7 @@ def fp_mul(A: dict, B: dict, lambdas) -> dict:
             continue
         lam = lambdas[w]
         for y, b in cols:
-            c = a * b * lam
-            key = (x, y)
-            cur = out.get(key)
-            s = c if cur is None else cur + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            add_term(out, (x, y), a * b * lam)
     return out
 
 
@@ -149,13 +135,7 @@ def fp_apply(A: dict, v: dict, lambdas) -> dict:
         b = v.get(w)
         if b is None:
             continue
-        c = a * b * lambdas[w]
-        cur = out.get(x)
-        s = c if cur is None else cur + c
-        if s:
-            out[x] = s
-        elif x in out:
-            del out[x]
+        add_term(out, x, a * b * lambdas[w])
     return out
 
 
@@ -164,20 +144,17 @@ def fp_identity(setting: Setting) -> dict:
 
 
 def localize_unit(setting: Setting, i: int) -> dict:
-    lambdas = setting.lambdas
-    return {(g, g): lambdas[g].reciprocal() for g in setting.table.fixed_points_of(i)}
+    """The unit of coset i as a fixed-point matrix: theta's diagonal,
+    1/Lambda_g at every fixed point g of i."""
+    m = ModuleElement.unit(setting.datum.ambient_rank, i)
+    return {(g, g): v for g, v in theta(setting, m).items()}
 
 
 def localize_var(setting: Setting, i: int, t: int) -> dict:
+    """Multiplication by x_t on coset i: theta's diagonal, g(x_t)/Lambda_g."""
     n = setting.datum.ambient_rank
-    table, group, lambdas = setting.table, setting.group, setting.lambdas
-    out = {}
-    for g in table.fixed_points_of(i):
-        num = Poly.variable(n, t).weyl_image(group, g)
-        val = FactoredFrac(num, lambdas[g])
-        if val:
-            out[(g, g)] = val
-    return out
+    m = ModuleElement(n, {i: Poly.variable(n, t)})
+    return {(g, g): v for g, v in theta(setting, m).items()}
 
 
 def localize_sigma(setting: Setting, i: int, s: int) -> dict:
@@ -203,14 +180,7 @@ def localize_op(setting: Setting, op: TwistedOperator) -> dict:
     for (i, w), c in op.terms.items():
         for u in table.fixed_points_of(i):
             uw = group.mul(u, w)
-            val = c.weyl_image(group, u) / RatFun(lambdas[u].expand())
-            key = (u, uw)
-            cur = out.get(key)
-            s = val if cur is None else cur + val
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            add_term(out, (u, uw), c.weyl_image(group, u) / RatFun(lambdas[u].expand()))
     return out
 
 
@@ -297,8 +267,6 @@ def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
                 rhs = theta(setting, c)
                 lhs_n = {x: v * lambdas[x] for x, v in lhs.items()}
                 rhs_n = {group.mul(x, group.inv(w)): v * lambdas[x] for x, v in rhs.items()}
-                lhs_n = {x: v for x, v in lhs_n.items() if v}
-                rhs_n = {x: v for x, v in rhs_n.items() if v}
                 if lhs_n != rhs_n:
                     ok, bad = False, {"i": i, "monomial": e, "simple": k}
         results.append(CheckResult(f"equivariance(s={k})", ok, "", bad))
@@ -397,12 +365,9 @@ def leading_term_check(setting: Setting, s: int, w: int) -> CheckResult:
     ok = True
     for u in range(len(group)):
         us = group.mul(u, s_elem)
-        lhs = (
-            eu_zbar_w(setting, u, s_elem).reciprocal()
-            * eu_zbar_w(setting, us, w).reciprocal()
-            * lambdas[us]
-        )
-        rhs = eu_zbar_w(setting, u, sw).reciprocal()
+        # 1/E(u,s) * 1/E(us,w) * Lambda_us == 1/E(u,sw), denominators cleared
+        lhs = eu_zbar_w(setting, u, sw) * lambdas[us]
+        rhs = eu_zbar_w(setting, u, s_elem) * eu_zbar_w(setting, us, w)
         if lhs != rhs:
             ok = False
             bad = {"u": group.reduced_word(u)}

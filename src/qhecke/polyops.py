@@ -63,6 +63,18 @@ def coeff_str(c) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
+def add_term(out: dict, key, value) -> None:
+    """out[key] += value over a sparse dict: a missing key reads as zero, a
+    sum that vanishes drops the key, an existing key keeps its place."""
+    cur = out.get(key)
+    if cur is not None:
+        value = cur + value
+    if value:
+        out[key] = value
+    elif cur is not None:
+        del out[key]
+
+
 class Poly:
     """Sparse exact polynomial in a fixed number of ambient variables."""
 

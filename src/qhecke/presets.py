@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebra import TwistedOperator, braid_defect, gen_sigma
 from .config import Config
 from .errors import UnsupportedDimension
-from .polyops import Poly, RatFun
+from .polyops import Poly, RatFun, add_term
 from .repdata import h_count
 from .report import CheckResult
 
@@ -184,14 +184,7 @@ class QuiverOracle:
                 mat = _perm_matrix(pi, d)
                 for _, c2, pi2 in nxt:
                     comp = tuple(pi[pi2[a]] for a in range(d))
-                    val = c * c2.substitute_linear(mat)
-                    key = (s0, comp)
-                    curv = out.get(key)
-                    sval = val if curv is None else curv + val
-                    if sval:
-                        out[key] = sval
-                    elif key in out:
-                        del out[key]
+                    add_term(out, (s0, comp), c * c2.substitute_linear(mat))
             terms = out
             cur = tuple(cur[t] for t in tau_of(k, d))
         return terms

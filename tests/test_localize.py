@@ -19,8 +19,11 @@ from qhecke.localize import (
     inversion_additivity_suite,
     lambda_poly,
     leading_term_suite,
+    leading_term_check,
     localize_op,
     localize_sigma,
+    localize_unit,
+    localize_var,
     pathway_agreement_check,
     q_translate,
     tangent_m,
@@ -326,6 +329,65 @@ class TestEulerIdentities:
     def test_leading_terms(self, setting):
         for r in leading_term_suite(setting):
             assert r.passed, (r.name, r.counterexample)
+
+
+class TestDiagonalMatrices:
+    def test_unit_and_variables_are_explicit_diagonals(self, setting):
+        datum, _, table, _ = setting
+        group, lambdas = setting.group, setting.lambdas
+        n = datum.ambient_rank
+        for i in table.indices:
+            points = table.fixed_points_of(i)
+            assert localize_unit(setting, i) == {(g, g): lambdas[g].reciprocal() for g in points}
+            for t in range(n):
+                x_t = Poly.variable(n, t)
+                want = {(g, g): FactoredFrac(x_t.weyl_image(group, g), lambdas[g]) for g in points}
+                assert localize_var(setting, i, t) == want
+
+
+def _leading_pairs(setting):
+    group = setting.group
+    return [
+        (s, w)
+        for s in range(setting.datum.rank)
+        for w in range(len(group))
+        if group.length(group.mul(group.simple[s], w)) == group.length(w) + 1
+    ]
+
+
+class TestLeadingTermClassComparison:
+    def test_same_verdicts_as_the_reciprocal_products(self, setting):
+        # oracle: 1/E(u,s) * 1/E(us,w) * Lambda_us against 1/E(u,sw) as
+        # fractions, which the check compares with denominators cleared
+        group, lambdas = setting.group, setting.lambdas
+        for s, w in _leading_pairs(setting):
+            s_elem = group.simple[s]
+            sw = group.mul(s_elem, w)
+            want = all(
+                eu_zbar_w(setting, u, s_elem).reciprocal()
+                * eu_zbar_w(setting, group.mul(u, s_elem), w).reciprocal()
+                * lambdas[group.mul(u, s_elem)]
+                == eu_zbar_w(setting, u, sw).reciprocal()
+                for u in range(len(group))
+            )
+            assert leading_term_check(setting, s, w).passed == want
+
+    @pytest.mark.parametrize(
+        "build, k, failing",
+        [
+            (lambda: make_setting("A3"), 0, 36),
+            (lambda: make_setting("A3"), 23, 36),
+            (lambda: make_setting("B2", kind="skew"), 5, 8),
+        ],
+    )
+    def test_a_negated_lambda_fails_every_check(self, build, k, failing):
+        setting = build()
+        assert all(r.passed for r in leading_term_suite(setting))
+        lambdas = list(setting.lambdas)
+        lambdas[k] = -lambdas[k]
+        setting.__dict__["lambdas"] = tuple(lambdas)
+        results = leading_term_suite(setting)
+        assert sum(not r.passed for r in results) == len(results) == failing
 
 
 class TestNonBorelBoundary:

@@ -14,6 +14,7 @@ from qhecke.errors import DivisionByZeroDenominator
 from qhecke.polyops import (
     Poly,
     RatFun,
+    add_term,
     demazure,
     demazure_product_rule_check,
     demazure_word,
@@ -152,6 +153,33 @@ class TestRatFun:
         y = Poly.variable(2, 1)
         assert RatFun(x * y, y, reduce=False).polynomial() == x
         assert RatFun(x, y).polynomial() is None
+
+
+class TestAddTerm:
+    def test_missing_key_reads_as_zero(self):
+        out = {"a": 1}
+        add_term(out, "b", 2)
+        assert out == {"a": 1, "b": 2}
+        add_term(out, "c", 0)
+        assert out == {"a": 1, "b": 2}
+
+    def test_vanishing_sum_drops_the_key(self):
+        out = {"a": Fraction(1, 2), "b": 3}
+        add_term(out, "a", Fraction(-1, 2))
+        assert out == {"b": 3}
+        x = RatFun(Poly.variable(2, 0))
+        acc = {0: x}
+        add_term(acc, 0, -x)
+        assert acc == {}
+
+    def test_existing_key_keeps_its_position(self):
+        # sums of RatFuns run in term order, and report bytes follow it
+        out = {"a": 1, "b": 2, "c": 3}
+        add_term(out, "a", 5)
+        add_term(out, "b", -2)
+        add_term(out, "d", 4)
+        add_term(out, "c", 1)
+        assert list(out.items()) == [("a", 6), ("c", 4), ("d", 4)]
 
 
 class TestDemazure:

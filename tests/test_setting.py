@@ -15,6 +15,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qhecke"
 # Λ-weighted matrix products: they take the Λ table itself, not a setting
 TAKE_LAMBDAS = {"fp_mul", "fp_apply"}
 
+# coefficient-level sums that keep their own loops for speed
+KERNEL_MODULE = "_kernel_py"
+OWN_SPARSE_SUMS = {("polyops", "Poly.weyl_image")}
+
 
 def _functions():
     """(module, function name, argument names) for every function in src."""
@@ -68,6 +72,61 @@ def group_matrix_substitutions(source: str, module: str) -> list:
     return out
 
 
+def _qualified_functions(tree, prefix=""):
+    """(qualified name, node) of every function, methods as `Class.name`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _qualified_functions(node, prefix + node.name + ".")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _qualified_functions(node, prefix + node.name + ".")
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, without those of nested scopes."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+    stack = [node for node in fn.body if not isinstance(node, scopes)]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in ast.iter_child_nodes(node) if not isinstance(c, scopes))
+
+
+def _subscripts(targets) -> set:
+    return {
+        (ast.unparse(t.value), ast.unparse(t.slice))
+        for t in targets
+        if isinstance(t, ast.Subscript)
+    }
+
+
+def sparse_sums(source: str, module: str) -> list:
+    """(module, function) of every hand-written `d[key] += value` over a
+    sparse dict: a function that reads `d.get(key)` and, for the same d and
+    key, drops it (`del d[key]`, `d.pop(key...)`) or stores a sum in it
+    (`d[key] = ... + ...`).  `polyops.add_term` is the one such loop."""
+    out = []
+    for name, fn in _qualified_functions(ast.parse(source)):
+        reads, writes = set(), set()
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args:
+                pair = (ast.unparse(node.func.value), ast.unparse(node.args[0]))
+                if node.func.attr == "get":
+                    reads.add(pair)
+                elif node.func.attr == "pop":
+                    writes.add(pair)
+            elif isinstance(node, ast.Delete):
+                writes |= _subscripts(node.targets)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
+                for n in ast.walk(node.value)
+            ):
+                writes |= _subscripts(node.targets)
+        if reads & writes:
+            out.append((module, name))
+    return out
+
+
 class TestCallingConvention:
     def test_lambdas_only_in_the_matrix_products(self):
         bad = [
@@ -104,6 +163,54 @@ class TestCallingConvention:
         assert group_matrix_substitutions(source, "algebra") == [
             ("algebra", "f", 3),
             ("algebra", "f", 4),
+        ]
+
+    def test_one_sparse_sum_outside_the_kernel(self):
+        found = [
+            site
+            for path in sorted(SRC.glob("*.py"))
+            if path.stem != KERNEL_MODULE
+            for site in sparse_sums(path.read_text(encoding="utf-8"), path.stem)
+            if site not in OWN_SPARSE_SUMS
+        ]
+        assert found == [("polyops", "add_term")]
+
+    def test_sparse_sum_scan_sees_every_shape(self):
+        source = (
+            "def dropped(out, k, v):\n"
+            "    cur = out.get(k)\n"
+            "    s = v if cur is None else cur + v\n"
+            "    if s:\n"
+            "        out[k] = s\n"
+            "    elif k in out:\n"
+            "        del out[k]\n"
+            "def popped(out, k, v):\n"
+            "    s = out.get(k, 0) + v\n"
+            "    out[k] = s\n"
+            "    if not s:\n"
+            "        out.pop(k)\n"
+            "class C:\n"
+            "    def summed(self, acc, i, val):\n"
+            "        cur = acc.get(i)\n"
+            "        acc[i] = val if cur is None else cur + val\n"
+            "def memo(cache, g):\n"
+            "    v = cache.get(g)\n"
+            "    if v is None:\n"
+            "        v = cache[g] = build(g)\n"
+            "    return v\n"
+            "def other_key(out, k, j, v):\n"
+            "    cur = out.get(k)\n"
+            "    out[j] = cur + v\n"
+            "def outer(out, k):\n"
+            "    cur = out.get(k)\n"
+            "    def inner(v):\n"
+            "        out[k] = cur + v\n"
+            "    return inner\n"
+        )
+        assert sparse_sums(source, "m") == [
+            ("m", "dropped"),
+            ("m", "popped"),
+            ("m", "C.summed"),
         ]
 
     def test_subsystem_keeps_no_tangent_memo(self):
