@@ -495,9 +495,12 @@ def check_relations(setting: Setting) -> list:
         for s in range(datum.rank):
             isx = table.act(i, s)
             sig = gen_sigma(setting, i, s)
+            # s(x_t) from the reflection matrix, not the group's memo of
+            # monomial images, which the operator products read
+            reflection = datum.simple_reflection_matrix(s)
             for t in range(n):
                 lhs = sig * gen_var(table, isx, t) - left_mult(
-                    table, i, Poly.variable(n, t).weyl_image(group, group.simple[s])
+                    table, i, Poly.variable(n, t).substitute_linear(reflection)
                 ) * sig
                 c = straightening_poly(setting, i, s, t)
                 rhs = diag_mult(table, c) if isx == i else TwistedOperator(table)

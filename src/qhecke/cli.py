@@ -169,7 +169,7 @@ def _fp_matrix_json(mat, group):
             {
                 "x_word": list(group.reduced_word(x)),
                 "y_word": list(group.reduced_word(y)),
-                **_ratfun_json(mat[(x, y)].expand()),
+                **_ratfun_json(mat[(x, y)]),
             }
         )
     return rows
@@ -247,16 +247,21 @@ def _integrality_checks(setting, degree_bound: int) -> list:
     """Generators stay polynomial on every monomial up to the degree bound.
 
     This is the documented property test, not a proof: exact divisibility is
-    certified on the monomial family only.
+    certified on the monomial family only.  A generator is applied only on
+    the cosets its terms read; it sends every other component to zero.
     """
     from .errors import NonIntegralResult
 
+    table = setting.table
     n = setting.datum.ambient_rank
     monos = monomials_up_to(n, degree_bound)
     ok = True
     bad = None
     for name, gen in _all_generators(setting):
-        for i in setting.table.indices:
+        sources = {table.act_elem(i, g) for (i, g) in gen.terms}
+        for i in table.indices:
+            if i not in sources:
+                continue
             for e in monos:
                 m = algebra.ModuleElement.monomial(n, i, e)
                 try:
@@ -456,10 +461,13 @@ def _operator_json(op, group):
 def cmd_localize(cfg: Config) -> dict:
     setting = build_setting(cfg)
     group = setting.group
+    one = Poly.const(setting.datum.ambient_rank, 1)
     out = {"generators": {}}
     for i in setting.table.indices:
         for s in range(setting.datum.rank):
-            mat = localize.localize_sigma(setting, i, s)
+            # the multiplicity formula's entries 1/E, before clearing by Lambda
+            cells = localize.crossing_cells(setting, i, s)
+            mat = {(x, y): RatFun(one, e.expand()) for x, y, e in cells}
             out["generators"][f"sigma({i},{s})"] = _fp_matrix_json(mat, group)
     checks = localize.pathway_agreement_check(setting) + localize.intertwining_check(setting)
     out["checks"] = [r.as_dict() for r in checks]

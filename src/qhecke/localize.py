@@ -1,16 +1,18 @@
 """Euler classes of fixed points and the localization pathway.
 
 Every fixed point carries an Euler class: the product of the weights of its
-fiber and tangent data.  Localizing turns module elements into vectors
-indexed by group elements (coefficients w(c)/Lambda_w) and operators into
-sparse matrices over the fraction field, with the rescaled product
-psi_{x,w} * psi_{w,y} = Lambda_w psi_{x,y}.  Comparing the operator
-translation of a generator with the multiplicity-formula matrix built from
-weight multisets is the central cross-check between the two pathways.
+fiber and tangent data.  Localization sends a module element to the vector
+w(c)/Lambda_w over the fixed points, and an operator to a sparse matrix with
+the rescaled product psi_{x,w} * psi_{w,y} = Lambda_w psi_{x,y}.  Here row
+x of every vector and matrix is multiplied by Lambda_x, which is never zero:
+in this Lambda-cleared basis a module element localizes to the polynomials
+w(c), operators multiply as plain sparse matrices, and the operator
+translation of c*w at (u, uw) is u(c).  Comparing that translation with the
+multiplicity-formula matrix Lambda_x / E(x, xw), built from weight
+multisets, is the central cross-check between the two pathways.
 
-Every Euler class here stays factored (`polyops.EulerClass`), and every
-fixed-point entry is a polynomial over one (`polyops.FactoredFrac`), so
-the Lambda_w in a rescaled product cancels as a multiset.  Only the
+Every Euler class here stays factored (`polyops.EulerClass`); a quotient of
+two cancels as a multiset and expands only the forms left over.  Only the
 operator translation `localize_op` works with the algebra's `RatFun`s,
 which keeps the pathway comparison independent.  The unit and variable
 matrices are theta's diagonal on the unit and on x_t, and leading terms
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
-from .polyops import EulerClass, FactoredFrac, Poly, RatFun, add_term, monomials_up_to
+from .polyops import EulerClass, Poly, add_term, monomials_up_to
 from .repdata import Setting, fiber_pair_weights, fiber_weights, h_count, q_poly
 from .report import CheckResult
 from .algebra import ModuleElement, TwistedOperator, gen_sigma, gen_unit, gen_var, module_act
@@ -102,91 +105,78 @@ def eu_zbar_s(setting: Setting, gx: int, s: int) -> EulerClass:
 
 
 def theta(setting: Setting, m: ModuleElement) -> dict:
-    """Localization of a module element: coefficient w(c)/Lambda_w at each
-    fixed point of the coset carrying the component."""
-    table, group, lambdas = setting.table, setting.group, setting.lambdas
-    out = {}
-    for i, f in m.components.items():
-        for g in table.fixed_points_of(i):
-            add_term(out, g, FactoredFrac(f.weyl_image(group, g), lambdas[g]))
-    return out
+    """Localization of a module element in the Lambda-cleared basis: the
+    polynomial w(c) at each fixed point w of the coset carrying the
+    component.  Cosets are disjoint and w acts injectively, so every
+    component gives its own nonzero entries."""
+    table, group = setting.table, setting.group
+    return {
+        g: f.weyl_image(group, g)
+        for i, f in m.components.items()
+        for g in table.fixed_points_of(i)
+    }
 
 
-def fp_mul(A: dict, B: dict, lambdas) -> dict:
-    """Rescaled matrix product: (A*B)_{x,y} = sum_w A_{x,w} Lambda_w B_{w,y}."""
-    by_row: dict[int, list] = {}
-    for (w, y), c in B.items():
-        by_row.setdefault(w, []).append((y, c))
-    out: dict[tuple, FactoredFrac] = {}
-    for (x, w), a in A.items():
-        cols = by_row.get(w)
-        if not cols:
-            continue
-        lam = lambdas[w]
-        for y, b in cols:
-            add_term(out, (x, y), a * b * lam)
-    return out
-
-
-def fp_apply(A: dict, v: dict, lambdas) -> dict:
-    """(A*v)_x = sum_w A_{x,w} Lambda_w v_w."""
-    out: dict[int, FactoredFrac] = {}
+def fp_apply(A: dict, v: dict) -> dict:
+    """(A*v)_x = sum_w A_{x,w} v_w."""
+    out: dict = {}
     for (x, w), a in A.items():
         b = v.get(w)
-        if b is None:
-            continue
-        add_term(out, x, a * b * lambdas[w])
+        if b is not None:
+            add_term(out, x, a * b)
     return out
-
-
-def fp_identity(setting: Setting) -> dict:
-    return {(g, g): lam.reciprocal() for g, lam in enumerate(setting.lambdas)}
 
 
 def localize_unit(setting: Setting, i: int) -> dict:
-    """The unit of coset i as a fixed-point matrix: theta's diagonal,
-    1/Lambda_g at every fixed point g of i."""
+    """The unit of coset i as a fixed-point matrix: theta's diagonal, 1 at
+    every fixed point g of i."""
     m = ModuleElement.unit(setting.datum.ambient_rank, i)
     return {(g, g): v for g, v in theta(setting, m).items()}
 
 
 def localize_var(setting: Setting, i: int, t: int) -> dict:
-    """Multiplication by x_t on coset i: theta's diagonal, g(x_t)/Lambda_g."""
+    """Multiplication by x_t on coset i: theta's diagonal, g(x_t)."""
     n = setting.datum.ambient_rank
     m = ModuleElement(n, {i: Poly.variable(n, t)})
     return {(g, g): v for g, v in theta(setting, m).items()}
 
 
-def localize_sigma(setting: Setting, i: int, s: int) -> dict:
-    """Multiplicity-formula matrix of a crossing generator: inverse Euler
-    classes of the crossing cell at every fixed-point pair it touches."""
+def crossing_cells(setting: Setting, i: int, s: int):
+    """(x, y, E) for every fixed-point pair (x, y) the crossing generator
+    sigma(i, s) touches: the crossing cell's Euler class E(x, xs) at
+    (x, xs) and, on stabilized cosets, minus it at (x, x).  The entry of the
+    multiplicity-formula matrix at (x, y) is 1/E."""
     table, group = setting.table, setting.group
     stab = table.stab(i, s)
     s_elem = group.simple[s]
-    out = {}
     for g in table.fixed_points_of(i):
         off = eu_zbar_s(setting, g, s)
-        out[(g, group.mul(g, s_elem))] = off.reciprocal()
+        yield g, group.mul(g, s_elem), off
         if stab:
-            out[(g, g)] = (-off).reciprocal()
-    return out
+            yield g, g, -off
+
+
+def localize_sigma(setting: Setting, i: int, s: int) -> dict:
+    """Multiplicity-formula matrix of a crossing generator in the
+    Lambda-cleared basis: Lambda_x / E at every entry of `crossing_cells`."""
+    lambdas = setting.lambdas
+    return {(x, y): lambdas[x] / e for x, y, e in crossing_cells(setting, i, s)}
 
 
 def localize_op(setting: Setting, op: TwistedOperator) -> dict:
     """Translate a twisted operator into the fixed-point matrix compatible
-    with localization of module elements: entry u(c)/Lambda_u at (u, uw)."""
-    table, group, lambdas = setting.table, setting.group, setting.lambdas
-    out: dict[tuple, RatFun] = {}
+    with theta: entry u(c) at (u, uw)."""
+    table, group = setting.table, setting.group
+    out: dict = {}
     for (i, w), c in op.terms.items():
         for u in table.fixed_points_of(i):
-            uw = group.mul(u, w)
-            add_term(out, (u, uw), c.weyl_image(group, u) / RatFun(lambdas[u].expand()))
+            add_term(out, (u, group.mul(u, w)), c.weyl_image(group, u))
     return out
 
 
 def pathway_agreement_check(setting: Setting) -> list:
     """Operator translation vs multiplicity formula, entry by entry, for
-    every generator: the factored geometric entries are expanded and
+    every generator: the geometric entries, quotients of Euler classes, are
     compared with the algebra side's RatFuns."""
     datum, table = setting.datum, setting.table
     results = []
@@ -205,24 +195,39 @@ def pathway_agreement_check(setting: Setting) -> list:
     return results
 
 
+def clear_rows(mat: dict) -> tuple:
+    """(D, M): D_x the product of the distinct denominators in row x of a
+    matrix of RatFuns, and M = D * mat, whose entries are polynomials."""
+    dens: dict = {}
+    for (x, _), a in mat.items():
+        row = dens.setdefault(x, [])
+        if a.den not in row:
+            row.append(a.den)
+    factor = {x: prod(row) for x, row in dens.items()}
+    cleared = {(x, w): a.num * factor[x].divexact(a.den) for (x, w), a in mat.items()}
+    return factor, cleared
+
+
 def intertwining_check(setting: Setting, degree: int = 3) -> list:
     """The localization map intertwines crossing generators with their
-    fixed-point matrices on all monomials up to the given degree."""
-    datum, table, lambdas = setting.datum, setting.table, setting.lambdas
+    fixed-point matrices on all monomials up to the given degree.  Row x of
+    both sides is multiplied by the nonzero D_x of `clear_rows` once per
+    generator, so each monomial costs polynomial arithmetic only."""
+    datum, table = setting.datum, setting.table
     n = datum.ambient_rank
     results = []
     monomials = monomials_up_to(n, degree)
     for i in table.indices:
         for s in range(datum.rank):
-            mat = localize_sigma(setting, i, s)
+            factor, mat = clear_rows(localize_sigma(setting, i, s))
             sig = gen_sigma(setting, i, s)
             src = table.act(i, s)
             ok = True
             bad = None
             for e in monomials:
                 f = ModuleElement.monomial(n, src, e)
-                lhs = fp_apply(mat, theta(setting, f), lambdas)
-                rhs = theta(setting, sig.apply(f))
+                lhs = fp_apply(mat, theta(setting, f))
+                rhs = {x: factor[x] * v for x, v in theta(setting, sig.apply(f)).items()}
                 if lhs != rhs:
                     ok, bad = False, {"i": i, "s": s, "monomial": e}
                     break
@@ -249,10 +254,10 @@ def theta_injectivity_check(setting: Setting, degree: int = 3) -> list:
 
 
 def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
-    """Group-equivariance of localization in the rescaled basis: the
-    normalized coefficient of w(c) at x equals that of c at xw."""
+    """Group-equivariance of localization: the entry of w(c) at x equals
+    that of c at xw."""
     datum, _, table, _ = setting
-    group, lambdas = setting.group, setting.lambdas
+    group = setting.group
     n = datum.ambient_rank
     results = []
     monomials = monomials_up_to(n, degree)
@@ -264,10 +269,8 @@ def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
             for e in monomials:
                 c = ModuleElement.monomial(n, i, e)
                 lhs = theta(setting, module_act(table, w, c))
-                rhs = theta(setting, c)
-                lhs_n = {x: v * lambdas[x] for x, v in lhs.items()}
-                rhs_n = {group.mul(x, group.inv(w)): v * lambdas[x] for x, v in rhs.items()}
-                if lhs_n != rhs_n:
+                rhs = {group.mul(x, group.inv(w)): v for x, v in theta(setting, c).items()}
+                if lhs != rhs:
                     ok, bad = False, {"i": i, "monomial": e, "simple": k}
         results.append(CheckResult(f"equivariance(s={k})", ok, "", bad))
     return results

@@ -10,8 +10,8 @@ substituted once per group and element, then summed from the memo.
 Rational functions are kept unreduced; equality is cross-multiplication.
 Euler classes (products of weights) are kept factored instead: an
 `EulerClass` is a rational scalar times a multiset of primitive linear forms,
-and a `FactoredFrac` is a polynomial over one, so products and quotients of
-Euler classes are multiset sums and differences.
+so products of Euler classes are multiset sums, and a quotient of two is a
+`RatFun` over the forms left after the common multiset cancels.
 Divided-difference operators live here too: delta_s(f) = (s(f) - f)/alpha_s
 with exact division.
 
@@ -485,89 +485,20 @@ class EulerClass:
             self._poly = Poly(self.n, _form_product(self.n, self.scalar, self.forms))
         return self._poly
 
-    def reciprocal(self) -> "FactoredFrac":
-        return FactoredFrac(Poly.const(self.n, 1), self)
+    def __truediv__(self, other: "EulerClass") -> RatFun:
+        """self / other as a reduced RatFun: the common multiset cancels and
+        only the forms left over are expanded.  Distinct primitive forms are
+        coprime irreducibles, so nothing further divides."""
+        common = self.forms & other.forms
+        num = _form_product(self.n, _ratio(self.scalar, other.scalar), self.forms - common)
+        den = _form_product(self.n, 1, other.forms - common)
+        return RatFun(Poly(self.n, num), Poly(self.n, den), reduce=False)
 
     def __repr__(self):
         forms = " * ".join(
             f"{list(f)}" + (f"^{m}" if m > 1 else "") for f, m in sorted(self.forms.items())
         )
         return f"EulerClass({coeff_str(self.scalar)}" + (f" * {forms})" if forms else ")")
-
-
-class FactoredFrac:
-    """A polynomial numerator over a factored Euler class, kept unreduced.
-
-    Multiplying by an Euler class cancels the common part of the two
-    multisets and multiplies the numerator by the forms left over; sums and
-    equality bring both sides to the lcm of the two multisets."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: EulerClass):
-        self.num = num
-        self.den = den
-
-    def __bool__(self):
-        return bool(self.num.d)
-
-    def __mul__(self, other):
-        if isinstance(other, FactoredFrac):
-            return FactoredFrac(self.num * other.num, self.den * other.den)
-        if isinstance(other, EulerClass):
-            den = self.den
-            common = den.forms & other.forms
-            left = other.forms - common if common else other.forms
-            scalar = _ratio(den.scalar, other.scalar)
-            num = self.num
-            if left:
-                num = Poly(num.n, _k.kmul(num.d, _form_product(num.n, 1, left)))
-            forms = den.forms - common if common else den.forms
-            return FactoredFrac(num, EulerClass(den.n, scalar, forms))
-        if isinstance(other, (int, Fraction)):
-            return FactoredFrac(self.num * other, self.den)
-        return NotImplemented
-
-    def _over_common(self, other: "FactoredFrac"):
-        """(a, b, den) with self = a/den and other = b/den, den the lcm."""
-        d1, d2 = self.den, other.den
-        a, b = self.num, other.num
-        if d1.forms == d2.forms:
-            if d1.scalar != d2.scalar:
-                b = b * _ratio(d1.scalar, d2.scalar)
-            return a, b, d1
-        lcm = d1.forms | d2.forms
-        n = a.n
-        if a.d:
-            missing = lcm - d1.forms
-            if missing:
-                a = Poly(n, _k.kmul(a.d, _form_product(n, 1, missing)))
-        if b.d:
-            b = Poly(n, _k.kmul(b.d, _form_product(n, _ratio(d1.scalar, d2.scalar), lcm - d2.forms)))
-        return a, b, EulerClass(d1.n, d1.scalar, lcm)
-
-    def __add__(self, other):
-        if not isinstance(other, FactoredFrac):
-            return NotImplemented
-        a, b, den = self._over_common(other)
-        return FactoredFrac(a + b, den)
-
-    def __eq__(self, other):
-        if isinstance(other, FactoredFrac):
-            if not self.num.d or not other.num.d:
-                return not self.num.d and not other.num.d
-            a, b, _ = self._over_common(other)
-            return a == b
-        if isinstance(other, RatFun):
-            return self.expand() == other
-        return NotImplemented
-
-    def expand(self) -> RatFun:
-        """The same value as a RatFun over the expanded Euler class."""
-        return RatFun(self.num, self.den.expand())
-
-    def __repr__(self):
-        return f"FactoredFrac({self.num!r} / {self.den!r})"
 
 
 def monomials_up_to(n: int, degree: int) -> list:

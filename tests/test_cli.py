@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -546,3 +547,32 @@ class TestCheckTimings:
             "cosets": 3,
             "checks": len(report["checks"]),
         }
+
+
+class TestPinnedReports:
+    """The localize and euler reports, `timings` removed, are pinned by
+    sha256: a change of basis or of arithmetic inside the pathways must
+    leave every reported entry and verdict as it was."""
+
+    QUIVER_11 = json.dumps({"vertices": [1, 2], "arrows": [[1, 2]], "dimension": [1, 1]})
+    PINNED = {
+        ("nilhecke:A2", "localize"): "8c7cf14bd3e05398d777b9f6de90fab1f0efbc28cc30fd572f13d4754e2c014e",
+        ("nilhecke:A2", "euler"): "2cdd5989c369927cb0b38649c2f42e857d88ea179a13dd103ab554959c486e56",
+        ("skew:B2", "localize"): "d3063e4ddea796d0062fdd452603430886f2f67788aeb47fadef26c6f4e8fea1",
+        ("skew:B2", "euler"): "ff13c4f519a5ff03d9861a7820cd9d0151cae9f0eaa7321b2a2f8053425c3bc2",
+        # KLR on the arrow 1 -> 2 with dimension (1, 1): two cosets
+        ("klr", "localize"): "6d3c6b29fd46163e19aa9e00bb9dabe269cbe92195c62d97df56c64b71cba92a",
+        ("klr", "euler"): "95525af941fc51256cd98184f04ba63d995be41d4085175b13924381d5c00a1d",
+    }
+
+    @pytest.mark.parametrize("preset,command", sorted(PINNED))
+    def test_report_hash(self, tmp_path, preset, command):
+        cfg = tmp_path / "config.json"
+        out = tmp_path / "report.json"
+        quiver = self.QUIVER_11 if preset == "klr" else None
+        cfg.write_text(emit_config(cli.cmd_preset(preset, quiver)))
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        del report["timings"]
+        text = json.dumps(report, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[(preset, command)]

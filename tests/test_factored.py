@@ -1,5 +1,6 @@
-"""The factored Euler-class types against two oracles: the unreduced RatFun
-over the product of the raw linear forms, and sympy's `cancel`."""
+"""Factored Euler classes and their quotients against two oracles: the
+unreduced RatFun over the product of the raw linear forms, and sympy's
+`cancel`."""
 
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhecke.errors import InternalInvariantError, ZeroWeight
-from qhecke.polyops import EulerClass, FactoredFrac, Poly, RatFun, primitive_form
+from qhecke.polyops import EulerClass, Poly, RatFun, primitive_form
 from qhecke.rootcore import build_root_datum
 
 LABELS = ("A2", "B2", "G2", "A3")
@@ -39,42 +40,6 @@ def weights(draw, roots, max_size=5):
     picks = draw(st.lists(st.sampled_from(roots), max_size=max_size))
     scales = draw(st.lists(st.sampled_from((1, 2, -1, -2)), min_size=len(picks), max_size=len(picks)))
     return [tuple(c * x for x in r) for r, c in zip(picks, scales)]
-
-
-@st.composite
-def numerator(draw, n):
-    terms = draw(
-        st.lists(
-            st.tuples(
-                st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple),
-                st.integers(-3, 3),
-            ),
-            max_size=3,
-        )
-    )
-    d = {}
-    for e, c in terms:
-        d[e] = d.get(e, 0) + c
-    return Poly(n, {e: c for e, c in d.items() if c})
-
-
-@st.composite
-def fraction(draw, n, roots):
-    """(factored value, oracle RatFun, the raw denominator weights)."""
-    ws = draw(weights(roots))
-    num = draw(numerator(n))
-    den = EulerClass.of_weights(n, Counter(ws))
-    return FactoredFrac(num, den), RatFun(num, raw_product(n, ws), reduce=False), ws
-
-
-@st.composite
-def two_fractions(draw):
-    n, roots = draw(setting())
-    return n, roots, draw(fraction(n, roots)), draw(fraction(n, roots))
-
-
-def same_value(factored, oracle) -> bool:
-    return factored.expand() == oracle
 
 
 class TestPrimitiveForm:
@@ -132,62 +97,6 @@ class TestEulerClass:
         assert e == EulerClass.of_weights(2, Counter({(-1, -1): 1, (2, 2): 1}))
 
 
-class TestFactoredFrac:
-    @settings(max_examples=100, deadline=None)
-    @given(two_fractions())
-    def test_product(self, case):
-        n, roots, (f1, r1, _), (f2, r2, _) = case
-        assert same_value(f1 * f2, r1 * r2)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_product_with_euler_class(self, data):
-        n, roots = data.draw(setting())
-        f, r, ws = data.draw(fraction(n, roots))
-        lam = data.draw(weights(roots))
-        # half the time Lambda shares forms with the denominator
-        if ws and data.draw(st.booleans()):
-            lam = lam + [ws[0]]
-        e = EulerClass.of_weights(n, Counter(lam))
-        product = f * e
-        assert same_value(product, r * RatFun(raw_product(n, lam)))
-        # Lambda cancels as a multiset; only the forms left over multiply
-        assert product.den.forms == f.den.forms - e.forms
-        if f:
-            assert product.num.degree() == f.num.degree() + (e.forms - f.den.forms).total()
-
-    @settings(max_examples=100, deadline=None)
-    @given(two_fractions())
-    def test_sum(self, case):
-        n, roots, (f1, r1, _), (f2, r2, _) = case
-        assert same_value(f1 + f2, r1 + r2)
-        assert same_value(f1 + f2 * -1, r1 - r2)
-
-    @settings(max_examples=100, deadline=None)
-    @given(two_fractions())
-    def test_equality_and_truth(self, case):
-        n, roots, (f1, r1, _), (f2, r2, _) = case
-        assert (f1 == f2) == (r1 == r2)
-        assert bool(f1) == bool(r1) and bool(f2) == bool(r2)
-        assert f1 == r1 and f2 == r2
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_equal_values_in_other_forms(self, data):
-        n, roots = data.draw(setting())
-        f, r, _ = data.draw(fraction(n, roots))
-        lam = data.draw(weights(roots))
-        e = EulerClass.of_weights(n, Counter(lam))
-        # f * Lambda / Lambda, and f plus a zero over another denominator
-        g = f * e * e.reciprocal()
-        h = f + FactoredFrac(Poly.zero(n), e)
-        for other in (g, h):
-            assert f == other and other == f
-            assert same_value(other, r)
-        if f:
-            assert f != f * 2 and f != f * -1
-
-
 def to_sympy(poly: Poly, xs):
     out = sympy.Integer(0)
     for e, c in poly.d.items():
@@ -198,16 +107,51 @@ def to_sympy(poly: Poly, xs):
     return out
 
 
-def sympy_fraction(num: Poly, ws, xs):
-    den = sympy.Integer(1)
+def sympy_product(ws, xs):
+    """The product of the weights' linear forms, in sympy."""
+    out = sympy.Integer(1)
     for w in ws:
-        den *= sum(c * x for c, x in zip(w, xs))
-    return to_sympy(num, xs) / den
+        out *= sum(c * x for c, x in zip(w, xs))
+    return out
 
 
-def expanded_sympy(value, xs):
-    r = value.expand()
-    return to_sympy(r.num, xs) / to_sympy(r.den, xs)
+def is_cancelled_quotient(q: RatFun, ws1, ws2, xs) -> bool:
+    """q is prod(ws1) / prod(ws2) in lowest terms, by sympy."""
+    num, den = to_sympy(q.num, xs), to_sympy(q.den, xs)
+    want = sympy_product(ws1, xs) / sympy_product(ws2, xs)
+    return sympy.cancel(num / den - want) == 0 and sympy.gcd(num, den).is_number
+
+
+class TestEulerQuotient:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_quotient_is_the_expanded_fraction(self, data):
+        n, roots = data.draw(setting())
+        w1 = data.draw(weights(roots))
+        w2 = data.draw(weights(roots))
+        # half the time the denominator shares forms with the numerator
+        if w1 and data.draw(st.booleans()):
+            w2 = w2 + [w1[0]]
+        e1 = EulerClass.of_weights(n, Counter(w1))
+        e2 = EulerClass.of_weights(n, Counter(w2))
+        q = e1 / e2
+        assert q == RatFun(e1.expand(), e2.expand(), reduce=False)
+        assert q == RatFun(raw_product(n, w1), raw_product(n, w2), reduce=False)
+        # the common multiset cancels: only the forms left over are expanded
+        assert q.num.degree() == (e1.forms - e2.forms).total()
+        assert q.den.degree() == (e2.forms - e1.forms).total()
+        assert e1 / e1 == 1 and (e1 * e2) / e2 == RatFun(e1.expand())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_quotient_against_sympy_cancel(self, data):
+        n, roots = data.draw(setting())
+        w1 = data.draw(weights(roots, max_size=4))
+        w2 = data.draw(weights(roots, max_size=4))
+        if w1 and data.draw(st.booleans()):
+            w2 = w2 + [w1[0]]
+        q = EulerClass.of_weights(n, Counter(w1)) / EulerClass.of_weights(n, Counter(w2))
+        assert is_cancelled_quotient(q, w1, w2, sympy.symbols(f"x0:{n}"))
 
 
 class TestAgainstSympy:
@@ -223,27 +167,13 @@ class TestAgainstSympy:
             return [tuple(rng.choice((1, 2, -1, -2)) * x for x in rng.choice(roots))
                     for _ in range(rng.randrange(5))]
 
-        def rand_num():
-            d = {}
-            for _ in range(rng.randrange(1, 4)):
-                e = tuple(rng.randrange(3) for _ in range(n))
-                d[e] = d.get(e, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
-            return Poly(n, {e: c for e, c in d.items() if c})
-
         for _ in range(6):
-            w1, w2, w3 = rand_weights(), rand_weights(), rand_weights()
-            n1, n2 = rand_num(), rand_num()
-            f1 = FactoredFrac(n1, EulerClass.of_weights(n, Counter(w1)))
-            f2 = FactoredFrac(n2, EulerClass.of_weights(n, Counter(w2)))
-            e3 = EulerClass.of_weights(n, Counter(w3))
-            s1, s2 = sympy_fraction(n1, w1, xs), sympy_fraction(n2, w2, xs)
-            s3 = sympy_fraction(Poly.const(n, 1), w3, xs) ** -1
-            for value, want in (
-                (f1 * f2, s1 * s2),
-                (f1 * e3, s1 * s3),
-                (f1 + f2, s1 + s2),
-                (f1 + f2 * -1, s1 - s2),
-            ):
-                assert sympy.cancel(expanded_sympy(value, xs) - want) == 0
-            assert sympy.expand(to_sympy(e3.expand(), xs) - s3) == 0
-            assert (f1 == f2) == (sympy.cancel(s1 - s2) == 0)
+            w1, w2 = rand_weights(), rand_weights()
+            e1 = EulerClass.of_weights(n, Counter(w1))
+            e2 = EulerClass.of_weights(n, Counter(w2))
+            s1, s2 = sympy_product(w1, xs), sympy_product(w2, xs)
+            assert sympy.expand(to_sympy(e1.expand(), xs) - s1) == 0
+            assert sympy.expand(to_sympy((e1 * e2).expand(), xs) - s1 * s2) == 0
+            assert is_cancelled_quotient(e1 / e2, w1, w2, xs)
+            assert is_cancelled_quotient(e1 / (e1 * e2), w1, w1 + w2, xs)
+            assert (e1 == e2) == (sympy.expand(s1 - s2) == 0)

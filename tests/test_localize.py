@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhecke import localize
 from qhecke.algebra import ModuleElement, gen_sigma
 from qhecke.errors import ZeroWeight
 from qhecke.localize import (
@@ -12,8 +13,6 @@ from qhecke.localize import (
     euler,
     euler_identities_check,
     fp_apply,
-    fp_identity,
-    fp_mul,
     intertwining_check,
     inversion_additivity_check,
     inversion_additivity_suite,
@@ -32,12 +31,32 @@ from qhecke.localize import (
     theta_equivariance_check,
     theta_injectivity_check,
 )
-from qhecke.polyops import EulerClass, FactoredFrac, Poly, RatFun
-from qhecke.repdata import Setting
+from qhecke.config import build_setting
+from qhecke.polyops import Poly, RatFun, add_term
+from qhecke.presets import preset_nilhecke
+from qhecke.repdata import Setting, h_count
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
 
 from conftest import make_setting
+
+
+def fp_mul(A: dict, B: dict) -> dict:
+    """Plain sparse matrix product: (A*B)_{x,y} = sum_w A_{x,w} B_{w,y}."""
+    by_row = {}
+    for (w, y), b in B.items():
+        by_row.setdefault(w, []).append((y, b))
+    out = {}
+    for (x, w), a in A.items():
+        for y, b in by_row.get(w, ()):
+            add_term(out, (x, y), a * b)
+    return out
+
+
+def fp_identity(setting) -> dict:
+    """The all-ones diagonal: the identity of the fixed-point algebra."""
+    n = setting.datum.ambient_rank
+    return {(g, g): Poly.const(n, 1) for g in range(len(setting.group))}
 
 
 SETTINGS = [
@@ -188,13 +207,22 @@ class TestTheta:
 
     def test_unit_support(self, setting):
         datum, _, table, _ = setting
-        lambdas = setting.lambdas
         m = ModuleElement.unit(datum.ambient_rank, 0)
         vec = theta(setting, m)
         fixed = table.fixed_points_of(0)
         assert sorted(vec) == sorted(fixed)
         for g in fixed:
-            assert vec[g] == RatFun(Poly.const(datum.ambient_rank, 1), lambdas[g].expand())
+            assert vec[g] == Poly.const(datum.ambient_rank, 1)
+
+    def test_entries_are_weyl_images(self, setting):
+        datum, _, table, _ = setting
+        group = setting.group
+        n = datum.ambient_rank
+        f = Poly.variable(n, 0) * Poly.variable(n, n - 1) + Poly.const(n, 3)
+        for i in table.indices:
+            vec = theta(setting, ModuleElement(n, {i: f}))
+            assert vec == {g: f.weyl_image(group, g) for g in table.fixed_points_of(i)}
+            assert all(isinstance(v, Poly) for v in vec.values())
 
     def test_injectivity(self, setting):
         _, sub, _, _ = setting
@@ -211,7 +239,6 @@ class TestTheta:
 
     def test_multiplicative_normalized(self, setting):
         datum, _, table, _ = setting
-        lambdas = setting.lambdas
         n = datum.ambient_rank
         x = Poly.variable(n, 0)
         y = Poly.variable(n, min(1, n - 1))
@@ -223,26 +250,18 @@ class TestTheta:
             vb = theta(setting, b)
             vab = theta(setting, ab)
             for g in table.fixed_points_of(i):
-                lam = lambdas[g]
-                zero = FactoredFrac(Poly.zero(n), lam)
-                lhs = vab.get(g, zero) * lam
-                rhs = va.get(g, zero) * lam * (vb.get(g, zero) * lam)
-                assert lhs == rhs
+                assert vab[g] == va[g] * vb[g]
 
 
 class TestFixedPointAlgebra:
     def test_identity_element(self, setting):
-        lambdas = setting.lambdas
         ident = fp_identity(setting)
         mat = localize_sigma(setting, 0, 0)
-        assert fp_mul(ident, mat, lambdas) == mat or _fp_eq(
-            fp_mul(ident, mat, lambdas), mat
-        )
-        assert _fp_eq(fp_mul(mat, ident, lambdas), mat)
+        assert _fp_eq(fp_mul(ident, mat), mat)
+        assert _fp_eq(fp_mul(mat, ident), mat)
 
     def test_mismatched_middle_vanishes(self, setting):
         datum, sub, _, _ = setting
-        lambdas = setting.lambdas
         n = datum.ambient_rank
         group = sub.group
         if len(group) < 2:
@@ -250,44 +269,40 @@ class TestFixedPointAlgebra:
         one = RatFun.from_scalar(n, 1)
         A = {(0, 1): one}
         B = {(0, 1): one}
-        assert fp_mul(A, B, lambdas) == {}
+        assert fp_mul(A, B) == {}
 
     def test_associativity_random(self, setting):
         import random
 
         datum, sub, _, _ = setting
-        lambdas = setting.lambdas
         n = datum.ambient_rank
         group = sub.group
         rng = random.Random(5)
         size = len(group)
+        # constants, a variable and the crossing matrix's fractions
+        entries = [RatFun.from_scalar(n, -2), RatFun(Poly.variable(n, 0))]
+        entries += localize_sigma(setting, 0, 0).values()
 
         def rand_matrix():
             out = {}
             for _ in range(3):
                 x, y = rng.randrange(size), rng.randrange(size)
-                c = rng.randrange(-2, 3)
-                if c:
-                    out[(x, y)] = FactoredFrac(Poly.const(n, c), EulerClass(n))
+                out[(x, y)] = rng.choice(entries) * rng.randrange(1, 3)
             return out
 
         for _ in range(5):
             A, B, C = rand_matrix(), rand_matrix(), rand_matrix()
-            assert _fp_eq(
-                fp_mul(fp_mul(A, B, lambdas), C, lambdas),
-                fp_mul(A, fp_mul(B, C, lambdas), lambdas),
-            )
+            assert _fp_eq(fp_mul(fp_mul(A, B), C), fp_mul(A, fp_mul(B, C)))
 
     def test_apply_matches_mul(self, setting):
         datum, _, table, _ = setting
-        lambdas = setting.lambdas
         n = datum.ambient_rank
         mat = localize_sigma(setting, 0, 0)
         m = ModuleElement.unit(n, table.act(0, 0))
         vec = theta(setting, m)
-        via_apply = fp_apply(mat, vec, lambdas)
+        via_apply = fp_apply(mat, vec)
         as_matrix = {(g, 0): c for g, c in vec.items()}
-        via_mul = fp_mul(mat, as_matrix, lambdas)
+        via_mul = fp_mul(mat, as_matrix)
         assert _fp_eq({g: c for (g, _), c in via_mul.items()}, via_apply)
 
 
@@ -307,18 +322,90 @@ class TestPathways:
             assert r.passed, (r.name, r.counterexample)
 
     def test_localize_op_of_product(self, setting):
-        # translation is multiplicative against the rescaled product
+        # translation is multiplicative against the plain product
         _, _, table, _ = setting
-        lambdas = setting.lambdas
         a = gen_sigma(setting, 0, 0)
         b = gen_sigma(setting, table.act(0, 0), 0)
         lhs = localize_op(setting, a * b)
-        rhs = fp_mul(
-            localize_op(setting, a),
-            localize_op(setting, b),
-            [RatFun(lam.expand()) for lam in lambdas],
-        )
+        rhs = fp_mul(localize_op(setting, a), localize_op(setting, b))
         assert _fp_eq(lhs, rhs)
+
+
+class TestClearedCrossingEntries:
+    def test_lambda_times_the_uncleared_entry(self, setting):
+        # expanded oracle: Lambda_x * (1/E) as RatFuns, E from crossing_cells
+        one = Poly.const(setting.datum.ambient_rank, 1)
+        for i in setting.table.indices:
+            for s in range(setting.datum.rank):
+                mat = localize_sigma(setting, i, s)
+                cells = list(localize.crossing_cells(setting, i, s))
+                assert sorted(mat) == sorted((x, y) for x, y, _ in cells)
+                for x, y, e in cells:
+                    lam = RatFun(setting.lambdas[x].expand())
+                    assert mat[(x, y)] == lam * RatFun(one, e.expand())
+
+    def test_closed_form_on_borel_data(self, setting):
+        # Lambda_x / E(x, xs) = x(alpha_s)^{-k}, k = 1 - h on stabilized
+        # cosets (and minus it on the diagonal), k = -h across walls
+        datum, _, table, data = setting
+        if not data.borel_flag:
+            pytest.skip("closed form holds for positive-system twisting data")
+        group = setting.group
+        for i in table.indices:
+            for s in range(datum.rank):
+                mat = localize_sigma(setting, i, s)
+                stab = table.stab(i, s)
+                k = 1 - h_count(setting, i, s) if stab else -h_count(setting, i, s)
+                for x in table.fixed_points_of(i):
+                    alpha = RatFun(Poly.linear(group.act(x, datum.simple_roots[s])))
+                    want = alpha ** (-k)
+                    assert mat[(x, group.mul(x, group.simple[s]))] == want
+                    if stab:
+                        assert mat[(x, x)] == -want
+                    # the denominator is at most a power of one linear form
+                    assert mat[(x, group.mul(x, group.simple[s]))].den.degree() <= max(k, 0)
+
+
+    def test_clear_rows(self, setting):
+        for s in range(setting.datum.rank):
+            mat = localize_sigma(setting, 0, s)
+            factor, cleared = localize.clear_rows(mat)
+            assert sorted(cleared) == sorted(mat)
+            for (x, w), a in mat.items():
+                assert isinstance(cleared[(x, w)], Poly)
+                assert cleared[(x, w)] == a * factor[x]
+                assert factor[x]
+
+
+class TestLocalizationMutants:
+    """Corruptions the localization suites must see on nil:A2, at the same
+    counts as in the rescaled basis: 2 of 5 pathway checks (the two
+    crossings) and both intertwining checks."""
+
+    @staticmethod
+    def failures(setting):
+        pathway = pathway_agreement_check(setting)
+        intertwining = intertwining_check(setting)
+        return (
+            sum(not r.passed for r in pathway),
+            len(pathway),
+            sum(not r.passed for r in intertwining),
+            len(intertwining),
+        )
+
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_a_negated_lambda_entry(self, k):
+        setting = build_setting(preset_nilhecke("A2"))
+        assert self.failures(setting) == (0, 5, 0, 2)
+        lambdas = list(setting.lambdas)
+        lambdas[k] = -lambdas[k]
+        setting.__dict__["lambdas"] = tuple(lambdas)
+        assert self.failures(setting) == (2, 5, 2, 2)
+
+    def test_a_sign_flip_in_the_crossing_cell(self, monkeypatch):
+        real = localize.eu_zbar_w
+        monkeypatch.setattr(localize, "eu_zbar_w", lambda *args: -real(*args))
+        assert self.failures(build_setting(preset_nilhecke("A2"))) == (2, 5, 2, 2)
 
 
 class TestEulerIdentities:
@@ -334,14 +421,14 @@ class TestEulerIdentities:
 class TestDiagonalMatrices:
     def test_unit_and_variables_are_explicit_diagonals(self, setting):
         datum, _, table, _ = setting
-        group, lambdas = setting.group, setting.lambdas
+        group = setting.group
         n = datum.ambient_rank
         for i in table.indices:
             points = table.fixed_points_of(i)
-            assert localize_unit(setting, i) == {(g, g): lambdas[g].reciprocal() for g in points}
+            assert localize_unit(setting, i) == {(g, g): Poly.const(n, 1) for g in points}
             for t in range(n):
                 x_t = Poly.variable(n, t)
-                want = {(g, g): FactoredFrac(x_t.weyl_image(group, g), lambdas[g]) for g in points}
+                want = {(g, g): x_t.weyl_image(group, g) for g in points}
                 assert localize_var(setting, i, t) == want
 
 
@@ -360,14 +447,19 @@ class TestLeadingTermClassComparison:
         # oracle: 1/E(u,s) * 1/E(us,w) * Lambda_us against 1/E(u,sw) as
         # fractions, which the check compares with denominators cleared
         group, lambdas = setting.group, setting.lambdas
+        one = Poly.const(setting.datum.ambient_rank, 1)
+
+        def inverse(e):
+            return RatFun(one, e.expand())
+
         for s, w in _leading_pairs(setting):
             s_elem = group.simple[s]
             sw = group.mul(s_elem, w)
             want = all(
-                eu_zbar_w(setting, u, s_elem).reciprocal()
-                * eu_zbar_w(setting, group.mul(u, s_elem), w).reciprocal()
-                * lambdas[group.mul(u, s_elem)]
-                == eu_zbar_w(setting, u, sw).reciprocal()
+                inverse(eu_zbar_w(setting, u, s_elem))
+                * inverse(eu_zbar_w(setting, group.mul(u, s_elem), w))
+                * RatFun(lambdas[group.mul(u, s_elem)].expand())
+                == inverse(eu_zbar_w(setting, u, sw))
                 for u in range(len(group))
             )
             assert leading_term_check(setting, s, w).passed == want

@@ -12,8 +12,9 @@ from qhecke.presets import preset_skew
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qhecke"
 
-# Λ-weighted matrix products: they take the Λ table itself, not a setting
-TAKE_LAMBDAS = {"fp_mul", "fp_apply"}
+# functions that take the Λ table itself: none, since localization works in
+# the Λ-cleared basis, where the fixed-point products are the plain ones
+TAKE_LAMBDAS = set()
 
 # coefficient-level sums that keep their own loops for speed
 KERNEL_MODULE = "_kernel_py"
@@ -133,6 +134,16 @@ class TestCallingConvention:
             (mod, name)
             for mod, name, args in _functions()
             if "lambdas" in args and name not in TAKE_LAMBDAS
+        ]
+        assert bad == []
+
+    def test_no_factored_fraction_type_in_src(self):
+        # fixed-point entries are Polys and RatFuns; Euler classes divide
+        # into RatFuns, so no second fraction type is left
+        bad = [
+            path.name
+            for path in sorted(SRC.glob("*.py"))
+            if "FactoredFrac" in path.read_text(encoding="utf-8")
         ]
         assert bad == []
 

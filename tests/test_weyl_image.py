@@ -145,6 +145,16 @@ class TestCorruptedMemoIsCaught:
         assert not all(r.passed for r in algebra.check_relations(setting))
         assert all(r.passed for r in algebra.check_relations(build_setting(preset_nilhecke(label))))
 
+    @pytest.mark.parametrize("label", ("A2", "B2", "G2", "A3"))
+    def test_skew_relations_fail(self, label):
+        # straightening computes s(x_t) from the reflection matrix, so the
+        # corrupted memo shows on the relations side of a skew setting too
+        setting = build_setting(preset_skew(label))
+        corrupt_one_image(setting)
+        failed = [r.name for r in algebra.check_relations(setting) if not r.passed]
+        assert "straightening" in failed
+        assert all(r.passed for r in algebra.check_relations(build_setting(preset_skew(label))))
+
     def test_skew_localization_fails(self):
         setting = build_setting(preset_skew("A2"))
         corrupt_one_image(setting)
