@@ -8,9 +8,9 @@ deposits the result in component i.  Products follow the induced rule
 
 Generators: unit projections, multiplication by coordinate variables, and
 the crossing generators built from the q-polynomials (divided difference on
-stabilized indices, twisted shift across walls).  Normal forms and the
-braid-defect extraction both run descending-length elimination against the
-crossing-word basis.
+stabilized indices, twisted shift across walls).  The braid-defect
+extraction runs descending-length elimination against the crossing-word
+basis.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    ExtractionStuck,
-    NonIntegralResult,
-    NonPolynomialCoefficient,
-    NotInSpan,
-)
+from .errors import ExtractionStuck, NonIntegralResult
 from .polyops import Poly, RatFun, add_term
 from .repdata import Setting, h_count, q_poly
 from .report import CheckResult
@@ -238,16 +233,6 @@ def sigma_word(setting: Setting, i: int, word) -> TwistedOperator:
     return op
 
 
-def sigma_basis_element(setting: Setting, g: int) -> TwistedOperator:
-    """sigma(w) summed over all components, for the fixed reduced word of w."""
-    table = setting.table
-    word = table.group.reduced_word(g)
-    op = TwistedOperator(table)
-    for i in table.indices:
-        op = op + sigma_word(setting, i, word)
-    return op
-
-
 def straightening_poly(setting: Setting, i: int, s: int, t: int) -> ModuleElement:
     """The polynomial correction in the variable-crossing commutation."""
     n = setting.datum.ambient_rank
@@ -356,72 +341,6 @@ def braid_assumptions_hold(setting: Setting, s: int, t: int) -> bool:
             if m == 6 and not (hs == 0 and ht == 0):
                 return False
     return True
-
-
-@dataclass
-class NormalForm:
-    """Coefficients of an operator over the crossing-word basis sigma(w)."""
-
-    coefficients: dict  # group element -> ModuleElement
-
-    def support(self):
-        return sorted(self.coefficients)
-
-
-def normal_form(setting: Setting, op: TwistedOperator) -> NormalForm:
-    """Descending-length elimination against sigma(w) for the fixed reduced
-    words; coefficients must come out polynomial and the remainder zero."""
-    table, group = setting.table, setting.group
-    n = setting.datum.ambient_rank
-    basis_cache: dict[int, TwistedOperator] = {}
-    coeffs: dict[int, dict[int, Poly]] = {}
-    remaining = TwistedOperator(table, dict(op.terms))
-    guard = 0
-    while remaining.terms:
-        guard += 1
-        if guard > len(group) * (1 + len(table.indices)):
-            raise NotInSpan("elimination did not terminate")
-        v = max(
-            (g for (_, g) in remaining.terms),
-            key=lambda g: (group.length(g), g),
-        )
-        basis = basis_cache.get(v)
-        if basis is None:
-            basis = sigma_basis_element(setting, v)
-            basis_cache[v] = basis
-        row_coeffs = {}
-        for i in table.indices:
-            c = remaining.terms.get((i, v))
-            if c is None:
-                continue
-            lead = basis.terms[(i, v)]
-            q = (c / lead).polynomial()
-            if q is None:
-                raise NonPolynomialCoefficient(
-                    f"coefficient of sigma({group.reduced_word(v)}) at row {i}"
-                )
-            row_coeffs[i] = q
-        if not row_coeffs:
-            raise NotInSpan(
-                f"no eliminable row at {group.reduced_word(v)}"
-            )
-        coeffs[v] = row_coeffs
-        correction = TwistedOperator(table)
-        for i, q in row_coeffs.items():
-            correction = correction + left_mult(table, i, q) * basis
-        remaining = remaining - correction
-        for i in table.indices:
-            if (i, v) in remaining.terms:
-                raise NotInSpan("leading coefficient failed to cancel")
-    return NormalForm({g: ModuleElement(n, cs) for g, cs in coeffs.items()})
-
-
-def reassemble(setting: Setting, nf: NormalForm) -> TwistedOperator:
-    table = setting.table
-    out = TwistedOperator(table)
-    for g, me in nf.coefficients.items():
-        out = out + diag_mult(table, me) * sigma_basis_element(setting, g)
-    return out
 
 
 def check_relations(setting: Setting) -> list:

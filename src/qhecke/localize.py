@@ -8,21 +8,25 @@ x of every vector and matrix is multiplied by Lambda_x, which is never zero:
 in this Lambda-cleared basis a module element localizes to the polynomials
 w(c), operators multiply as plain sparse matrices, and the operator
 translation of c*w at (u, uw) is u(c).  Comparing that translation with the
-multiplicity-formula matrix Lambda_x / E(x, xw), built from weight
-multisets, is the central cross-check between the two pathways.
+multiplicity-formula matrix Lambda_x / E(x, xw), built from the fixed
+points' weights, is the central cross-check between the two pathways.
 
-Every Euler class here stays factored (`polyops.EulerClass`); a quotient of
-two cancels as a multiset and expands only the forms left over.  Only the
-operator translation `localize_op` works with the algebra's `RatFun`s,
-which keeps the pathway comparison independent.  The unit and variable
-matrices are theta's diagonal on the unit and on x_t, and leading terms
-compare Euler classes with denominators cleared.
+Every Euler class here stays factored (`polyops.EulerClass`) over the
+setting's weight table (`repdata.WeightTable`).  The tangent set n_g of each
+fixed point and its fiber set per copy are bitsets over the table, computed
+once per element; the class of a pair combines them with bit operations, a
+product of classes adds packed counts, and a quotient of two cancels by a
+fieldwise min and expands only the forms left over.  Only the operator
+translation `localize_op` works with the algebra's `RatFun`s, which keeps
+the pathway comparison independent.  The unit and variable matrices are
+theta's diagonal on the unit and on x_t, and leading terms compare Euler
+classes with denominators cleared.
 
 Orientation convention: n_w is computed from its definition (weights of the
 subsystem lying in w(negatives)), and the Euler class of the closure of a
-crossing cell at the pair (x, xw) uses the curve-direction multiset at the
+crossing cell at the pair (x, xw) uses the curve-direction set at the
 *target* point, n_{xw} minus (n_{xw} cap n_x).  With this placement the
-multiset pathway reproduces the closed forms x(alpha_s) Q_x(s)^{-1} Lambda_x
+weight pathway reproduces the closed forms x(alpha_s) Q_x(s)^{-1} Lambda_x
 exactly; the swapped placement flips the sign.
 """
 
@@ -31,45 +35,43 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import prod
+from operator import and_
 
 from .polyops import EulerClass, Poly, add_term, monomials_up_to
-from .repdata import Setting, fiber_pair_weights, fiber_weights, h_count, q_poly
+from .repdata import Setting, fiber_weights, h_count, q_poly
 from .report import CheckResult
 from .algebra import ModuleElement, TwistedOperator, gen_sigma, gen_unit, gen_var, module_act
 
 
-def euler(ms: Counter, nvars: int) -> EulerClass:
-    """Product of the linear forms of a weight multiset, factored; the empty
-    product is 1 and a zero weight raises ZeroWeight."""
-    return EulerClass.of_weights(nvars, ms)
+def euler(setting: Setting, *sets) -> EulerClass:
+    """Product of the weights of the multiset sum of sets of the setting's
+    weight table, factored; the empty product is 1."""
+    return setting.weights.euler(sets)
 
 
-def tangent_n(setting: Setting, g: int) -> Counter:
-    """Weights of the tangent space at the fixed point of g: the subsystem
-    roots landing in the image of the negatives.  Computed once per element;
-    every call returns a fresh Counter."""
-    weights = setting.tangents.get(g)
-    if weights is None:
+def tangent_n(setting: Setting, g: int) -> int:
+    """The tangent space at the fixed point of g as a set of the weight
+    table: the subsystem roots landing in the image of the negatives.
+    Computed once per element."""
+    tangent = setting.tangents.get(g)
+    if tangent is None:
         group = setting.group
         neg_big = group.negative
         pinv = group.perms[group.inv(g)]
-        roots = group.roots
-        weights = tuple(roots[i] for i in setting.sub._root_index if neg_big[pinv[i]])
-        setting.tangents[g] = weights
-    return Counter(weights)
+        bit = setting.weights.bit
+        tangent = sum(bit[i] for i in setting.sub._root_index if neg_big[pinv[i]])
+        setting.tangents[g] = tangent
+    return tangent
 
 
-def tangent_m(setting: Setting, gx: int, gy: int) -> Counter:
-    """n_x minus (n_x cap n_y), as a multiset."""
-    nx = tangent_n(setting, gx)
-    ny = tangent_n(setting, gy)
-    return nx - (nx & ny)
+def tangent_m(setting: Setting, gx: int, gy: int) -> int:
+    """n_x minus (n_x cap n_y), as a set."""
+    return tangent_n(setting, gx) & ~tangent_n(setting, gy)
 
 
 def lambda_poly(setting: Setting, g: int) -> EulerClass:
     """Euler class of the fixed point of g: fiber weights plus tangent weights."""
-    ms = fiber_weights(setting, g) + tangent_n(setting, g)
-    return euler(ms, setting.datum.ambient_rank)
+    return euler(setting, tangent_n(setting, g), *fiber_weights(setting, g))
 
 
 def lambda_table(setting: Setting):
@@ -82,20 +84,18 @@ def q_translate(setting: Setting, gx: int, s: int) -> EulerClass:
     """Euler class of F_x / F_{x,xs}: the x-translate of the q-support."""
     group = setting.group
     xs = group.mul(gx, group.simple[s])
-    diff = fiber_weights(setting, gx) - fiber_pair_weights(setting, gx, xs)
-    return euler(diff, setting.datum.ambient_rank)
+    pairs = zip(fiber_weights(setting, gx), fiber_weights(setting, xs))
+    return euler(setting, *(fx & ~fxs for fx, fxs in pairs))
 
 
 def eu_zbar_w(setting: Setting, gx: int, w: int) -> EulerClass:
     """Euler class of the closed cell of w at the pair (x, xw):
-    fiber pair weights, tangent at x, and the curve direction at xw."""
+    fiber pair weights, tangent at x, and the curve direction at xw.  The
+    last two make the set n_x | n_xw, each root once."""
     gxw = setting.group.mul(gx, w)
-    ms = (
-        fiber_pair_weights(setting, gx, gxw)
-        + tangent_n(setting, gx)
-        + tangent_m(setting, gxw, gx)
-    )
-    return euler(ms, setting.datum.ambient_rank)
+    tangent = tangent_n(setting, gx) | tangent_n(setting, gxw)
+    fibers = map(and_, fiber_weights(setting, gx), fiber_weights(setting, gxw))
+    return euler(setting, tangent, *fibers)
 
 
 def eu_zbar_s(setting: Setting, gx: int, s: int) -> EulerClass:
@@ -279,17 +279,20 @@ def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
 def euler_identities_check(setting: Setting) -> list:
     """Sign law, power forms, curve Euler classes and duality, exhaustively."""
     datum, _, table, data = setting
-    group = setting.group
-    n = datum.ambient_rank
+    group, weights = setting.group, setting.weights
     results = []
+
+    def root(g, s):
+        """The set holding the root g(alpha_s)."""
+        return weights.bit[weights.index[group.act(g, datum.simple_roots[s])]]
 
     ok = True
     bad = None
     for g in range(len(group)):
-        ms = tangent_n(setting, g) + fiber_weights(setting, g)
-        dual = Counter({tuple(-x for x in w): m for w, m in ms.items()})
-        size = sum(ms.values())
-        if euler(dual, n) != euler(ms, n) * Fraction((-1) ** size):
+        sets = (tangent_n(setting, g), *fiber_weights(setting, g))
+        size = sum(part.bit_count() for part in sets)
+        dual = [weights.negate(part) for part in sets]
+        if euler(setting, *dual) != euler(setting, *sets) * Fraction((-1) ** size):
             ok, bad = False, {"element": group.reduced_word(g)}
     results.append(CheckResult("euler-duality", ok, "", bad))
 
@@ -299,11 +302,11 @@ def euler_identities_check(setting: Setting) -> list:
         i = table.coset_of[g]
         for s in range(datum.rank):
             gs = group.mul(g, group.simple[s])
-            alpha_img = euler(Counter([group.act(g, datum.simple_roots[s])]), n)
+            alpha_img = euler(setting, root(g, s))
             if table.stab(i, s):
-                if euler(tangent_m(setting, gs, g), n) != alpha_img:
+                if euler(setting, tangent_m(setting, gs, g)) != alpha_img:
                     ok, bad = False, {"element": group.reduced_word(g), "s": s, "which": "target"}
-                if euler(tangent_m(setting, g, gs), n) != -alpha_img:
+                if euler(setting, tangent_m(setting, g, gs)) != -alpha_img:
                     ok, bad = False, {"element": group.reduced_word(g), "s": s, "which": "source"}
             else:
                 if tangent_n(setting, g) != tangent_n(setting, gs):
@@ -333,11 +336,11 @@ def euler_identities_check(setting: Setting) -> list:
             i = table.coset_of[g]
             for s in range(datum.rank):
                 h = h_count(setting, i, s)
-                alpha_img = group.act(g, datum.simple_roots[s])
+                alpha = root(g, s)
                 k = (1 - h) if table.stab(i, s) else -h
-                # value == Lambda_g * alpha_img**k, with k < 0 moved across
-                value = eu_zbar_s(setting, g, s) * euler(Counter({alpha_img: -k}), n)
-                want = lambdas[g] * euler(Counter({alpha_img: k}), n)
+                # value == Lambda_g * g(alpha_s)**k, with k < 0 moved across
+                value = eu_zbar_s(setting, g, s) * euler(setting, *[alpha] * -k)
+                want = lambdas[g] * euler(setting, *[alpha] * k)
                 if value != want:
                     ok, bad = False, {"element": group.reduced_word(g), "s": s}
         results.append(CheckResult("power-forms", ok, "", bad))

@@ -9,11 +9,10 @@ substituted once per group and element, then summed from the memo.
 
 Rational functions are kept unreduced; equality is cross-multiplication.
 Euler classes (products of weights) are kept factored instead: an
-`EulerClass` is a rational scalar times a multiset of primitive linear forms,
-so products of Euler classes are multiset sums, and a quotient of two is a
-`RatFun` over the forms left after the common multiset cancels.
-Divided-difference operators live here too: delta_s(f) = (s(f) - f)/alpha_s
-with exact division.
+`EulerClass` is a rational scalar times a count vector over the primitive
+linear forms of its setting's weight table, packed into one int, so a
+product of Euler classes adds two ints, and a quotient of two is a `RatFun`
+over the forms left after the common counts cancel.
 
 Grading convention: a linear form has artifact degree 2 (degrees are doubled);
 `artifact_degree` reports the doubled value, `degree` the internal one.
@@ -21,16 +20,13 @@ Grading convention: a linear form has artifact degree 2 (degrees are doubled);
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd
 
 from . import _kernel_py as _k
 from .errors import (
     DivisionByZeroDenominator,
-    InternalDivisibilityFailure,
     InternalInvariantError,
     ParseError,
     ZeroWeight,
@@ -400,12 +396,10 @@ class RatFun:
         return f"RatFun({self.num!r} / {self.den!r})"
 
 
-@lru_cache(maxsize=4096)
 def primitive_form(weight: tuple) -> tuple:
     """Split a nonzero integer weight as c * form, with c a nonzero integer
     and form primitive: coprime entries, the first nonzero one positive.
-    Weights are the few roots and twisting weights of a setting, so the
-    results are cached."""
+    A setting's weight table splits each of its weights once."""
     g = 0
     for x in weight:
         if type(x) is not int:
@@ -426,7 +420,7 @@ def _ratio(a, b):
 
 
 def _form_product(n: int, scalar, forms) -> dict:
-    """Kernel dict of scalar * prod(form ** mult)."""
+    """Kernel dict of scalar * prod(form ** mult) over a {form: mult} map."""
     d = {(0,) * n: scalar}
     for form in sorted(forms):
         lin = Poly.linear(form).d
@@ -437,66 +431,69 @@ def _form_product(n: int, scalar, forms) -> dict:
 
 class EulerClass:
     """A product of weights kept factored: scalar * prod(form ** mult) over
-    a multiset of primitive linear forms (see `primitive_form`).  The gcds
-    and signs of the weights are folded into the nonzero rational scalar, so
-    two Euler classes are equal exactly when scalars and multisets are."""
+    the primitive forms of a weight table (`repdata.WeightTable`), the
+    multiplicities packed into one int, a field of `table.width` bits per
+    form.  The gcds and signs of the weights are folded into the nonzero
+    rational scalar, so two classes over one table are equal exactly when
+    scalars and packed counts are; a product adds the packed counts, and a
+    field that reaches its top bit raises rather than carry into the next."""
 
-    __slots__ = ("n", "scalar", "forms", "_poly")
+    __slots__ = ("table", "scalar", "counts", "_poly")
 
-    def __init__(self, n: int, scalar=1, forms=None):
+    def __init__(self, table, scalar=1, counts=0):
         if not scalar:
             raise InternalInvariantError("an Euler class has a nonzero scalar")
-        self.n = n
+        if counts & table.guard:
+            raise InternalInvariantError("an Euler class overflows its count fields")
+        self.table = table
         self.scalar = scalar
-        self.forms = Counter() if forms is None else forms
+        self.counts = counts
         self._poly = None
 
-    @classmethod
-    def of_weights(cls, n: int, weights) -> "EulerClass":
-        """Product of the linear forms of a weight multiset; entries of
-        multiplicity <= 0 are skipped, a zero weight raises ZeroWeight."""
-        scalar = 1
-        forms = Counter()
-        for w, mult in weights.items():
-            if mult > 0:
-                c, form = primitive_form(w)
-                forms[form] += mult
-                scalar *= c**mult
-        return cls(n, scalar, forms)
+    @property
+    def forms(self) -> dict:
+        """{primitive form: multiplicity}, in sorted form order."""
+        table = self.table
+        return {f: m for f, m in zip(table.forms, table.unpack(self.counts)) if m}
 
     def __mul__(self, other):
         if isinstance(other, EulerClass):
-            return EulerClass(self.n, self.scalar * other.scalar, self.forms + other.forms)
+            return EulerClass(self.table, self.scalar * other.scalar, self.counts + other.counts)
         if isinstance(other, (int, Fraction)):
-            return EulerClass(self.n, _k.norm_coeff(self.scalar * other), self.forms)
+            return EulerClass(self.table, _k.norm_coeff(self.scalar * other), self.counts)
         return NotImplemented
 
     def __neg__(self):
-        return EulerClass(self.n, -self.scalar, self.forms)
+        return EulerClass(self.table, -self.scalar, self.counts)
 
     def __eq__(self, other):
         if not isinstance(other, EulerClass):
             return NotImplemented
-        return self.scalar == other.scalar and self.forms == other.forms
+        if self.table is not other.table:
+            return self.scalar == other.scalar and self.forms == other.forms
+        return self.scalar == other.scalar and self.counts == other.counts
 
     def expand(self) -> Poly:
         """The product as a dense polynomial (computed once)."""
         if self._poly is None:
-            self._poly = Poly(self.n, _form_product(self.n, self.scalar, self.forms))
+            n = self.table.n
+            self._poly = Poly(n, _form_product(n, self.scalar, self.forms))
         return self._poly
 
     def __truediv__(self, other: "EulerClass") -> RatFun:
-        """self / other as a reduced RatFun: the common multiset cancels and
-        only the forms left over are expanded.  Distinct primitive forms are
-        coprime irreducibles, so nothing further divides."""
-        common = self.forms & other.forms
-        num = _form_product(self.n, _ratio(self.scalar, other.scalar), self.forms - common)
-        den = _form_product(self.n, 1, other.forms - common)
-        return RatFun(Poly(self.n, num), Poly(self.n, den), reduce=False)
+        """self / other as a reduced RatFun: the counts cancel by a fieldwise
+        min and only the forms left over are expanded.  Distinct primitive
+        forms are coprime irreducibles, so nothing further divides."""
+        n, forms = self.table.n, self.table.forms
+        a, b = self.table.unpack(self.counts), other.table.unpack(other.counts)
+        num = {f: x - y for f, x, y in zip(forms, a, b) if x > y}
+        den = {f: y - x for f, x, y in zip(forms, a, b) if y > x}
+        num = _form_product(n, _ratio(self.scalar, other.scalar), num)
+        return RatFun(Poly(n, num), Poly(n, _form_product(n, 1, den)), reduce=False)
 
     def __repr__(self):
         forms = " * ".join(
-            f"{list(f)}" + (f"^{m}" if m > 1 else "") for f, m in sorted(self.forms.items())
+            f"{list(f)}" + (f"^{m}" if m > 1 else "") for f, m in self.forms.items()
         )
         return f"EulerClass({coeff_str(self.scalar)}" + (f" * {forms})" if forms else ")")
 
@@ -512,32 +509,3 @@ def monomials_up_to(n: int, degree: int) -> list:
                 e[k] += 1
             out.append(tuple(e))
     return out
-
-
-def demazure(datum, k: int, f: Poly) -> Poly:
-    """Divided-difference operator of the k-th simple reflection.
-
-    delta_k(f) = (s_k(f) - f) / alpha_k; the numerator vanishes on the
-    reflection hyperplane so the division is always exact.
-    """
-    s = datum.simple_reflection_matrix(k)
-    alpha = Poly.linear(datum.simple_roots[k])
-    g = f.substitute_linear(s) - f
-    q = g.divexact(alpha)
-    if q is None:
-        raise InternalDivisibilityFailure("divided difference did not divide")
-    return q
-
-
-def demazure_word(datum, word, f: Poly) -> Poly:
-    for k in reversed(tuple(word)):
-        f = demazure(datum, k, f)
-    return f
-
-
-def demazure_product_rule_check(datum, k: int, x: Poly, f: Poly) -> bool:
-    """delta_k(x*f) == delta_k(x)*f + s_k(x)*delta_k(f), exactly."""
-    s = datum.simple_reflection_matrix(k)
-    lhs = demazure(datum, k, x * f)
-    rhs = demazure(datum, k, x) * f + x.substitute_linear(s) * demazure(datum, k, f)
-    return lhs == rhs

@@ -3,26 +3,27 @@
 The input is r copies of a weight set U_k (the nilpotent directions) and r
 copies of a weight set V_k (the target representation).  Everything the
 algebra needs is derived here: the h-counts and q-polynomials twisting the
-crossing generators, and the fiber weight multisets F_w, F_{x,y} over fixed
-points.  Zero weights of V are dropped at ingestion; no derived quantity ever
-references them.
+crossing generators, and the fibers F_w, F_{x,y} over fixed points, one set
+of the weight table (`WeightTable`) per copy.  Zero weights of V are dropped
+at ingestion; no derived quantity ever references them.
 
 Suitability is checked conservatively at weight level (closure under adding
 positive roots, and the same for U_k cap s(U_k)); a lenient mode downgrades
 failures to warnings since the weight test is sufficient but not necessary.
 
 A `Setting` bundles the twisting data with the coset table it is read
-against, and owns what is derived from both: the Lambda table and the
-tangent weights of every fixed point.
+against, and owns what is derived from both: the weight table its Euler
+classes are packed over, the Lambda table, and the tangent and fiber sets of
+every fixed point.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
+from operator import and_
 
 from .errors import InternalInvariantError, UnsuitableData
-from .polyops import Poly
+from .polyops import EulerClass, Poly, primitive_form
 from .report import CheckResult
 from .rootcore import RootDatum
 from .subgroup import CosetTable
@@ -63,10 +64,16 @@ class Setting:
         self.group = table.group
         self.table = table
         self.data = SpringerData(self.datum, U_sets, V_sets)
-        self.tangents = {}  # element -> tangent weights, filled by localize.tangent_n
+        self.tangents = {}  # element -> tangent set, filled by localize.tangent_n
+        self.fibers = {}  # element -> fiber set per copy, filled by fiber_weights
 
     def __iter__(self):
         return iter((self.datum, self.sub, self.table, self.data))
+
+    @cached_property
+    def weights(self) -> "WeightTable":
+        """The weight table of the Euler classes, built on first use."""
+        return WeightTable(self.group, self.data.U_sets, self.data.V_sets)
 
     @cached_property
     def lambdas(self) -> tuple:
@@ -74,6 +81,96 @@ class Setting:
         from . import localize
 
         return localize.lambda_table(self)
+
+
+class WeightTable:
+    """Every weight an Euler class of a setting can use, indexed once: the
+    group's roots in its order, so g acts on them by `group.perms[g]`, then
+    the W-orbits of the non-root U/V weights and their negatives.  Entry e
+    is an integer scale times one of the sorted primitive `forms`.
+
+    A set of entries is an int with entry e at bit `shift[e]`.  The entries
+    of one form share its field of `width` bits, one layer of fields each, so
+    the packed counts of an Euler class (one field per form) are a sum of
+    sets with its layers folded onto the first.  A class sums one tangent and
+    r fiber sets, at most (r + 1) * layers per field; the width leaves room
+    for products of 16 such classes below each field's top (guard) bit.
+    `copies` holds, per copy k, U_k as entries and V_k as a set.
+    """
+
+    def __init__(self, group, U_sets=(), V_sets=()):
+        self.group, self.n = group, group.datum.ambient_rank
+        entries, index = list(group.roots), dict(group.root_index)
+        for w in sorted(set().union(*U_sets, *V_sets)):
+            if any(w) and w not in index:
+                pair = (w, tuple(-x for x in w))
+                for v in sorted({group.act(g, u) for g in range(len(group)) for u in pair}):
+                    index[v] = len(entries)
+                    entries.append(v)
+        self.entries, self.index = tuple(entries), index
+        split = [primitive_form(w) for w in entries]
+        self.forms = tuple(sorted({f for _, f in split}))
+        nforms = len(self.forms)
+        field_of = {f: j for j, f in enumerate(self.forms)}
+        layers = [0] * nforms
+        slots = []
+        for _, f in split:
+            slots.append(layers[field_of[f]] * nforms + field_of[f])
+            layers[field_of[f]] += 1
+        self.width = width = (16 * (len(U_sets) + 1) * max(layers)).bit_length() + 1
+        self.shift = tuple(width * slot for slot in slots)
+        self.bit = tuple(1 << k for k in self.shift)
+        self.field = (1 << width) - 1
+        self.guard = sum(1 << (width * j + width - 1) for j in range(nforms))
+        self._low = (1 << (width * nforms)) - 1
+        self._folds = tuple(width * nforms * k for k in range(1, max(layers)))
+        scales = {}
+        for b, (c, _) in zip(self.bit, split):
+            scales[c] = scales.get(c, 0) | b
+        scales.pop(1, None)
+        self.scales = tuple(scales.items())
+        self.copies = tuple(
+            (tuple(index[u] for u in U if any(u)), sum(self.bit[index[v]] for v in V))
+            for U, V in zip(U_sets, V_sets)
+        )
+
+    def perm(self, g: int):
+        """Entry e goes to entry perm(g)[e] under the element g; the
+        non-root entries by `group.act`, so read it once per element."""
+        p = self.group.perms[g]
+        extra = self.entries[len(p):]
+        return tuple(p) + tuple(self.index[self.group.act(g, w)] for w in extra) if extra else p
+
+    def euler(self, sets) -> EulerClass:
+        """Euler class of the multiset sum of `sets`, each a set of entries."""
+        scalar = 1
+        total = 0
+        for part in sets:
+            total += part
+            for c, mask in self.scales:
+                k = (part & mask).bit_count()
+                if k:
+                    scalar *= c**k
+        low = self._low
+        counts = total & low
+        for k in self._folds:
+            counts += (total >> k) & low
+        return EulerClass(self, scalar, counts)
+
+    def unpack(self, counts: int) -> list:
+        """The fields of a packed count vector, in form order."""
+        width, field = self.width, self.field
+        return [(counts >> (width * j)) & field for j in range(len(self.forms))]
+
+    def multiset(self, total: int) -> dict:
+        """{weight: multiplicity} of a sum of sets."""
+        field = self.field
+        return {w: m for w, k in zip(self.entries, self.shift) if (m := (total >> k) & field)}
+
+    def negate(self, total: int) -> int:
+        """The sum of sets holding the negative of each weight of `total`."""
+        bit, index = self.bit, self.index
+        return sum(m * bit[index[tuple(-x for x in w)]] for w, m in self.multiset(total).items())
 
 
 def validate(setting: Setting, strict: bool = False) -> list:
@@ -176,61 +273,59 @@ def q_poly(setting: Setting, i: int, s: int) -> Poly:
     return out
 
 
-def fiber_weights(setting: Setting, g: int) -> Counter:
-    """Multiset of weights of the fiber over the fixed point of g:
-    one copy of V_k cap g(U_k) per k."""
-    group, data = setting.group, setting.data
-    out = Counter()
-    for U, V in zip(data.U_sets, data.V_sets):
-        gU = {group.act(g, a) for a in U}
-        for w in V & gU:
-            out[w] += 1
-    return out
+def fiber_weights(setting: Setting, g: int) -> tuple:
+    """The fiber over the fixed point of g, per copy k: V_k cap g(U_k) as a
+    set of the weight table.  Computed once per element."""
+    fibers = setting.fibers.get(g)
+    if fibers is None:
+        table = setting.weights
+        p, bit = table.perm(g), table.bit
+        fibers = tuple(sum(bit[p[u]] for u in U) & V for U, V in table.copies)
+        setting.fibers[g] = fibers
+    return fibers
 
 
-def fiber_pair_weights(setting: Setting, gx: int, gy: int) -> Counter:
-    """Multiset of weights of V_k cap x(U_k) cap y(U_k), summed over k."""
-    group, data = setting.group, setting.data
-    out = Counter()
-    for U, V in zip(data.U_sets, data.V_sets):
-        xU = {group.act(gx, a) for a in U}
-        yU = {group.act(gy, a) for a in U}
-        for w in V & xU & yU:
-            out[w] += 1
-    return out
+def fiber_pair_weights(setting: Setting, gx: int, gy: int) -> tuple:
+    """V_k cap x(U_k) cap y(U_k) per copy k, as sets."""
+    return tuple(map(and_, fiber_weights(setting, gx), fiber_weights(setting, gy)))
 
 
 def fiber_split_check(setting: Setting) -> list:
     """F_{x_i} minus F_{x_i, x_i s} is the multiset of x_i-translates of the
     q-support; with positive-system twisting data this is x_i(alpha_s)
-    repeated h_i(s) times."""
+    repeated h_i(s) times.  Multisets are sums of the per-copy sets; the
+    pair fiber lies in the fiber copy by copy, so their difference is the
+    integer one."""
     datum, _, table, data = setting
     group = setting.group
+    weights = setting.weights
+    bit, index = weights.bit, weights.index
     results = []
     for i in table.indices:
         x = table.rep(i)
         for s in range(datum.rank):
             xs = group.mul(x, group.simple[s])
-            lhs = fiber_weights(setting, x)
-            rhs = fiber_pair_weights(setting, x, xs)
-            expected = Counter()
+            lhs = sum(fiber_weights(setting, x))
+            rhs = sum(fiber_pair_weights(setting, x, xs))
+            expected = 0
             for U, V in zip(data.U_sets, data.V_sets):
                 for a in U:
                     xa = group.act(x, a)
                     if group.act(group.simple[s], a) not in U and xa in V:
-                        expected[xa] += 1
-            ok = lhs - rhs == expected and rhs - lhs == Counter()
+                        expected += bit[index[xa]]
+            ok = lhs - rhs == expected
             if ok and data.borel_flag:
                 h = h_count(setting, i, s)
-                ok = expected == Counter(
-                    {group.act(x, datum.simple_roots[s]): h} if h else {}
-                )
+                ok = expected == h * bit[index[group.act(x, datum.simple_roots[s])]]
             results.append(
                 CheckResult(
                     f"fiber-split(i={i},s={s})",
                     ok,
                     "",
-                    None if ok else {"lhs": sorted(lhs.items()), "rhs": sorted(rhs.items())},
+                    None if ok else {
+                        "lhs": sorted(weights.multiset(lhs).items()),
+                        "rhs": sorted(weights.multiset(rhs).items()),
+                    },
                 )
             )
     return results

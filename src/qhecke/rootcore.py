@@ -257,9 +257,6 @@ class RootDatum:
     def simple_reflection_matrix(self, k: int):
         return self._simple_refl[k]
 
-    def reflection_matrix(self, root):
-        return _reflection_matrix(self.ambient_rank, tuple(root), self.coroot(root))
-
     def weyl(self) -> "WeylGroup":
         if self._weyl is None:
             self._weyl = WeylGroup(self)

@@ -29,7 +29,7 @@ from qhecke.localize import (
     leading_term_suite,
     pathway_agreement_check,
 )
-from qhecke.polyops import Poly, RatFun, demazure, demazure_word
+from qhecke.polyops import Poly, RatFun
 from qhecke.presets import QuiverSpec, klr_oracle_check, preset_klr
 from qhecke.repdata import Setting, q_poly
 from qhecke.rootcore import build_root_datum
@@ -41,6 +41,7 @@ from qhecke.subgroup import (
 )
 
 from conftest import make_setting
+from oracles import demazure, demazure_word
 
 QUIVERS = {
     "arrow-d11": QuiverSpec(vertices=(1, 2), arrows=((1, 2),), dimension={1: 1, 2: 1}),

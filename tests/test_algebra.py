@@ -14,19 +14,17 @@ from qhecke.algebra import (
     gen_var,
     generator_grading_check,
     left_mult,
-    normal_form,
-    reassemble,
-    sigma_basis_element,
     sigma_word,
     straightening_poly,
 )
 from qhecke.errors import NonIntegralResult
-from qhecke.polyops import Poly, RatFun, demazure_word
+from qhecke.polyops import Poly, RatFun
 from qhecke.repdata import Setting, q_poly
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
 
 from conftest import make_setting
+from oracles import demazure, demazure_word, normal_form, reassemble, sigma_basis_element
 
 
 @pytest.fixture(scope="module")
@@ -232,8 +230,6 @@ class TestBraidDefect:
         assert defect.all_polynomial()
 
     def test_skew_b2_matches_closed_form(self):
-        from qhecke.polyops import demazure
-
         setting = make_setting("B2", kind="skew")
         datum, sub, _, _ = setting
         group = sub.group

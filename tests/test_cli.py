@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from qhecke import cli
-from qhecke.config import build_setting, emit_config, parse_config
+from qhecke.config import Config, build_setting, emit_config, parse_config
 from qhecke.errors import ParseError, UnknownIndex
 from qhecke.polyops import KERNEL_NAME
 from qhecke.presets import preset_nilhecke, preset_skew
@@ -550,9 +550,10 @@ class TestCheckTimings:
 
 
 class TestPinnedReports:
-    """The localize and euler reports, `timings` removed, are pinned by
-    sha256: a change of basis or of arithmetic inside the pathways must
-    leave every reported entry and verdict as it was."""
+    """The localize and euler reports, and for explicit weights also the
+    check report, `timings` removed, are pinned by sha256: a change of basis
+    or of arithmetic inside the pathways must leave every reported entry
+    and verdict as it was."""
 
     QUIVER_11 = json.dumps({"vertices": [1, 2], "arrows": [[1, 2]], "dimension": [1, 1]})
     PINNED = {
@@ -565,14 +566,48 @@ class TestPinnedReports:
         ("klr", "euler"): "95525af941fc51256cd98184f04ba63d995be41d4085175b13924381d5c00a1d",
     }
 
-    @pytest.mark.parametrize("preset,command", sorted(PINNED))
-    def test_report_hash(self, tmp_path, preset, command):
-        cfg = tmp_path / "config.json"
+    # explicit U/V weights, off the presets' path: (config, command) ->
+    # (exit code, sha256).  `check` fails on both A2 configs (suitability;
+    # on the second, whose V holds the non-root (2, 0), also q-translation
+    # and localization), and so does that config's `localize`
+    EXPLICIT = {
+        "A2-U10-all-roots": Config(group="A2", r=1, U=[[[1, 0]]], V=["all_roots"]),
+        "A2-U10-V20-11": Config(group="A2", r=1, U=[[[1, 0]]], V=[[[2, 0], [1, 1]]]),
+        "B2-two-copies-one-empty-V": Config(
+            group="B2", r=2, U=["positive_roots"] * 2, V=["all_roots", []]
+        ),
+    }
+    PINNED_EXPLICIT = {
+        ("A2-U10-all-roots", "check"): (1, "0cf4d468d40782907e01c74b1f6711544d476f44a6281dcb901c4edbc685d415"),
+        ("A2-U10-all-roots", "euler"): (0, "9339b71b79e5f0ce3bc20ecccff4532bd8c4e83c83d8717ae40c082dbdfa1950"),
+        ("A2-U10-all-roots", "localize"): (0, "53ce1b978e29f97a71fb581189aedd64b50549cd9a6e0410646f5605f881ac69"),
+        ("A2-U10-V20-11", "check"): (1, "85f1f97e3a0127fdbdb15e5a02dc7170fb20d18350d5827316b6ce97ff83806c"),
+        ("A2-U10-V20-11", "euler"): (0, "d3ef31f255ac969cd6df5e3271ae596a4c8b7d902565733494bc5f434f42bb88"),
+        ("A2-U10-V20-11", "localize"): (1, "3bc4541bf0b5db1f68c8d6335505b6907063f85101cdd28efbb0c679419cd3f9"),
+        ("B2-two-copies-one-empty-V", "check"): (0, "44bb808f35832152751931f5868a2250557462a0c33112fa1115680971e8f0a1"),
+        ("B2-two-copies-one-empty-V", "euler"): (0, "c41c7549e3991152b72c9dffd7845818b8f3b325a9e4c17cf89fe64d1be3396c"),
+        ("B2-two-copies-one-empty-V", "localize"): (0, "76911bb8f42c86c7a2cc2bf8350e89a9383c035e3057ed9e3dc08e386dad499a"),
+    }
+
+    @staticmethod
+    def run(tmp_path, cfg, command):
+        """(exit code, sha256 of the report without `timings`)."""
+        path = tmp_path / "config.json"
         out = tmp_path / "report.json"
-        quiver = self.QUIVER_11 if preset == "klr" else None
-        cfg.write_text(emit_config(cli.cmd_preset(preset, quiver)))
-        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        path.write_text(emit_config(cfg))
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
         report = json.loads(out.read_text())
         del report["timings"]
         text = json.dumps(report, indent=2, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[(preset, command)]
+        return code, hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("preset,command", sorted(PINNED))
+    def test_report_hash(self, tmp_path, preset, command):
+        quiver = self.QUIVER_11 if preset == "klr" else None
+        cfg = cli.cmd_preset(preset, quiver)
+        assert self.run(tmp_path, cfg, command) == (0, self.PINNED[(preset, command)])
+
+    @pytest.mark.parametrize("config,command", sorted(PINNED_EXPLICIT))
+    def test_explicit_weight_report_hash(self, tmp_path, config, command):
+        got = self.run(tmp_path, self.EXPLICIT[config], command)
+        assert got == self.PINNED_EXPLICIT[(config, command)]

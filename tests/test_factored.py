@@ -1,6 +1,8 @@
-"""Factored Euler classes and their quotients against two oracles: the
-unreduced RatFun over the product of the raw linear forms, and sympy's
-`cancel`."""
+"""Factored Euler classes and their quotients against three oracles: the
+weight-multiset assembly (`oracles.euler_of`), the unreduced RatFun over
+the product of the raw linear forms, and sympy's `cancel`.  Classes are
+packed over a weight table holding the roots and their doubles, so every
+weight the strategies draw is an entry."""
 
 import random
 from collections import Counter
@@ -13,11 +15,18 @@ from hypothesis import strategies as st
 
 from qhecke.errors import InternalInvariantError, ZeroWeight
 from qhecke.polyops import EulerClass, Poly, RatFun, primitive_form
+from qhecke.repdata import WeightTable
 from qhecke.rootcore import build_root_datum
 
+from oracles import euler_of, matches, sympy_product, table_class, to_sympy
+
 LABELS = ("A2", "B2", "G2", "A3")
-ROOTS = {label: build_root_datum(label).roots for label in LABELS}
-RANK = {label: build_root_datum(label).ambient_rank for label in LABELS}
+DATA = {label: build_root_datum(label) for label in LABELS}
+ROOTS = {label: DATA[label].roots for label in LABELS}
+TABLES = {
+    label: WeightTable(d.weyl(), [[tuple(2 * x for x in r) for r in d.roots]], [()])
+    for label, d in DATA.items()
+}
 
 
 def raw_product(n, weights) -> Poly:
@@ -31,7 +40,7 @@ def raw_product(n, weights) -> Poly:
 @st.composite
 def setting(draw):
     label = draw(st.sampled_from(LABELS))
-    return RANK[label], ROOTS[label]
+    return TABLES[label], ROOTS[label]
 
 
 @st.composite
@@ -58,61 +67,61 @@ class TestPrimitiveForm:
 
     def test_zero_weight(self):
         with pytest.raises(ZeroWeight):
-            EulerClass.of_weights(2, Counter({(0, 0): 1}))
+            euler_of(Counter({(0, 0): 1}))
+        with pytest.raises(ZeroWeight):
+            primitive_form((0, 0))
+        # the weight table indexes no zero weight, so no class can hold one
+        table = WeightTable(DATA["A2"].weyl(), [[(0, 0), (2, 0)]], [()])
+        assert (0, 0) not in table.index and (2, 0) in table.index
 
     def test_non_integer_weight_is_an_invariant_breach(self):
         with pytest.raises(InternalInvariantError):
             primitive_form((Fraction(1, 2), 0))
 
     def test_zero_scalar_is_an_invariant_breach(self):
+        table = TABLES["A2"]
         with pytest.raises(InternalInvariantError):
-            EulerClass(2, 0)
+            EulerClass(table, 0)
         with pytest.raises(InternalInvariantError):
-            EulerClass(2) * 0
+            EulerClass(table) * 0
+
+    def test_a_field_overflow_is_an_invariant_breach(self):
+        e = table_class(TABLES["A2"], [(1, 0)])
+        with pytest.raises(InternalInvariantError):
+            for _ in range(TABLES["A2"].width):
+                e = e * e
 
 
 class TestEulerClass:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_expand_is_the_raw_product(self, data):
-        n, roots = data.draw(setting())
+        table, roots = data.draw(setting())
         ws = data.draw(weights(roots, max_size=6))
-        assert EulerClass.of_weights(n, Counter(ws)).expand() == raw_product(n, ws)
+        e = table_class(table, ws)
+        assert matches(e, euler_of(Counter(ws)))
+        assert e.expand() == raw_product(table.n, ws)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_equality_and_product(self, data):
-        n, roots = data.draw(setting())
+        table, roots = data.draw(setting())
+        n = table.n
         w1 = data.draw(weights(roots))
         w2 = data.draw(weights(roots))
-        e1 = EulerClass.of_weights(n, Counter(w1))
-        e2 = EulerClass.of_weights(n, Counter(w2))
+        e1 = table_class(table, w1)
+        e2 = table_class(table, w2)
         assert (e1 == e2) == (raw_product(n, w1) == raw_product(n, w2))
+        assert (e1 == e2) == (euler_of(Counter(w1)) == euler_of(Counter(w2)))
+        assert matches(e1 * e2, euler_of(Counter(w1 + w2)))
         assert (e1 * e2).expand() == raw_product(n, w1 + w2)
         assert (-e1).expand() == -raw_product(n, w1)
 
     def test_negated_and_doubled_roots_share_a_form(self):
-        e = EulerClass.of_weights(2, Counter({(1, 1): 1, (-2, -2): 1}))
+        table = TABLES["A2"]
+        e = table_class(table, [(1, 1), (-2, -2)])
         assert e.forms == Counter({(1, 1): 2}) and e.scalar == -2
-        assert e == EulerClass.of_weights(2, Counter({(-1, -1): 1, (2, 2): 1}))
-
-
-def to_sympy(poly: Poly, xs):
-    out = sympy.Integer(0)
-    for e, c in poly.d.items():
-        term = sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else sympy.Integer(c)
-        for x, k in zip(xs, e):
-            term *= x**k
-        out += term
-    return out
-
-
-def sympy_product(ws, xs):
-    """The product of the weights' linear forms, in sympy."""
-    out = sympy.Integer(1)
-    for w in ws:
-        out *= sum(c * x for c, x in zip(w, xs))
-    return out
+        assert e == table_class(table, [(-1, -1), (2, 2)])
 
 
 def is_cancelled_quotient(q: RatFun, ws1, ws2, xs) -> bool:
@@ -126,32 +135,34 @@ class TestEulerQuotient:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_quotient_is_the_expanded_fraction(self, data):
-        n, roots = data.draw(setting())
+        table, roots = data.draw(setting())
+        n = table.n
         w1 = data.draw(weights(roots))
         w2 = data.draw(weights(roots))
         # half the time the denominator shares forms with the numerator
         if w1 and data.draw(st.booleans()):
             w2 = w2 + [w1[0]]
-        e1 = EulerClass.of_weights(n, Counter(w1))
-        e2 = EulerClass.of_weights(n, Counter(w2))
+        e1 = table_class(table, w1)
+        e2 = table_class(table, w2)
         q = e1 / e2
         assert q == RatFun(e1.expand(), e2.expand(), reduce=False)
         assert q == RatFun(raw_product(n, w1), raw_product(n, w2), reduce=False)
         # the common multiset cancels: only the forms left over are expanded
-        assert q.num.degree() == (e1.forms - e2.forms).total()
-        assert q.den.degree() == (e2.forms - e1.forms).total()
+        f1, f2 = euler_of(Counter(w1))[1], euler_of(Counter(w2))[1]
+        assert q.num.degree() == (f1 - f2).total()
+        assert q.den.degree() == (f2 - f1).total()
         assert e1 / e1 == 1 and (e1 * e2) / e2 == RatFun(e1.expand())
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_quotient_against_sympy_cancel(self, data):
-        n, roots = data.draw(setting())
+        table, roots = data.draw(setting())
         w1 = data.draw(weights(roots, max_size=4))
         w2 = data.draw(weights(roots, max_size=4))
         if w1 and data.draw(st.booleans()):
             w2 = w2 + [w1[0]]
-        q = EulerClass.of_weights(n, Counter(w1)) / EulerClass.of_weights(n, Counter(w2))
-        assert is_cancelled_quotient(q, w1, w2, sympy.symbols(f"x0:{n}"))
+        q = table_class(table, w1) / table_class(table, w2)
+        assert is_cancelled_quotient(q, w1, w2, sympy.symbols(f"x0:{table.n}"))
 
 
 class TestAgainstSympy:
@@ -159,7 +170,8 @@ class TestAgainstSympy:
 
     @pytest.mark.parametrize("label", LABELS)
     def test_operations(self, label):
-        n, roots = RANK[label], ROOTS[label]
+        roots = ROOTS[label]
+        n = DATA[label].ambient_rank
         xs = sympy.symbols(f"x0:{n}")
         rng = random.Random(label)
 
@@ -169,8 +181,10 @@ class TestAgainstSympy:
 
         for _ in range(6):
             w1, w2 = rand_weights(), rand_weights()
-            e1 = EulerClass.of_weights(n, Counter(w1))
-            e2 = EulerClass.of_weights(n, Counter(w2))
+            # each coordinate is scaled apart, so most weights are no roots
+            table = WeightTable(DATA[label].weyl(), [w1 + w2], [()])
+            e1 = table_class(table, w1)
+            e2 = table_class(table, w2)
             s1, s2 = sympy_product(w1, xs), sympy_product(w2, xs)
             assert sympy.expand(to_sympy(e1.expand(), xs) - s1) == 0
             assert sympy.expand(to_sympy((e1 * e2).expand(), xs) - s1 * s2) == 0

@@ -5,7 +5,6 @@ import pytest
 
 from qhecke import localize
 from qhecke.algebra import ModuleElement, gen_sigma
-from qhecke.errors import ZeroWeight
 from qhecke.localize import (
     additivity_sides,
     eu_zbar_s,
@@ -34,11 +33,13 @@ from qhecke.localize import (
 from qhecke.config import build_setting
 from qhecke.polyops import Poly, RatFun, add_term
 from qhecke.presets import preset_nilhecke
-from qhecke.repdata import Setting, h_count
+from qhecke.repdata import Setting, fiber_weights, h_count
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
 
+import oracles
 from conftest import make_setting
+from oracles import as_counter, matches
 
 
 def fp_mul(A: dict, B: dict) -> dict:
@@ -81,20 +82,33 @@ def setting(request):
 
 
 class TestEuler:
+    A2 = make_setting("A2", kind="skew")
+
+    def set_of(self, *weights):
+        table = self.A2.weights
+        return [table.bit[table.index[w]] for w in weights]
+
     def test_empty_product(self):
-        assert euler(Counter(), 2).expand() == Poly.const(2, 1)
+        assert euler(self.A2).expand() == Poly.const(2, 1)
 
     def test_multiplicity(self):
-        assert euler(Counter({(1, 0): 2}), 2).expand() == Poly.variable(2, 0) ** 2
+        sets = self.set_of((1, 0), (1, 0))
+        assert euler(self.A2, *sets).expand() == Poly.variable(2, 0) ** 2
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(ZeroWeight):
-            euler(Counter({(0, 0): 1}), 2)
+        # a zero weight of U is never indexed, so no class can hold it
+        setting = make_setting("A2")
+        setting = Setting(setting.table, [[(0, 0), (1, 0)]], [setting.datum.roots])
+        assert (0, 0) not in setting.weights.index
+        assert all(as_counter(setting.weights, sum(fiber_weights(setting, g)))[(0, 0)] == 0
+                   for g in range(len(setting.group)))
 
     def test_dual_sign(self):
-        ms = Counter({(1, 0): 1, (1, 1): 2})
-        dual = Counter({(-1, 0): 1, (-1, -1): 2})
-        assert euler(dual, 2).expand() == euler(ms, 2).expand() * Fraction((-1) ** 3)
+        table = self.A2.weights
+        ms = self.set_of((1, 0), (1, 1), (1, 1))
+        dual = self.set_of((-1, 0), (-1, -1), (-1, -1))
+        assert [table.negate(part) for part in ms] == dual
+        assert euler(self.A2, *dual).expand() == euler(self.A2, *ms).expand() * Fraction((-1) ** 3)
 
 
 class TestTangent:
@@ -102,18 +116,17 @@ class TestTangent:
         setting = make_setting("A2")
         datum, sub, _, _ = setting
         negatives = {tuple(-x for x in r) for r in datum.positive_roots}
-        assert tangent_n(setting, sub.group.identity) == Counter(negatives)
+        tangent = tangent_n(setting, sub.group.identity)
+        assert as_counter(setting.weights, tangent) == Counter(negatives)
 
     def test_cached_values_cannot_be_changed_by_callers(self):
         setting = make_setting("A2")
         _, sub, _, _ = setting
         g = sub.group.simple[0]
         first = tangent_n(setting, g)
-        expected = Counter(first)
-        first[(1, 0)] += 5
-        first.clear()
-        assert tangent_n(setting, g) == expected
-        assert tangent_n(setting, g) is not tangent_n(setting, g)
+        # an int is immutable: no caller can change the memo through it
+        assert isinstance(first, int) and tangent_n(setting, g) == first
+        assert as_counter(setting.weights, tangent_n(setting, g)) == oracles.tangent_n(setting, g)
 
     def test_curve_weights(self):
         setting = make_setting("A2")
@@ -123,8 +136,8 @@ class TestTangent:
             for s in range(datum.rank):
                 gs = group.mul(g, group.simple[s])
                 img = Poly.linear(group.act(g, datum.simple_roots[s]))
-                assert euler(tangent_m(setting, gs, g), 2).expand() == img
-                assert euler(tangent_m(setting, g, gs), 2).expand() == -img
+                assert euler(setting, tangent_m(setting, gs, g)).expand() == img
+                assert euler(setting, tangent_m(setting, g, gs)).expand() == -img
 
     def test_wall_unstabilized_equal(self):
         setting = make_setting(
@@ -157,8 +170,9 @@ class TestLambda:
         _, sub, _, _ = setting
         group = sub.group
         for g in range(len(group)):
-            expected = euler(tangent_n(setting, g), 2)
+            expected = euler(setting, tangent_n(setting, g))
             assert lambda_poly(setting, g) == expected
+            assert matches(lambda_poly(setting, g), oracles.euler_of(oracles.tangent_n(setting, g)))
 
 
 class TestCrossingCells:
@@ -406,6 +420,61 @@ class TestLocalizationMutants:
         real = localize.eu_zbar_w
         monkeypatch.setattr(localize, "eu_zbar_w", lambda *args: -real(*args))
         assert self.failures(build_setting(preset_nilhecke("A2"))) == (2, 5, 2, 2)
+
+
+class TestWeightMemoMutants:
+    """One flipped bit in a memoised tangent or fiber set fails the leading
+    suite and the euler suite.  nil:A3 has no copies, hence no fiber sets,
+    so the fiber mutant runs on skew:A3 in its place."""
+
+    BUILD = {
+        "nil:A3": lambda: make_setting("A3"),
+        "skew:A3": lambda: make_setting("A3", kind="skew"),
+        "skew:B2": lambda: make_setting("B2", kind="skew"),
+    }
+
+    @staticmethod
+    def failures(setting):
+        leading = leading_term_suite(setting)
+        euler = euler_identities_check(setting)
+        return (
+            sum(not r.passed for r in leading),
+            len(leading),
+            sorted(r.name for r in euler if not r.passed),
+        )
+
+    @pytest.mark.parametrize(
+        "name, failing",
+        [("nil:A3", (30, 36)), ("skew:B2", (6, 8))],
+    )
+    def test_a_flipped_tangent_bit(self, monkeypatch, name, failing):
+        setting = self.BUILD[name]()
+        assert self.failures(setting) == (0, failing[1], [])
+        setting = self.BUILD[name]()
+        g = setting.group.simple[0]
+        flipped = tangent_n(setting, g) ^ setting.weights.bit[0]
+        monkeypatch.setitem(setting.tangents, g, flipped)
+        assert self.failures(setting) == (
+            *failing,
+            ["curve-euler-classes", "lambda-sign-law", "power-forms"],
+        )
+
+    @pytest.mark.parametrize(
+        "name, failing",
+        [("skew:A3", (30, 36)), ("skew:B2", (6, 8))],
+    )
+    def test_a_flipped_fiber_bit(self, monkeypatch, name, failing):
+        setting = self.BUILD[name]()
+        assert self.failures(setting) == (0, failing[1], [])
+        setting = self.BUILD[name]()
+        g = setting.group.simple[0]
+        fibers = fiber_weights(setting, g)
+        flipped = (fibers[0] ^ setting.weights.bit[0],) + fibers[1:]
+        monkeypatch.setitem(setting.fibers, g, flipped)
+        assert self.failures(setting) == (
+            *failing,
+            ["lambda-sign-law", "power-forms", "q-translation"],
+        )
 
 
 class TestEulerIdentities:

@@ -15,12 +15,11 @@ from qhecke.polyops import (
     Poly,
     RatFun,
     add_term,
-    demazure,
-    demazure_product_rule_check,
-    demazure_word,
     monomials_up_to,
 )
 from qhecke.rootcore import build_root_datum
+
+from oracles import demazure, demazure_product_rule_check, demazure_word
 
 
 @pytest.fixture(scope="module")

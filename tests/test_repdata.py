@@ -17,6 +17,9 @@ from qhecke.repdata import (
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
 
+import oracles
+from oracles import as_counter
+
 
 @pytest.fixture(scope="module")
 def a2():
@@ -116,11 +119,13 @@ class TestFibers:
     def test_identity_fiber_contains_u(self, a2, a2_table):
         setting = Setting(a2_table, [a2.positive_roots], [a2.roots])
         fw = fiber_weights(setting, setting.group.identity)
-        assert fw == Counter(a2.positive_roots)
+        assert as_counter(setting.weights, sum(fw)) == Counter(a2.positive_roots)
+        assert as_counter(setting.weights, sum(fw)) == oracles.fiber_weights(setting, setting.group.identity)
 
     def test_empty_v(self, a2_table):
         setting = Setting(a2_table)
-        assert fiber_weights(setting, setting.group.identity) == Counter()
+        assert fiber_weights(setting, setting.group.identity) == ()
+        assert oracles.fiber_weights(setting, setting.group.identity) == Counter()
 
     def test_pair_fiber_is_intersection(self, a2, a2_table):
         setting = Setting(a2_table, [a2.positive_roots], [a2.roots])
@@ -130,7 +135,7 @@ class TestFibers:
         expected = Counter(
             set(a2.positive_roots) & {group.act(s0, r) for r in a2.positive_roots}
         )
-        assert fp == expected
+        assert as_counter(setting.weights, sum(fp)) == expected
 
     @pytest.mark.parametrize(
         "label,constraint",

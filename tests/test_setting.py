@@ -3,11 +3,11 @@ calling convention it stands for across the source tree."""
 
 import ast
 import pathlib
-from collections import Counter
 
 from qhecke import localize
 from qhecke.config import build_setting
 from qhecke.localize import tangent_n
+from qhecke.repdata import fiber_weights
 from qhecke.presets import preset_skew
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qhecke"
@@ -147,6 +147,25 @@ class TestCallingConvention:
         ]
         assert bad == []
 
+    def test_no_counter_on_the_euler_class_path(self):
+        # Euler classes are packed over the weight table; the weight-multiset
+        # assembly is the tests' oracle, and only inversion additivity, which
+        # compares cuts of weight sets, keeps a Counter
+        users = set()
+        for path in sorted(SRC.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert "lru_cache" not in text and "of_weights" not in text, path.name
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(n, ast.Name) and n.id == "Counter" for n in ast.walk(node)
+                ):
+                    users.add((path.stem, node.name))
+        assert users == {
+            ("localize", "additivity_sides"),
+            ("localize", "cut"),
+            ("localize", "inversion_additivity_check"),
+        }
+
     def test_no_function_takes_data_beside_table_sub_or_group(self):
         bad = [
             (mod, name)
@@ -263,12 +282,20 @@ class TestSetting:
         setting = build_setting(preset_skew("A2"))
         other = build_setting(preset_skew("A2"))
         g = setting.group.simple[0]
-        assert setting.tangents == {}
-        weights = tangent_n(setting, g)
-        assert set(setting.tangents) == {g}
-        assert other.tangents == {}
-        assert tangent_n(other, g) == weights
+        assert setting.tangents == {} and setting.fibers == {}
+        tangent, fibers = tangent_n(setting, g), fiber_weights(setting, g)
+        assert set(setting.tangents) == {g} and set(setting.fibers) == {g}
+        assert other.tangents == {} and other.fibers == {}
+        assert tangent_n(other, g) == tangent and fiber_weights(other, g) == fibers
         # a later call reads the memo, not the group
-        setting.tangents[g] = ((7, 7),)
-        assert tangent_n(setting, g) == Counter({(7, 7): 1})
-        assert tangent_n(other, g) == weights
+        setting.tangents[g] = 7
+        setting.fibers[g] = (5,)
+        assert tangent_n(setting, g) == 7 and fiber_weights(setting, g) == (5,)
+        assert tangent_n(other, g) == tangent and fiber_weights(other, g) == fibers
+
+    def test_weight_table_is_built_on_first_use_only(self):
+        setting = build_setting(preset_skew("A2"))
+        assert "weights" not in setting.__dict__
+        table = setting.weights
+        assert setting.weights is table
+        assert table.entries[: len(setting.group.roots)] == setting.group.roots
