@@ -434,9 +434,10 @@ class EulerClass:
     the primitive forms of a weight table (`repdata.WeightTable`), the
     multiplicities packed into one int, a field of `table.width` bits per
     form.  The gcds and signs of the weights are folded into the nonzero
-    rational scalar, so two classes over one table are equal exactly when
-    scalars and packed counts are; a product adds the packed counts, and a
-    field that reaches its top bit raises rather than carry into the next."""
+    rational scalar, so two classes are equal exactly when scalars and packed
+    counts are; a product adds the packed counts, and a field that reaches
+    its top bit raises rather than carry into the next.  Classes over
+    different tables do not combine or compare: that raises."""
 
     __slots__ = ("table", "scalar", "counts", "_poly")
 
@@ -458,6 +459,8 @@ class EulerClass:
 
     def __mul__(self, other):
         if isinstance(other, EulerClass):
+            if self.table is not other.table:
+                raise InternalInvariantError("Euler classes over different weight tables")
             return EulerClass(self.table, self.scalar * other.scalar, self.counts + other.counts)
         if isinstance(other, (int, Fraction)):
             return EulerClass(self.table, _k.norm_coeff(self.scalar * other), self.counts)
@@ -470,7 +473,7 @@ class EulerClass:
         if not isinstance(other, EulerClass):
             return NotImplemented
         if self.table is not other.table:
-            return self.scalar == other.scalar and self.forms == other.forms
+            raise InternalInvariantError("Euler classes over different weight tables")
         return self.scalar == other.scalar and self.counts == other.counts
 
     def expand(self) -> Poly:
@@ -484,6 +487,8 @@ class EulerClass:
         """self / other as a reduced RatFun: the counts cancel by a fieldwise
         min and only the forms left over are expanded.  Distinct primitive
         forms are coprime irreducibles, so nothing further divides."""
+        if self.table is not other.table:
+            raise InternalInvariantError("Euler classes over different weight tables")
         n, forms = self.table.n, self.table.forms
         a, b = self.table.unpack(self.counts), other.table.unpack(other.counts)
         num = {f: x - y for f, x, y in zip(forms, a, b) if x > y}

@@ -120,6 +120,7 @@ class WeightTable:
         self.width = width = (16 * (len(U_sets) + 1) * max(layers)).bit_length() + 1
         self.shift = tuple(width * slot for slot in slots)
         self.bit = tuple(1 << k for k in self.shift)
+        self.neg = tuple(self.bit[index[tuple(-x for x in w)]] for w in entries)
         self.field = (1 << width) - 1
         self.guard = sum(1 << (width * j + width - 1) for j in range(nforms))
         self._low = (1 << (width * nforms)) - 1
@@ -142,7 +143,9 @@ class WeightTable:
         return tuple(p) + tuple(self.index[self.group.act(g, w)] for w in extra) if extra else p
 
     def euler(self, sets) -> EulerClass:
-        """Euler class of the multiset sum of `sets`, each a set of entries."""
+        """Euler class of the multiset sum of `sets`.  Each part must be a set
+        (every entry at most once): the scale of a part is read off its
+        entries' bits, not their counts."""
         scalar = 1
         total = 0
         for part in sets:
@@ -167,10 +170,9 @@ class WeightTable:
         field = self.field
         return {w: m for w, k in zip(self.entries, self.shift) if (m := (total >> k) & field)}
 
-    def negate(self, total: int) -> int:
-        """The sum of sets holding the negative of each weight of `total`."""
-        bit, index = self.bit, self.index
-        return sum(m * bit[index[tuple(-x for x in w)]] for w, m in self.multiset(total).items())
+    def negate(self, part: int) -> int:
+        """The set holding the negative of each weight of the set `part`."""
+        return sum(neg for b, neg in zip(self.bit, self.neg) if part & b)
 
 
 def validate(setting: Setting, strict: bool = False) -> list:
@@ -285,17 +287,12 @@ def fiber_weights(setting: Setting, g: int) -> tuple:
     return fibers
 
 
-def fiber_pair_weights(setting: Setting, gx: int, gy: int) -> tuple:
-    """V_k cap x(U_k) cap y(U_k) per copy k, as sets."""
-    return tuple(map(and_, fiber_weights(setting, gx), fiber_weights(setting, gy)))
-
-
 def fiber_split_check(setting: Setting) -> list:
     """F_{x_i} minus F_{x_i, x_i s} is the multiset of x_i-translates of the
     q-support; with positive-system twisting data this is x_i(alpha_s)
     repeated h_i(s) times.  Multisets are sums of the per-copy sets; the
-    pair fiber lies in the fiber copy by copy, so their difference is the
-    integer one."""
+    pair fiber F_{x,y} is V_k cap x(U_k) cap y(U_k) per copy, so it lies in
+    the fiber copy by copy and their difference is the integer one."""
     datum, _, table, data = setting
     group = setting.group
     weights = setting.weights
@@ -306,7 +303,7 @@ def fiber_split_check(setting: Setting) -> list:
         for s in range(datum.rank):
             xs = group.mul(x, group.simple[s])
             lhs = sum(fiber_weights(setting, x))
-            rhs = sum(fiber_pair_weights(setting, x, xs))
+            rhs = sum(map(and_, fiber_weights(setting, x), fiber_weights(setting, xs)))
             expected = 0
             for U, V in zip(data.U_sets, data.V_sets):
                 for a in U:

@@ -9,6 +9,7 @@ without a loop, a copy with empty V, and explicit weights off the roots:
 and negatives enter the classes with scale 2 beside the root (1, 0)."""
 
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -71,6 +72,16 @@ def test_every_q_translate(setting):
     for x in range(len(setting.group)):
         for s in range(setting.datum.rank):
             assert matches(q_translate(setting, x, s), euler_of(oracles.q_weights(setting, x, s)))
+
+
+def test_negate_maps_each_entry_to_its_negative(setting):
+    table = setting.weights
+    for w, b in zip(table.entries, table.bit):
+        assert table.negate(b) == table.bit[table.index[tuple(-x for x in w)]]
+    for g in range(len(setting.group)):
+        for part in (tangent_n(setting, g), *fiber_weights(setting, g)):
+            want = Counter({tuple(-x for x in w): m for w, m in as_counter(table, part).items()})
+            assert as_counter(table, table.negate(part)) == want
 
 
 def test_expand_against_sympy(setting):

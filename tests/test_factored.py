@@ -117,6 +117,14 @@ class TestEulerClass:
         assert (e1 * e2).expand() == raw_product(n, w1 + w2)
         assert (-e1).expand() == -raw_product(n, w1)
 
+    def test_classes_over_different_tables_do_not_mix(self):
+        a2 = table_class(TABLES["A2"], [(1, 0)])
+        other = WeightTable(DATA["A2"].weyl(), [[(2, 0)]], [()])
+        b = table_class(other, [(1, 0)])
+        for op in (lambda: a2 == b, lambda: a2 * b, lambda: a2 / b):
+            with pytest.raises(InternalInvariantError):
+                op()
+
     def test_negated_and_doubled_roots_share_a_form(self):
         table = TABLES["A2"]
         e = table_class(table, [(1, 1), (-2, -2)])

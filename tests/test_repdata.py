@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from operator import and_
 
 import pytest
 
@@ -7,7 +8,6 @@ from qhecke.errors import UnsuitableData
 from qhecke.polyops import Poly
 from qhecke.repdata import (
     Setting,
-    fiber_pair_weights,
     fiber_split_check,
     fiber_weights,
     h_count,
@@ -131,11 +131,12 @@ class TestFibers:
         setting = Setting(a2_table, [a2.positive_roots], [a2.roots])
         group = setting.group
         s0 = group.simple[0]
-        fp = fiber_pair_weights(setting, group.identity, s0)
+        fp = map(and_, fiber_weights(setting, group.identity), fiber_weights(setting, s0))
         expected = Counter(
             set(a2.positive_roots) & {group.act(s0, r) for r in a2.positive_roots}
         )
         assert as_counter(setting.weights, sum(fp)) == expected
+        assert expected == oracles.fiber_pair_weights(setting, group.identity, s0)
 
     @pytest.mark.parametrize(
         "label,constraint",
