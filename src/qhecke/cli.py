@@ -302,11 +302,12 @@ def _coset_checks(table) -> list:
     bad = None
     pos_big = sub.datum._positive_set
     target = set(sub.positives)
+    reps = set(table.reps)
     for g in range(len(group)):
         ginv = group.inv(g)
         P = {a for a in sub.roots if group.act(ginv, a) in pos_big}
         canonical = P == target
-        if canonical != (g in set(table.reps)):
+        if canonical != (g in reps):
             ok, bad = False, {"element": group.reduced_word(g)}
     results.append(CheckResult("canonical-reps-unique", ok, f"#W_big={len(group)}", bad))
 

@@ -34,14 +34,6 @@ class NonIntegralResult(QheckeError):
     """An operator applied to a polynomial produced a non-polynomial component."""
 
 
-class NotInSpan(QheckeError):
-    pass
-
-
-class NonPolynomialCoefficient(QheckeError):
-    pass
-
-
 class ExtractionStuck(QheckeError):
     pass
 

@@ -32,11 +32,11 @@ exactly; the swapped placement flips the sign.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import prod
 from operator import and_
 
+from .errors import InternalDivisibilityFailure
 from .polyops import EulerClass, Poly, add_term, monomials_up_to
 from .repdata import Setting, fiber_weights, h_count, q_poly
 from .report import CheckResult
@@ -204,7 +204,12 @@ def clear_rows(mat: dict) -> tuple:
         if a.den not in row:
             row.append(a.den)
     factor = {x: prod(row) for x, row in dens.items()}
-    cleared = {(x, w): a.num * factor[x].divexact(a.den) for (x, w), a in mat.items()}
+    cleared = {}
+    for (x, w), a in mat.items():
+        q = factor[x].divexact(a.den)
+        if q is None:
+            raise InternalDivisibilityFailure(f"row {x}: D_x is not divisible by a denominator")
+        cleared[(x, w)] = a.num * q
     return factor, cleared
 
 
@@ -408,44 +413,36 @@ def leading_term_suite(setting: Setting) -> list:
     return results
 
 
-def additivity_sides(group, F, w: int, s: int):
+def additivity_sides(group, F: frozenset, w: int, s: int) -> tuple:
     """The two multisets compared by the cut additivity of (w, s), before
-    translation by x: s(cut(w)) + cut(s) and cut(sw), where
-    cut(y) = F minus y(F).  Needs l(sw) = l(w) + 1."""
+    translation by x, as sorted lists of root indices: s(cut(w)) + cut(s)
+    and cut(sw), where cut(y) = F minus y(F) for a set F of root indices.
+    Needs l(sw) = l(w) + 1."""
     s_elem = group.simple[s]
     sw = group.mul(s_elem, w)
     if group.length(sw) != group.length(w) + 1:
         raise ValueError("length must be additive")
-    F = frozenset(map(tuple, F))
 
-    def cut(y: int) -> Counter:
-        yF = {group.act(y, f) for f in F}
-        return Counter(f for f in F if f not in yF)
+    def cut(y: int) -> frozenset:
+        p = group.perms[y]
+        return F.difference(p[i] for i in F)
 
-    lhs = Counter()
-    for f, mult in cut(w).items():
-        lhs[group.act(s_elem, f)] += mult
-    lhs.update(cut(s_elem))
-    return lhs, cut(sw)
+    ps = group.perms[s_elem]
+    return sorted([ps[i] for i in cut(w)] + [*cut(s_elem)]), sorted(cut(sw))
 
 
-def inversion_additivity_check(group, F, x: int, w: int, s: int, sides=None) -> bool:
+def inversion_additivity_check(group, x: int, sides) -> bool:
     """For a stable weight set F and l(sw) = l(w)+1, the x-translate of the
-    cut of sw splits as the s-translate of the cut of w plus the cut of s.
-    `sides` is `additivity_sides(group, F, w, s)` when the caller has it."""
-    lhs, rhs = additivity_sides(group, F, w, s) if sides is None else sides
-    act = group.act
-    lhs_x = Counter()
-    for f, mult in lhs.items():
-        lhs_x[act(x, f)] += mult
-    rhs_x = Counter()
-    for f, mult in rhs.items():
-        rhs_x[act(x, f)] += mult
-    return lhs_x == rhs_x
+    cut of sw splits as the s-translate of the cut of w plus the cut of s;
+    `sides` is `additivity_sides(group, F, w, s)`."""
+    lhs, rhs = sides
+    p = group.perms[x]
+    return sorted(p[i] for i in lhs) == sorted(p[i] for i in rhs)
 
 
 def inversion_additivity_suite(group, F) -> list:
-    """Exhaustive over all (x, w, s) with additive lengths."""
+    """Exhaustive over all (x, w, s) with additive lengths; F holds roots."""
+    F = frozenset(group.root_index[tuple(f)] for f in F)
     ok = True
     bad = None
     count = 0
@@ -457,7 +454,7 @@ def inversion_additivity_suite(group, F) -> list:
             sides = additivity_sides(group, F, w, s)
             for x in range(len(group)):
                 count += 1
-                if not inversion_additivity_check(group, F, x, w, s, sides):
+                if not inversion_additivity_check(group, x, sides):
                     ok, bad = False, {
                         "x": group.reduced_word(x),
                         "w": group.reduced_word(w),

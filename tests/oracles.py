@@ -7,6 +7,9 @@
 - Normal forms over the crossing-word basis sigma(w): descending-length
   elimination and reassembly, which round-trip the generators and their
   products.
+- Cut additivity of weight sets as `Counter`s of root tuples, translated
+  root by root through `group.act`; the program compares the same sides as
+  sorted lists of root indices (`localize.additivity_sides`).
 - The weight-multiset assembly of Euler classes: tangent and fiber weights
   as `Counter`s of weight tuples and a class as (scalar, Counter of
   primitive forms).  The program packs the same classes over its weight
@@ -21,7 +24,7 @@ from fractions import Fraction
 import sympy
 
 from qhecke.algebra import ModuleElement, TwistedOperator, diag_mult, left_mult, sigma_word
-from qhecke.errors import InternalDivisibilityFailure, NonPolynomialCoefficient, NotInSpan
+from qhecke.errors import InternalDivisibilityFailure, QheckeError
 from qhecke.polyops import Poly, primitive_form
 from qhecke.repdata import Setting
 from qhecke.rootcore import _reflection_matrix
@@ -62,6 +65,14 @@ def reflection_matrix(datum, root):
 
 
 # -- the crossing-word basis -------------------------------------------------
+
+
+class NotInSpan(QheckeError):
+    pass
+
+
+class NonPolynomialCoefficient(QheckeError):
+    pass
 
 
 def sigma_basis_element(setting: Setting, g: int) -> TwistedOperator:
@@ -138,6 +149,41 @@ def reassemble(setting: Setting, nf: NormalForm) -> TwistedOperator:
     for g, me in nf.coefficients.items():
         out = out + diag_mult(table, me) * sigma_basis_element(setting, g)
     return out
+
+
+# -- cut additivity from root multisets --------------------------------------
+
+
+def additivity_sides(group, F, w: int, s: int) -> tuple:
+    """s(cut(w)) + cut(s) and cut(sw) as Counters of root tuples, where
+    cut(y) = F minus y(F); needs l(sw) = l(w) + 1."""
+    s_elem = group.simple[s]
+    sw = group.mul(s_elem, w)
+    if group.length(sw) != group.length(w) + 1:
+        raise ValueError("length must be additive")
+    F = frozenset(map(tuple, F))
+
+    def cut(y: int) -> Counter:
+        yF = {group.act(y, f) for f in F}
+        return Counter(f for f in F if f not in yF)
+
+    lhs = Counter()
+    for f, mult in cut(w).items():
+        lhs[group.act(s_elem, f)] += mult
+    lhs.update(cut(s_elem))
+    return lhs, cut(sw)
+
+
+def inversion_additivity_check(group, x: int, sides) -> bool:
+    """The two `additivity_sides`, translated by x root by root, agree."""
+    lhs, rhs = sides
+    lhs_x = Counter()
+    for f, mult in lhs.items():
+        lhs_x[group.act(x, f)] += mult
+    rhs_x = Counter()
+    for f, mult in rhs.items():
+        rhs_x[group.act(x, f)] += mult
+    return lhs_x == rhs_x
 
 
 # -- Euler classes from weight multisets ------------------------------------

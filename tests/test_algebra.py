@@ -24,7 +24,15 @@ from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
 
 from conftest import make_setting
-from oracles import demazure, demazure_word, normal_form, reassemble, sigma_basis_element
+from oracles import (
+    NonPolynomialCoefficient,
+    NotInSpan,
+    demazure,
+    demazure_word,
+    normal_form,
+    reassemble,
+    sigma_basis_element,
+)
 
 
 @pytest.fixture(scope="module")
@@ -325,8 +333,6 @@ class TestNormalForm:
                 assert all(f == one for f in top.components.values())
 
     def test_not_in_span(self, halfint_a2):
-        from qhecke.errors import NonPolynomialCoefficient, NotInSpan
-
         datum, sub, table, _ = halfint_a2
         group = sub.group
         alpha = Poly.linear(datum.simple_roots[0])

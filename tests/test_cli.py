@@ -520,6 +520,13 @@ class TestExitCodes:
         assert cli.main(["euler", "--config", a2_config]) == 3
         assert "exact division failed" in capsys.readouterr().err
 
+    def test_inexact_row_clearing_exits_3(self, capsys, monkeypatch, a2_config):
+        from qhecke.polyops import Poly
+
+        monkeypatch.setattr(Poly, "divexact", lambda self, other: None)
+        assert cli.main(["check", "--config", a2_config, "--checks", "localization"]) == 3
+        assert "is not divisible" in capsys.readouterr().err
+
 
 class TestCheckTimings:
     def test_check_report_times_each_suite(self, capsys, a2_config):

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from qhecke.localize import (
     theta_injectivity_check,
 )
 from qhecke.config import build_setting
+from qhecke.errors import InternalDivisibilityFailure
 from qhecke.polyops import Poly, RatFun, add_term
 from qhecke.presets import preset_nilhecke
 from qhecke.repdata import Setting, fiber_weights, h_count
@@ -40,6 +42,18 @@ from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
 import oracles
 from conftest import make_setting
 from oracles import as_counter, matches
+
+
+def root_indices(group, roots) -> frozenset:
+    return frozenset(group.root_index[r] for r in roots)
+
+
+def additive_pairs(group):
+    """Every (s, w) with l(sw) = l(w) + 1."""
+    for s in range(group.datum.rank):
+        for w in range(len(group)):
+            if group.length(group.mul(group.simple[s], w)) == group.length(w) + 1:
+                yield s, w
 
 
 def fp_mul(A: dict, B: dict) -> dict:
@@ -390,6 +404,12 @@ class TestClearedCrossingEntries:
                 assert cleared[(x, w)] == a * factor[x]
                 assert factor[x]
 
+    def test_clear_rows_raises_when_a_row_does_not_divide(self, setting, monkeypatch):
+        mat = localize_sigma(setting, 0, 0)
+        monkeypatch.setattr(Poly, "divexact", lambda self, other: None)
+        with pytest.raises(InternalDivisibilityFailure):
+            localize.clear_rows(mat)
+
 
 class TestLocalizationMutants:
     """Corruptions the localization suites must see on nil:A2, at the same
@@ -576,13 +596,11 @@ class TestNonBorelBoundary:
     def test_cut_additivity_fails_for_asymmetric_sets(self):
         datum = build_root_datum("A2")
         group = datum.weyl()
-        F = ((1, 1),)
-        verdicts = set()
-        for s in range(2):
-            for w in range(len(group)):
-                if group.length(group.mul(group.simple[s], w)) != group.length(w) + 1:
-                    continue
-                verdicts.add(inversion_additivity_check(group, F, 0, w, s))
+        F = root_indices(group, ((1, 1),))
+        verdicts = {
+            inversion_additivity_check(group, 0, additivity_sides(group, F, w, s))
+            for s, w in additive_pairs(group)
+        }
         assert False in verdicts
 
 
@@ -602,31 +620,46 @@ class TestInversionAdditivity:
     def test_single_case(self):
         datum = build_root_datum("A2")
         group = datum.weyl()
-        s = 0
-        w = group.simple[1]
+        F = root_indices(group, datum.positive_roots)
+        sides = additivity_sides(group, F, group.simple[1], 0)
         for x in range(len(group)):
-            assert inversion_additivity_check(
-                group, datum.positive_roots, x, w, s
-            )
+            assert inversion_additivity_check(group, x, sides)
 
     def test_length_must_be_additive(self):
         datum = build_root_datum("A2")
         group = datum.weyl()
+        F = root_indices(group, datum.positive_roots)
         with pytest.raises(ValueError):
-            inversion_additivity_check(
-                group, datum.positive_roots, 0, group.simple[0], 0
-            )
+            additivity_sides(group, F, group.simple[0], 0)
 
-    def test_hoisted_sides_give_the_same_verdicts(self):
-        datum = build_root_datum("A2")
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+    def test_verdicts_match_the_counter_oracle(self, label):
+        datum = build_root_datum(label)
         group = datum.weyl()
-        for F in (datum.positive_roots, ((1, 1),)):
-            for s in range(datum.rank):
-                for w in range(len(group)):
-                    if group.length(group.mul(group.simple[s], w)) != group.length(w) + 1:
-                        continue
-                    sides = additivity_sides(group, F, w, s)
-                    for x in range(len(group)):
-                        assert inversion_additivity_check(
-                            group, F, x, w, s, sides
-                        ) == inversion_additivity_check(group, F, x, w, s)
+        rng = random.Random(f"cut-additivity {label}")
+        sets = [datum.positive_roots, tuple(tuple(-x for x in a) for a in datum.positive_roots)]
+        sets += [rng.sample(datum.roots, rng.randint(1, len(datum.roots))) for _ in range(8)]
+        failing = 0
+        for roots in sets:
+            F = root_indices(group, roots)
+            for s, w in additive_pairs(group):
+                sides = additivity_sides(group, F, w, s)
+                want_sides = oracles.additivity_sides(group, roots, w, s)
+                for x in range(len(group)):
+                    got = inversion_additivity_check(group, x, sides)
+                    assert got == oracles.inversion_additivity_check(group, x, want_sides)
+                    failing += not got
+        assert failing
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("mutate", ["drop", "duplicate"])
+    def test_a_corrupted_side_fails_at_every_x(self, side, mutate):
+        datum = build_root_datum("B3")
+        group = datum.weyl()
+        F = root_indices(group, datum.positive_roots)
+        for s, w in additive_pairs(group):
+            sides = list(additivity_sides(group, F, w, s))
+            part = sides[side]
+            sides[side] = part[1:] if mutate == "drop" else part + part[:1]
+            for x in range(len(group)):
+                assert not inversion_additivity_check(group, x, sides), (s, w, x)
