@@ -377,7 +377,13 @@ class RatFun:
         )
 
     def polynomial(self) -> Poly | None:
-        """The quotient num/den if it is a polynomial, else None."""
+        """The quotient num/den if it is a polynomial, else None; a constant
+        denominator scales num instead of dividing."""
+        c = self.den.constant_value() if self.den.is_constant() else 0
+        if c == 1:
+            return self.num
+        if c:
+            return self.num * Fraction(1, c)
         return self.num.divexact(self.den)
 
     def is_homogeneous(self) -> bool:

@@ -3,7 +3,11 @@
 Roots live in an ambient character lattice Z^N that may exceed the span of
 the simple roots (GL-style data keeps its central torus); pairings are plain
 dot products against explicitly stored rational coroots, so one reflection
-formula v -> v - <v, coroot> * root covers every case.
+formula v -> v - <v, coroot> * root covers every case.  The roots are
+generated from the simple roots by that formula, each carrying its integer
+simple-root coordinates, whose signs tell positive from negative; a single
+elimination per datum refuses dependent simple roots and coroots outside
+their span.
 
 Cartan labels are realized in simple-root coordinates (the ambient basis IS
 the simple roots, coroots are the Cartan-matrix columns), which keeps every
@@ -12,13 +16,14 @@ standard e_a - e_b realization in Z^d.
 
 Elements of the Weyl group are the permutations they induce on the roots;
 the group object enumerates them once (desk scale) by composing the simple
-reflections' permutations, and orders elements canonically by (length,
-reduced word).  Acting on a root, multiplying, lengths, descents and reduced
-words are index lookups.  Integer matrices are built lazily from the reduced
-word and cached; acting on a vector that is not a root goes through the
-matrix.  Polynomials are acted on by element index (`Poly.weyl_image`): the
-image of each monomial under an element is substituted once and kept in
-that element's memo here, so it lives as long as the group does.
+reflections' permutations, recorded while the roots were generated, and
+orders elements canonically by (length, reduced word).  Acting on a root,
+multiplying, lengths, descents and reduced words are index lookups.
+Integer matrices are built lazily from the reduced word and cached; acting
+on a vector that is not a root goes through the matrix.  Polynomials are
+acted on by element index (`Poly.weyl_image`): the image of each monomial
+under an element is substituted once and kept in that element's memo here,
+so it lives as long as the group does.
 """
 
 from __future__ import annotations
@@ -95,16 +100,73 @@ def _dot(a, b):
 def _vec(values) -> Vec:
     out = []
     for v in values:
-        f = Fraction(v)
-        out.append(int(f) if f.denominator == 1 else f)
+        if type(v) is not int:
+            f = Fraction(v)
+            v = int(f) if f.denominator == 1 else f
+        out.append(v)
     return tuple(out)
 
 
 def _int_vec(values) -> Vec:
     out = tuple(int(v) for v in values)
-    if any(Fraction(v) != o for v, o in zip(values, out)):
-        raise InvalidRootDatum(f"root is not an integer vector: {values}")
+    if any(type(v) is not int and Fraction(v) != o for v, o in zip(values, out)):
+        raise ValueError(f"not an integer vector: {values}")
     return out
+
+
+def _reflect(v, p, root) -> Vec:
+    """v - p * root, where p is the pairing of v with root's coroot."""
+    return _vec(x - p * y for x, y in zip(v, root))
+
+
+def _vectors(name, values, n, convert) -> tuple:
+    """A list field of a datum as vectors of n entries each: integers, or
+    for coroots also exact rationals ("p/q" strings); no floats or booleans."""
+    kind = "integers" if convert is _int_vec else 'integers or "p/q" rationals'
+    if not isinstance(values, (list, tuple)):
+        raise InvalidRootDatum(f"{name} must be a list of vectors, got {values!r}")
+    out = []
+    for v in values:
+        if not isinstance(v, (list, tuple)) or len(v) != n:
+            raise InvalidRootDatum(
+                f"{name} entry {v!r} must be a list of ambient_rank = {n} numbers"
+            )
+        try:
+            if any(isinstance(x, (bool, float)) for x in v):
+                raise TypeError("float or boolean entry")
+            out.append(convert(v))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InvalidRootDatum(f"{name} entry {v!r} is not a vector of {kind}") from None
+    return tuple(out)
+
+
+def _check_span(simple_roots, coroots, n):
+    """Refuse dependent simple roots and coroots outside their span: one
+    forward elimination of the n x 2*rank matrix [simple roots | coroots]."""
+    m = len(simple_roots)
+    rows = [[Fraction(v[i]) for v in simple_roots + coroots] for i in range(n)]
+    for col in range(m):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            raise InvalidRootDatum("simple_roots are linearly dependent")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        for i in range(col + 1, n):
+            f = rows[i][col] / top[col]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+    for j, c in enumerate(coroots):
+        if any(row[m + j] for row in rows[m:]):
+            raise InvalidRootDatum(f"coroot {c} outside the root span")
+
+
+def _is_positive(root, coords) -> bool:
+    """The sign of a root, read off its simple-root coordinates."""
+    if all(c >= 0 for c in coords):
+        return True
+    if all(c <= 0 for c in coords):
+        return False
+    raise InvalidRootDatum(f"root {root} is neither positive nor negative")
 
 
 def _reflection_matrix(n, root, coroot):
@@ -113,12 +175,13 @@ def _reflection_matrix(n, root, coroot):
         row = []
         for j in range(n):
             c = (1 if i == j else 0) - root[i] * coroot[j]
-            f = Fraction(c)
-            if f.denominator != 1:
-                raise InvalidRootDatum(
-                    f"reflection in {root} is not integral on the lattice"
-                )
-            row.append(int(f))
+            if type(c) is not int:
+                if c.denominator != 1:
+                    raise InvalidRootDatum(
+                        f"reflection in {root} is not integral on the lattice"
+                    )
+                c = int(c)
+            row.append(c)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -132,10 +195,6 @@ def _mat_vec(m, v):
     return tuple(_dot(row, v) for row in m)
 
 
-def _mat_transpose(m):
-    return tuple(zip(*m))
-
-
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -144,109 +203,73 @@ class RootDatum:
     """Ambient lattice, roots, coroots and the generated positive system."""
 
     def __init__(self, ambient_rank, simple_roots, coroots, roots=None):
-        self.ambient_rank = ambient_rank
-        self.simple_roots = tuple(_int_vec(a) for a in simple_roots)
-        self.simple_coroots = tuple(_vec(c) for c in coroots)
+        if type(ambient_rank) is not int or ambient_rank < 1:
+            raise InvalidRootDatum(
+                f"ambient_rank must be a positive integer, got {ambient_rank!r}"
+            )
+        self.ambient_rank = n = ambient_rank
+        self.simple_roots = _vectors("simple_roots", simple_roots, n, _int_vec)
+        self.simple_coroots = _vectors("coroots", coroots, n, _vec)
         if len(self.simple_roots) != len(self.simple_coroots):
             raise InvalidRootDatum("simple roots and coroots must align")
         self.rank = len(self.simple_roots)
-        self._simple_refl = tuple(
-            _reflection_matrix(ambient_rank, a, c)
-            for a, c in zip(self.simple_roots, self.simple_coroots)
-        )
-        gen_roots, coroot_of = self._generate_roots()
-        if roots is not None:
-            given = {_int_vec(r) for r in roots}
-            if given != set(gen_roots):
-                raise InvalidRootDatum("explicit roots differ from the generated system")
-        self.roots = tuple(sorted(gen_roots))
-        self._coroot_of = coroot_of
-        self.positive_roots = tuple(sorted(r for r in self.roots if self._is_positive(r)))
-        self._positive_set = frozenset(self.positive_roots)
-        self._negative_set = frozenset(tuple(-x for x in r) for r in self.positive_roots)
-        self._validate()
-        self._weyl = None
-
-    def _generate_roots(self):
-        frontier = list(self.simple_roots)
-        coroot_of = dict(zip(self.simple_roots, self.simple_coroots))
-        seen = set(self.simple_roots)
-        while frontier:
-            new = []
-            for r in frontier:
-                for k, m in enumerate(self._simple_refl):
-                    img = _mat_vec(m, r)
-                    if img not in seen:
-                        # coroot transforms by the inverse transpose; simple
-                        # reflections are involutions so that is plain M^T.
-                        mt = _mat_transpose(m)
-                        coroot_of[img] = _vec(_mat_vec(mt, coroot_of[r]))
-                        seen.add(img)
-                        new.append(img)
-            frontier = new
-            if len(seen) > 10000:
-                raise InvalidRootDatum("root generation did not terminate (desk scale)")
-        return sorted(seen), coroot_of
-
-    def _simple_combination(self, root):
-        """Solve root = sum c_k alpha_k over Q, or None if outside the span."""
-        n, m = self.ambient_rank, self.rank
-        rows = [
-            [Fraction(self.simple_roots[k][i]) for k in range(m)] + [Fraction(root[i])]
-            for i in range(n)
-        ]
-        piv_cols, piv_rows = [], []
-        r = 0
-        for c in range(m):
-            pivot = next((i for i in range(r, n) if rows[i][c] != 0), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            pr = rows[r]
-            inv = Fraction(1) / pr[c]
-            rows[r] = pr = [x * inv for x in pr]
-            for i in range(n):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-            piv_cols.append(c)
-            piv_rows.append(r)
-            r += 1
-        for i in range(r, n):
-            if rows[i][m] != 0:
-                return None
-        coeffs = [Fraction(0)] * m
-        for c, i in zip(piv_cols, piv_rows):
-            coeffs[c] = rows[i][m]
-        return coeffs
-
-    def _is_positive(self, root):
-        coeffs = self._simple_combination(root)
-        if coeffs is None:
-            raise InvalidRootDatum(f"root {root} outside the simple-root span")
-        if all(c >= 0 for c in coeffs):
-            return True
-        if all(c <= 0 for c in coeffs):
-            return False
-        raise InvalidRootDatum(f"root {root} is neither positive nor negative")
-
-    def _validate(self):
-        root_set = set(self.roots)
-        if any(not any(r) for r in root_set):
-            raise InvalidRootDatum("zero vector among roots")
         for a, c in zip(self.simple_roots, self.simple_coroots):
             if _dot(a, c) != 2:
                 raise InvalidRootDatum(f"<{a}, {c}> != 2")
-            if self._simple_combination(_vec(c)) is None:
-                raise InvalidRootDatum(f"coroot {c} outside the root span")
-        for m in self._simple_refl:
-            for r in root_set:
-                if _mat_vec(m, r) not in root_set:
-                    raise InvalidRootDatum("simple reflection does not permute the roots")
-        pos = set(self.positive_roots)
-        neg = {tuple(-x for x in r) for r in pos}
-        if pos | neg != root_set or pos & neg:
+        _check_span(self.simple_roots, self.simple_coroots, n)
+        self._simple_refl = tuple(
+            _reflection_matrix(n, a, c)
+            for a, c in zip(self.simple_roots, self.simple_coroots)
+        )
+        self._generate_roots()
+        if roots is not None:
+            if set(_vectors("roots", roots, n, _int_vec)) != set(self.roots):
+                raise InvalidRootDatum("explicit roots differ from the generated system")
+        self._positive_set = frozenset(self.positive_roots)
+        self._negative_set = frozenset(tuple(-x for x in r) for r in self.positive_roots)
+        pos, neg = self._positive_set, self._negative_set
+        if pos | neg != set(self.roots) or pos & neg:
             raise InvalidRootDatum("roots are not a disjoint union of +/- positives")
+        self._weyl = None
+
+    def _generate_roots(self):
+        """Close the simple roots under the simple reflections.
+
+        Each root carries its simple-root coordinates (alpha_k starts at e_k,
+        and s_k(r) has those of r minus <r, alpha_k^vee> e_k) and its coroot
+        (s_k maps a coroot c to c - <alpha_k, c> alpha_k^vee).  Sets the
+        sorted roots, the positive ones (read off the coordinates' signs),
+        the coroot table and each simple reflection's permutation of the
+        root indices.  Independent simple roots, checked before, keep every
+        root nonzero and its coordinates unique."""
+        simples = tuple(zip(self.simple_roots, self.simple_coroots))
+        coords = {
+            a: tuple(int(j == k) for j in range(self.rank))
+            for k, a in enumerate(self.simple_roots)
+        }
+        coroot_of = dict(zip(self.simple_roots, self.simple_coroots))
+        images = [{} for _ in simples]
+        frontier = list(self.simple_roots)
+        while frontier:
+            new = []
+            for r in frontier:
+                for k, (a, av) in enumerate(simples):
+                    p = _dot(r, av)
+                    img = images[k][r] = _reflect(r, p, a)
+                    if img not in coords:
+                        c = coords[r]
+                        coords[img] = c[:k] + (c[k] - p,) + c[k + 1:]
+                        cv = coroot_of[r]
+                        coroot_of[img] = _reflect(cv, _dot(a, cv), av)
+                        new.append(img)
+            frontier = new
+            if len(coords) > 10000:
+                raise InvalidRootDatum("root generation did not terminate (desk scale)")
+        self.roots = tuple(sorted(coords))
+        index = {r: i for i, r in enumerate(self.roots)}
+        self._simple_perms = tuple(tuple(index[m[r]] for r in self.roots) for m in images)
+        self._coroot_of = coroot_of
+        self.positive_roots = tuple(r for r in self.roots if _is_positive(r, coords[r]))
 
     def coroot(self, root) -> Vec:
         return self._coroot_of[tuple(root)]
@@ -294,7 +317,7 @@ class WeylGroup:
         self.negative = bytes(r in datum._negative_set for r in roots)
         self._simple_root_index = tuple(self.root_index[a] for a in datum.simple_roots)
         pad = bytes(256 - nroots)
-        gens = tuple(self._perm_of(_mat_vec(m, r) for r in roots) for m in datum._simple_refl)
+        gens = tuple(bytes(p) for p in datum._simple_perms)
         ident = bytes(range(nroots))
         # breadth-first search by right multiplication: depth is length
         depth = {ident: 0}
@@ -356,9 +379,7 @@ class WeylGroup:
         """Index of the reflection v -> v - <v, root^vee> root."""
         root = tuple(root)
         c = self.datum.coroot(root)
-        return self.from_root_images(
-            tuple(x - _dot(v, c) * y for x, y in zip(v, root)) for v in self.roots
-        )
+        return self.from_root_images(_reflect(v, _dot(v, c), root) for v in self.roots)
 
     def matrix(self, g: int):
         """Integer matrix of g: product of simple reflections along its word."""
@@ -463,17 +484,19 @@ def build_root_datum(spec) -> RootDatum:
 
     Accepted specs: "A2".."A4", "B2".."B4", "C2".."C4", "D2".."D4", "G2",
     "F4", "GL2".."GL6" (or {"gl": d}), or a dict with ambient_rank,
-    simple_roots, coroots and optionally roots.
+    simple_roots, coroots and optionally roots.  An explicit datum needs an
+    integer ambient_rank, simple roots and coroots of that many entries
+    each, and linearly independent simple roots.
     """
     if isinstance(spec, str):
         label = spec.strip().upper()
-        if label.startswith("GL"):
+        if label.startswith("GL") and label[2:].isdigit():
             return _gl_datum(int(label[2:]))
         if label == "G2":
             return _cartan_datum(_cartan_g2())
         if label == "F4":
             return _cartan_datum(_cartan_f4())
-        family, n = label[0], label[1:]
+        family, n = label[0:1], label[1:]
         if family in _CARTAN_BUILDERS and n.isdigit():
             builder, allowed = _CARTAN_BUILDERS[family]
             n = int(n)
@@ -482,15 +505,17 @@ def build_root_datum(spec) -> RootDatum:
         raise InvalidRootDatum(f"unsupported label {spec!r}")
     if isinstance(spec, dict):
         if set(spec) == {"gl"}:
-            return _gl_datum(int(spec["gl"]))
+            if type(spec["gl"]) is not int:
+                raise InvalidRootDatum(f"gl must be an integer, got {spec['gl']!r}")
+            return _gl_datum(spec["gl"])
         unknown = set(spec) - {"ambient_rank", "simple_roots", "coroots", "roots"}
         if unknown:
             raise InvalidRootDatum(f"unknown root-datum fields {sorted(unknown)}")
+        missing = {"ambient_rank", "simple_roots", "coroots"} - set(spec)
+        if missing:
+            raise InvalidRootDatum(f"root datum needs fields {sorted(missing)}")
         return RootDatum(
-            int(spec["ambient_rank"]),
-            [_int_vec(a) for a in spec["simple_roots"]],
-            [_vec(c) for c in spec["coroots"]],
-            roots=spec.get("roots"),
+            spec["ambient_rank"], spec["simple_roots"], spec["coroots"], roots=spec.get("roots")
         )
     raise InvalidRootDatum(f"unsupported root datum spec {spec!r}")
 

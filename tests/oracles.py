@@ -4,6 +4,11 @@
   nil Hecke relation tests.
 - The reflection matrix of any root, against which the group's conjugated
   reflections are checked.
+- Root data generated by the integer reflection matrices (coroots by their
+  transposes), with each root's sign from a Fraction elimination against
+  the simple roots.  The program carries integer simple-root coordinates
+  through its generation instead; `tests/test_rootcore.py` compares the
+  two on every accepted label.
 - Normal forms over the crossing-word basis sigma(w): descending-length
   elimination and reassembly, which round-trip the generators and their
   products.
@@ -27,7 +32,7 @@ from qhecke.algebra import ModuleElement, TwistedOperator, diag_mult, left_mult,
 from qhecke.errors import InternalDivisibilityFailure, QheckeError
 from qhecke.polyops import Poly, primitive_form
 from qhecke.repdata import Setting
-from qhecke.rootcore import _reflection_matrix
+from qhecke.rootcore import _reflection_matrix, _vec
 
 
 def demazure(datum, k: int, f: Poly) -> Poly:
@@ -62,6 +67,76 @@ def demazure_product_rule_check(datum, k: int, x: Poly, f: Poly) -> bool:
 def reflection_matrix(datum, root):
     """Integer matrix of the reflection in `root`."""
     return _reflection_matrix(datum.ambient_rank, tuple(root), datum.coroot(root))
+
+
+# -- root data by matrices and elimination ------------------------------------
+
+
+def _mat_vec(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def simple_combination(datum, root):
+    """Solve root = sum c_k alpha_k over Q, or None if outside the span."""
+    n, m = datum.ambient_rank, datum.rank
+    rows = [
+        [Fraction(datum.simple_roots[k][i]) for k in range(m)] + [Fraction(root[i])]
+        for i in range(n)
+    ]
+    piv_cols, piv_rows = [], []
+    r = 0
+    for c in range(m):
+        pivot = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pr = rows[r]
+        inv = Fraction(1) / pr[c]
+        rows[r] = pr = [x * inv for x in pr]
+        for i in range(n):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+        piv_cols.append(c)
+        piv_rows.append(r)
+        r += 1
+    for i in range(r, n):
+        if rows[i][m] != 0:
+            return None
+    coeffs = [Fraction(0)] * m
+    for c, i in zip(piv_cols, piv_rows):
+        coeffs[c] = rows[i][m]
+    return coeffs
+
+
+def matrix_root_system(datum):
+    """(roots, coroot of each root, positive roots, each simple reflection's
+    permutation of the root indices) of the datum's simple roots and
+    coroots, by the integer reflection matrices and one elimination per
+    root.  Raises AssertionError on a root of mixed sign."""
+    mats = [datum.simple_reflection_matrix(k) for k in range(datum.rank)]
+    coroot_of = dict(zip(datum.simple_roots, datum.simple_coroots))
+    frontier = list(datum.simple_roots)
+    while frontier:
+        new = []
+        for r in frontier:
+            for m in mats:
+                img = _mat_vec(m, r)
+                if img not in coroot_of:
+                    coroot_of[img] = _vec(_mat_vec(tuple(zip(*m)), coroot_of[r]))
+                    new.append(img)
+        frontier = new
+    roots = tuple(sorted(coroot_of))
+    index = {r: i for i, r in enumerate(roots)}
+    perms = tuple(tuple(index[_mat_vec(m, r)] for r in roots) for m in mats)
+    positive = []
+    for r in roots:
+        coeffs = simple_combination(datum, r)
+        assert coeffs is not None, r
+        assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs), r
+        if all(c >= 0 for c in coeffs):
+            positive.append(r)
+    return roots, coroot_of, tuple(positive), perms
 
 
 # -- the crossing-word basis -------------------------------------------------

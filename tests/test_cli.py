@@ -262,6 +262,19 @@ class TestMalformedConfigAtTheBoundary:
         with pytest.raises(ParseError):
             build_setting(parse_config(json.dumps(raw)))
 
+    def test_dependent_simple_roots(self, tmp_path):
+        group = {
+            "ambient_rank": 3,
+            "simple_roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1]],
+            "coroots": [[1, -1, 0], [0, 1, -1], [1, 0, -1]],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"group": group}))
+        proc = run_cli(["describe", "--config", str(path)])
+        assert proc.returncode == 2
+        assert "error: simple_roots are linearly dependent" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestMalformedInputToMain:
     """Malformed --poly, --quiver, operator scalars and options.checks are

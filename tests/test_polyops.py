@@ -153,6 +153,18 @@ class TestRatFun:
         assert RatFun(x * y, y, reduce=False).polynomial() == x
         assert RatFun(x, y).polynomial() is None
 
+    @pytest.mark.parametrize("c", [1, -1, 2, Fraction(3, 2)])
+    def test_constant_denominator_matches_divexact(self, c):
+        x = Poly.variable(2, 0)
+        y = Poly.variable(2, 1)
+        den = Poly.const(2, c)
+        for num in (Poly.zero(2), Poly.const(2, 3), x * y - 5 * x, (x + Fraction(1, 3) * y) ** 3):
+            q = RatFun(num, den, reduce=False).polynomial()
+            expected = num.divexact(den)
+            assert q == expected
+            assert sorted(q.d.items()) == sorted(expected.d.items())
+            assert all(type(v) is type(expected.d[e]) for e, v in q.d.items())
+
 
 class TestAddTerm:
     def test_missing_key_reads_as_zero(self):

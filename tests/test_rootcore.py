@@ -1,7 +1,17 @@
+from fractions import Fraction
+
 import pytest
 
 from qhecke.errors import InvalidRootDatum
-from qhecke.rootcore import build_root_datum
+from qhecke.rootcore import _mat_vec, build_root_datum
+
+from oracles import matrix_root_system, simple_combination
+
+EXPLICIT_A2 = {
+    "ambient_rank": 2,
+    "simple_roots": [[1, 0], [0, 1]],
+    "coroots": [[2, -1], [-1, 2]],
+}
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +89,7 @@ class TestBuild:
             assert group.act(g, (1, 1, 1)) == (1, 1, 1)
 
     def test_explicit_datum(self):
-        datum = build_root_datum(
-            {
-                "ambient_rank": 2,
-                "simple_roots": [[1, 0], [0, 1]],
-                "coroots": [[2, -1], [-1, 2]],
-            }
-        )
+        datum = build_root_datum(EXPLICIT_A2)
         assert set(datum.positive_roots) == {(1, 0), (0, 1), (1, 1)}
 
     def test_invalid_label(self):
@@ -114,6 +118,110 @@ class TestBuild:
                     "roots": [[1, 0], [-1, 0]],
                 }
             )
+
+
+LABELS = (
+    [f"A{n}" for n in range(1, 5)]
+    + [f"{f}{n}" for f in "BCD" for n in range(2, 5)]
+    + ["G2", "F4"]
+    + [f"GL{d}" for d in range(2, 7)]
+)
+
+EXPLICIT = {
+    "explicit-A2": EXPLICIT_A2,
+    # B2 in the orthogonal realization, roots +-e_a +- e_b and +-e_a
+    "explicit-B2": {
+        "ambient_rank": 2,
+        "simple_roots": [[1, -1], [0, 1]],
+        "coroots": [[1, -1], [0, 2]],
+    },
+    # rational coroots: A1 on (2, 2), and A2 on the even lattice
+    "explicit-A1-half": {"ambient_rank": 2, "simple_roots": [[2, 2]], "coroots": [["1/2", "1/2"]]},
+    "explicit-A2-even": {
+        "ambient_rank": 2,
+        "simple_roots": [[2, 0], [0, 2]],
+        "coroots": [[1, "-1/2"], ["-1/2", 1]],
+    },
+    "explicit-A2-in-GL3": {
+        "ambient_rank": 3,
+        "simple_roots": [[1, -1, 0], [0, 1, -1]],
+        "coroots": [[1, -1, 0], [0, 1, -1]],
+        "roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1], [-1, 1, 0], [0, -1, 1], [-1, 0, 1]],
+    },
+}
+
+
+class TestAgainstTheEliminationOracle:
+    """Roots generated with simple-root coordinates and reflection formulas
+    agree with the integer matrices and one Fraction elimination per root."""
+
+    @pytest.mark.parametrize("spec", LABELS + list(EXPLICIT), ids=str)
+    def test_construction(self, spec):
+        datum = build_root_datum(EXPLICIT.get(spec, spec))
+        roots, coroot_of, positive, perms = matrix_root_system(datum)
+        assert datum.roots == roots
+        assert datum.positive_roots == positive
+        for r in roots:
+            assert datum.coroot(r) == coroot_of[r]
+            assert all(type(x) is int or x.denominator != 1 for x in datum.coroot(r))
+        assert datum._simple_perms == perms
+        group = datum.weyl()
+        assert tuple(group.perms[s] for s in group.simple) == tuple(map(bytes, perms))
+        for s, m in zip(group.simple, datum._simple_refl):
+            assert group.perms[s] == group._perm_of(_mat_vec(m, r) for r in roots)
+
+    def test_oracle_solves_a_combination(self):
+        datum = build_root_datum("G2")
+        assert simple_combination(datum, (3, 2)) == [3, 2]
+        assert simple_combination(build_root_datum("GL3"), (1, 1, 1)) is None
+
+
+class TestMalformedExplicitData:
+    """Malformed explicit data is refused with a message naming the field."""
+
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            # alpha_2 = -alpha_1: the coset search never terminated
+            ({"ambient_rank": 2, "simple_roots": [[1, 0], [-1, 0]], "coroots": [[2, 0], [-2, 0]]},
+             "simple_roots"),
+            ({"ambient_rank": 3, "simple_roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1]],
+              "coroots": [[1, -1, 0], [0, 1, -1], [1, 0, -1]]},
+             "simple_roots"),
+            ({"ambient_rank": 3, "simple_roots": [[1, 0], [0, 1]], "coroots": [[2, -1], [-1, 2]]},
+             "simple_roots"),
+            ({"ambient_rank": 2, "simple_roots": [[1, 0], [0, 1]], "coroots": [[2, -1], [-1]]},
+             "coroots"),
+            ({"ambient_rank": 2.5, "simple_roots": [[1, 0], [0, 1]], "coroots": [[2, -1], [-1, 2]]},
+             "ambient_rank"),
+            ({"ambient_rank": True, "simple_roots": [[1]], "coroots": [[2]]}, "ambient_rank"),
+            ({"gl": 3.9}, "gl"),
+            ({"gl": True}, "gl"),
+            ({"ambient_rank": 2, "simple_roots": 5, "coroots": []}, "simple_roots"),
+            ({"ambient_rank": 2, "simple_roots": [[1, 0]], "coroots": [[None, 1]]}, "coroots"),
+            ({"ambient_rank": 2, "simple_roots": [[1, 0]]}, r"root datum needs fields \['coroots'\]"),
+            ({"ambient_rank": 1, "simple_roots": [[float("inf")]], "coroots": [[2]]}, "simple_roots"),
+            ({"ambient_rank": 2, "simple_roots": [[1.0, 0], [0, 1]], "coroots": [[2, -1], [-1, 2]]},
+             "simple_roots"),
+            ({"ambient_rank": 1, "simple_roots": [[10]], "coroots": [[0.2]]}, "coroots"),
+            ({"ambient_rank": 2, "simple_roots": [[1, 0]], "coroots": [[2, 1]]},
+             r"coroot \(2, 1\) outside the root span"),
+            ({"ambient_rank": 1, "simple_roots": [[1]], "coroots": [[2]], "roots": [[True], [-1]]},
+             "roots"),
+        ],
+    )
+    def test_refused(self, spec, field):
+        with pytest.raises(InvalidRootDatum, match=f"^{field}"):
+            build_root_datum(spec)
+
+    @pytest.mark.parametrize("label", ["", "GLx", "GL3.9"])
+    def test_bad_label(self, label):
+        with pytest.raises(InvalidRootDatum, match="unsupported label"):
+            build_root_datum(label)
+
+    def test_rational_coroot_entries(self):
+        datum = build_root_datum(EXPLICIT["explicit-A2-even"])
+        assert datum.coroot((2, 2)) == (Fraction(1, 2), Fraction(1, 2))
 
 
 class TestGroupOps:
