@@ -6,6 +6,6 @@ cross-check pathway and turnkey nil Hecke / skew group / quiver Hecke presets.
 __version__ = "0.1.0"
 
 from .rootcore import build_root_datum  # noqa: F401
-from .subgroup import TorusConstraint, build_coset_table, fixed_subsystem  # noqa: F401
+from .subgroup import CosetTable, TorusConstraint, fixed_subsystem  # noqa: F401
 from .repdata import SpringerData  # noqa: F401
 from .polyops import Poly, RatFun  # noqa: F401

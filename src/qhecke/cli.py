@@ -15,13 +15,15 @@ Indices are 0-based into the coset table and the simple-root list.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import algebra, localize, presets, repdata
-from .config import Config, build_setting, check_int, emit_config, parse_config
+from .config import Config, build_setting, check_int, emit_config, load_json, parse_config
 from .errors import InternalInvariantError, ParseError, QheckeError, UnknownIndex
 from .polyops import KERNEL_NAME, Poly, RatFun, monomials_up_to
 from .report import CheckResult
@@ -52,17 +54,24 @@ class _Tokens:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
+        digits = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start:
+        if self.pos == digits:
             raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # a digit int() refuses, or too many digits
+            raise ParseError(f"bad integer {self.text[start : self.pos]!r}", start) from None
 
 
 def parse_opexpr(text: str, setting) -> algebra.TwistedOperator:
     """Parse and evaluate an operator expression against a built setting."""
     toks = _Tokens(text)
-    op = _parse_expr(toks, setting)
+    try:
+        op = _parse_expr(toks, setting)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", toks.pos) from None
     toks.skip_ws()
     if toks.pos != len(text):
         raise ParseError("trailing input", toks.pos)
@@ -404,8 +413,11 @@ def cmd_braid(cfg: Config, i: int, s: int, t: int) -> dict:
     for k in (s, t):
         if not 0 <= k < setting.datum.rank:
             raise UnknownIndex(f"simple reflection index {k} out of range")
-    defect = algebra.braid_defect(setting, i, s, t)
     group = setting.group
+    m = group.braid_order(s, t)
+    if m not in (3, 4, 6):
+        raise ParseError(f"braid needs simple reflections s, t of order 3, 4 or 6; got order {m}")
+    defect = algebra.braid_defect(setting, i, s, t)
     rows = []
     for g in sorted(defect.coefficients, key=lambda g: (group.length(g), g)):
         c = defect.coefficients[g]
@@ -507,7 +519,7 @@ def cmd_preset(name: str, quiver_json: str | None) -> Config:
     if name == "klr":
         if not quiver_json:
             raise ParseError("klr preset needs --quiver")
-        raw = json.loads(quiver_json)
+        raw = load_json(quiver_json, "--quiver")
         if not isinstance(raw, dict):
             raise ParseError("quiver must be a JSON object")
         unknown = set(raw) - {"vertices", "arrows", "dimension"}
@@ -516,40 +528,7 @@ def cmd_preset(name: str, quiver_json: str | None) -> Config:
         missing = {"vertices", "arrows", "dimension"} - set(raw)
         if missing:
             raise ParseError(f"quiver needs fields {sorted(missing)}")
-        vertices, arrows, dims_raw = raw["vertices"], raw["arrows"], raw["dimension"]
-        if not isinstance(vertices, list) or not all(isinstance(v, (str, int)) for v in vertices):
-            raise ParseError(f"quiver vertices must be a list of names, got {vertices!r}")
-        if not isinstance(arrows, list) or not all(
-            isinstance(a, list) and len(a) == 2 for a in arrows
-        ):
-            raise ParseError(f"quiver arrows must be a list of pairs, got {arrows!r}")
-        dims = dims_raw.values() if isinstance(dims_raw, dict) else dims_raw
-        if not isinstance(dims_raw, (dict, list)) or not all(
-            isinstance(v, (str, int)) for v in dims
-        ):
-            raise ParseError(f"quiver dimension must be an object or a list, got {dims_raw!r}")
-        if len({str(v) for v in vertices}) != len(vertices):
-            raise ParseError(f"quiver vertex names must be unique, got {vertices!r}")
-        vertices = tuple(vertices)
-        if isinstance(dims_raw, dict):
-            # JSON keys are strings; map them back onto the vertex objects
-            by_name = {str(v): v for v in vertices}
-            dimension = {}
-            for key, value in dims_raw.items():
-                if key not in by_name:
-                    raise ParseError(f"dimension at unknown vertex {key!r}")
-                dimension[by_name[key]] = check_int(value, f"quiver dimension at {key!r}", 0)
-        elif len(dims_raw) != len(vertices):
-            raise ParseError(f"quiver dimension list needs one entry per vertex, got {dims_raw!r}")
-        else:
-            dimension = {
-                q: check_int(v, f"quiver dimension at {q!r}", 0) for q, v in zip(vertices, dims_raw)
-            }
-        quiver = presets.QuiverSpec(
-            vertices=vertices,
-            arrows=tuple(tuple(a) for a in arrows),
-            dimension=dimension,
-        )
+        quiver = presets.QuiverSpec(raw["vertices"], raw["arrows"], raw["dimension"])
         return presets.preset_klr(quiver)
     raise ParseError(f"unknown preset {name!r}")
 
@@ -559,7 +538,9 @@ def _load_config(path: str) -> Config:
         return parse_config(fh.read())
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qhecke",
         description="exact construction and verification of twisted convolution algebras",
@@ -597,7 +578,11 @@ def main(argv=None) -> int:
     p.add_argument("--quiver", help="quiver JSON for klr")
     p.add_argument("--out", help="output path (default stdout)")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     t0 = time.time()
     try:
         if args.command == "preset":
@@ -644,7 +629,7 @@ def main(argv=None) -> int:
                 cfg,
                 args.expr,
                 args.component,
-                None if args.poly is None else json.loads(args.poly),
+                None if args.poly is None else load_json(args.poly, "--poly"),
             ),
             "localize": lambda: cmd_localize(cfg),
             "euler": lambda: cmd_euler(cfg),
@@ -665,9 +650,12 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant broken: {exc}", file=sys.stderr)
         return 3
-    except (QheckeError, ValueError, OSError) as exc:
+    except (QheckeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 def _emit(report: dict, out_path: str | None):

@@ -15,7 +15,7 @@ from .errors import ParseError
 from .polyops import coeff_str
 from .repdata import Setting
 from .rootcore import build_root_datum
-from .subgroup import TorusConstraint, build_coset_table, fixed_subsystem
+from .subgroup import CosetTable, TorusConstraint, fixed_subsystem
 
 _KNOWN_TOP = {"group", "torus", "springer", "options"}
 _KNOWN_OPTIONS = {"strict_suitability", "degree_bound", "checks", "seed"}
@@ -56,11 +56,64 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
-def parse_config(text: str) -> Config:
+def load_json(text: str, what: str):
+    """Decode JSON input, else ParseError naming what it was."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
+        return json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"bad JSON in {what}: {exc}") from exc
+
+
+def check_quiver(vertices, arrows, dimension) -> tuple:
+    """The one validator of a quiver with dimension vector: unique vertex
+    names (ints or strings, compared as JSON object keys), arrows as pairs of
+    vertices, and `dimension` keyed by vertex, keyed by vertex name, or a
+    list with one entry per vertex, each entry an integer >= 0.  Returns
+    (vertices, arrows, dimension keyed by vertex) as tuples and a dict;
+    raises ParseError on anything else."""
+    if not isinstance(vertices, (list, tuple)) or not all(
+        isinstance(v, (str, int)) for v in vertices
+    ):
+        raise ParseError(f"quiver vertices must be a list of names, got {vertices!r}")
+    if not isinstance(arrows, (list, tuple)) or not all(
+        isinstance(a, (list, tuple)) and len(a) == 2 for a in arrows
+    ):
+        raise ParseError(f"quiver arrows must be a list of pairs, got {arrows!r}")
+    is_dict = isinstance(dimension, dict)
+    values = dimension.values() if is_dict else dimension
+    if not isinstance(dimension, (dict, list, tuple)) or not all(
+        isinstance(v, (str, int)) for v in values
+    ):
+        raise ParseError(f"quiver dimension must be an object or a list, got {dimension!r}")
+    if len({str(v) for v in vertices}) != len(vertices):
+        raise ParseError(f"quiver vertex names must be unique, got {vertices!r}")
+    vertices = tuple(vertices)
+    if is_dict:
+        # names compare as JSON keys; map them back onto the vertex objects
+        by_name = {str(v): v for v in vertices}
+        dims = {}
+        for key, value in dimension.items():
+            q = by_name.get(str(key))
+            if q is None:
+                raise ParseError(f"dimension at unknown vertex {key!r}")
+            if q in dims:
+                raise ParseError(f"dimension given twice at vertex {q!r}")
+            dims[q] = check_int(value, f"quiver dimension at {key!r}", 0)
+    elif len(dimension) != len(vertices):
+        raise ParseError(f"quiver dimension list needs one entry per vertex, got {dimension!r}")
+    else:
+        dims = {
+            q: check_int(v, f"quiver dimension at {q!r}", 0) for q, v in zip(vertices, dimension)
+        }
+    arrows = tuple(tuple(a) for a in arrows)
+    for q, qp in arrows:
+        if q not in vertices or qp not in vertices:
+            raise ParseError(f"quiver arrow ({q!r}, {qp!r}) touches an unknown vertex")
+    return vertices, arrows, dims
+
+
+def parse_config(text: str) -> Config:
+    raw = load_json(text, "config")
     if not isinstance(raw, dict):
         raise ParseError("config must be a JSON object")
     unknown = set(raw) - _KNOWN_TOP
@@ -146,7 +199,7 @@ def build_setting(cfg: Config) -> Setting:
         TorusConstraint(c["kind"], tuple(c["values"])) for c in cfg.torus
     ]
     sub = fixed_subsystem(datum, constraints)
-    table = build_coset_table(sub)
+    table = CosetTable(sub)
     U_sets = []
     for entry in cfg.U:
         if entry == "positive_roots":

@@ -69,15 +69,15 @@ def tangent_m(setting: Setting, gx: int, gy: int) -> int:
     return tangent_n(setting, gx) & ~tangent_n(setting, gy)
 
 
-def lambda_poly(setting: Setting, g: int) -> EulerClass:
-    """Euler class of the fixed point of g: fiber weights plus tangent weights."""
-    return euler(setting, tangent_n(setting, g), *fiber_weights(setting, g))
-
-
 def lambda_table(setting: Setting):
-    """Lambda_w for every group element, factored; a product of nonzero
-    weights, so never zero.  Read it as `setting.lambdas`, which keeps it."""
-    return tuple(lambda_poly(setting, g) for g in range(len(setting.group)))
+    """Lambda_w for every group element, factored: the Euler class of the
+    fixed point of w, its tangent weights plus its fiber weights.  A product
+    of nonzero weights, so never zero.  Read it as `setting.lambdas`, which
+    keeps it."""
+    return tuple(
+        euler(setting, tangent_n(setting, g), *fiber_weights(setting, g))
+        for g in range(len(setting.group))
+    )
 
 
 def q_translate(setting: Setting, gx: int, s: int) -> EulerClass:
@@ -127,17 +127,10 @@ def fp_apply(A: dict, v: dict) -> dict:
     return out
 
 
-def localize_unit(setting: Setting, i: int) -> dict:
-    """The unit of coset i as a fixed-point matrix: theta's diagonal, 1 at
-    every fixed point g of i."""
-    m = ModuleElement.unit(setting.datum.ambient_rank, i)
-    return {(g, g): v for g, v in theta(setting, m).items()}
-
-
-def localize_var(setting: Setting, i: int, t: int) -> dict:
-    """Multiplication by x_t on coset i: theta's diagonal, g(x_t)."""
-    n = setting.datum.ambient_rank
-    m = ModuleElement(n, {i: Poly.variable(n, t)})
+def localize_diagonal(setting: Setting, m: ModuleElement) -> dict:
+    """Multiplication by m as a fixed-point matrix: theta(m) on the
+    diagonal.  The unit of coset i is 1 at every fixed point g of i, and
+    x_t on coset i is g(x_t) there."""
     return {(g, g): v for g, v in theta(setting, m).items()}
 
 
@@ -179,13 +172,14 @@ def pathway_agreement_check(setting: Setting) -> list:
     every generator: the geometric entries, quotients of Euler classes, are
     compared with the algebra side's RatFuns."""
     datum, table = setting.datum, setting.table
+    n = datum.ambient_rank
     results = []
     for i in table.indices:
-        geo = localize_unit(setting, i)
+        geo = localize_diagonal(setting, ModuleElement.unit(n, i))
         alg = localize_op(setting, gen_unit(table, i))
         results.append(CheckResult(f"pathway-unit(i={i})", geo == alg))
-        for t in range(datum.ambient_rank):
-            geo = localize_var(setting, i, t)
+        for t in range(n):
+            geo = localize_diagonal(setting, ModuleElement(n, {i: Poly.variable(n, t)}))
             alg = localize_op(setting, gen_var(table, i, t))
             results.append(CheckResult(f"pathway-var(i={i},t={t})", geo == alg))
         for s in range(datum.rank):
@@ -238,24 +232,6 @@ def intertwining_check(setting: Setting, degree: int = 3) -> list:
                     break
             results.append(CheckResult(f"intertwine(i={i},s={s})", ok, "", bad))
     return results
-
-
-def theta_injectivity_check(setting: Setting, degree: int = 3) -> list:
-    """Distinct monomials of bounded degree have distinct localizations."""
-    n = setting.datum.ambient_rank
-    monomials = monomials_up_to(n, degree)
-    images = []
-    for i in setting.table.indices:
-        for e in monomials:
-            m = ModuleElement.monomial(n, i, e)
-            images.append(((i, e), theta(setting, m)))
-    ok = True
-    bad = None
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            if images[a][1] == images[b][1]:
-                ok, bad = False, {"first": images[a][0], "second": images[b][0]}
-    return [CheckResult("localization-injective", ok, f"{len(images)} monomials", bad)]
 
 
 def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:

@@ -81,10 +81,6 @@ class Poly:
         self.d = dict(terms) if terms else {}
 
     @classmethod
-    def zero(cls, n: int) -> "Poly":
-        return cls(n)
-
-    @classmethod
     def const(cls, n: int, c) -> "Poly":
         c = _coeff(c)
         return cls(n, {(0,) * n: c} if c else None)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import TwistedOperator, braid_defect, gen_sigma
-from .config import Config
+from .config import Config, check_quiver
 from .errors import UnsupportedDimension
 from .polyops import Poly, RatFun, add_term
 from .repdata import h_count
@@ -26,22 +26,17 @@ from .report import CheckResult
 
 @dataclass(frozen=True)
 class QuiverSpec:
-    """Finite quiver with dimension vector; loops and parallel arrows allowed."""
+    """Finite quiver with dimension vector; loops and parallel arrows allowed.
+    The fields go through `config.check_quiver`, which normalizes them."""
 
     vertices: tuple
     arrows: tuple  # ordered pairs (source, target)
     dimension: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "arrows", tuple(tuple(a) for a in self.arrows))
-        object.__setattr__(self, "dimension", dict(self.dimension))
-        for q, qp in self.arrows:
-            if q not in self.vertices or qp not in self.vertices:
-                raise ValueError(f"arrow ({q},{qp}) touches unknown vertex")
-        for q in self.dimension:
-            if q not in self.vertices:
-                raise ValueError(f"dimension at unknown vertex {q}")
+        checked = check_quiver(self.vertices, self.arrows, self.dimension)
+        for name, value in zip(("vertices", "arrows", "dimension"), checked):
+            object.__setattr__(self, name, value)
 
     @property
     def total_dimension(self) -> int:

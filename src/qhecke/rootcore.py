@@ -1,4 +1,4 @@
-"""Root data, Weyl groups, lengths, reduced words and Bruhat order.
+"""Root data, Weyl groups, lengths and reduced words.
 
 Roots live in an ambient character lattice Z^N that may exceed the span of
 the simple roots (GL-style data keeps its central torus); pairings are plain
@@ -108,10 +108,9 @@ def _vec(values) -> Vec:
 
 
 def _int_vec(values) -> Vec:
-    out = tuple(int(v) for v in values)
-    if any(type(v) is not int and Fraction(v) != o for v, o in zip(values, out)):
+    if any(type(v) is not int for v in values):
         raise ValueError(f"not an integer vector: {values}")
-    return out
+    return tuple(values)
 
 
 def _reflect(v, p, root) -> Vec:
@@ -274,9 +273,6 @@ class RootDatum:
     def coroot(self, root) -> Vec:
         return self._coroot_of[tuple(root)]
 
-    def pairing(self, v, coroot):
-        return _dot(v, coroot)
-
     def simple_reflection_matrix(self, k: int):
         return self._simple_refl[k]
 
@@ -359,7 +355,6 @@ class WeylGroup:
         self._inv = [None] * len(ordered)
         self._matrices = [None] * len(ordered)
         self._images = [None] * len(ordered)
-        self._downset_cache = {}
 
     def _perm_of(self, images) -> bytes:
         index = self.root_index
@@ -441,32 +436,6 @@ class WeylGroup:
     def descends_right(self, g: int, k: int) -> bool:
         """True iff l(g s_k) < l(g), i.e. g(alpha_k) is negative."""
         return self.negative[self.perms[g][self._simple_root_index[k]]] == 1
-
-    def downset(self, g: int) -> frozenset:
-        """All elements below g in Bruhat order (subword property)."""
-        ds = self._downset_cache.get(g)
-        if ds is None:
-            cur = {self.identity}
-            right = self._right
-            for k in self._word[g]:
-                cur |= {right[u][k] for u in cur}
-            ds = frozenset(cur)
-            self._downset_cache[g] = ds
-        return ds
-
-    def bruhat_leq(self, u: int, g: int) -> bool:
-        return u in self.downset(g)
-
-    def all_reduced_words(self, g: int):
-        """Every reduced word of g (desk scale; used by exhaustive checks)."""
-        if self._length[g] == 0:
-            return [()]
-        out = []
-        for k in range(self.datum.rank):
-            if self.descends_right(g, k):
-                prev = self._right[g][k]
-                out.extend(w + (k,) for w in self.all_reduced_words(prev))
-        return out
 
     def braid_order(self, k1: int, k2: int) -> int:
         """Order m of s_{k1} s_{k2}."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonCanonicalizable
+from .errors import NonCanonicalizable, ParseError
 from .report import CheckResult
 from .rootcore import RootDatum, WeylGroup, _dot, _vec
 
@@ -29,7 +29,7 @@ class TorusConstraint:
 
     def __post_init__(self):
         if self.kind not in ("torsion", "generic"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
+            raise ParseError(f"unknown constraint kind {self.kind!r}")
         object.__setattr__(self, "values", _vec(self.values))
 
     def keeps(self, root) -> bool:
@@ -91,7 +91,7 @@ def fixed_subsystem(datum: RootDatum, constraints) -> SubSystem:
     constraints = tuple(constraints)
     for c in constraints:
         if len(c.values) != datum.ambient_rank:
-            raise ValueError(
+            raise ParseError(
                 f"constraint vector has length {len(c.values)}, "
                 f"ambient rank is {datum.ambient_rank}"
             )
@@ -189,10 +189,6 @@ class CosetTable:
         return self._fixed[i]
 
 
-def build_coset_table(sub: SubSystem) -> CosetTable:
-    return CosetTable(sub)
-
-
 def length_comparison_check(sub: SubSystem) -> list:
     """l_S(w) <= l_Sbig(w) on W, and simple reflections of W_big lying in W
     are reflections in simples of Phi."""
@@ -242,14 +238,15 @@ def _subgroup_elements(group: WeylGroup, gen_indices) -> frozenset:
 
 def s_adapted(sub: SubSystem, J) -> bool:
     """Adaptedness of J: every reduced expression of a simple reflection of W
-    either avoids J or stays inside J."""
+    either avoids J or stays inside J.  Braid moves join any two reduced
+    words of an element (Matsumoto) and keep its set of letters, so the
+    group's one reduced word decides."""
     group = sub.group
     J = frozenset(J)
     for s in sub._refl:
-        for word in group.all_reduced_words(s):
-            letters = set(word)
-            if letters & J and not letters <= J:
-                return False
+        letters = set(group.reduced_word(s))
+        if letters & J and not letters <= J:
+            return False
     return True
 
 

@@ -2,7 +2,7 @@
 
 from qhecke.repdata import Setting
 from qhecke.rootcore import build_root_datum
-from qhecke.subgroup import build_coset_table, fixed_subsystem
+from qhecke.subgroup import CosetTable, fixed_subsystem
 
 
 def make_setting(label, constraints=(), kind="nil") -> Setting:
@@ -10,7 +10,7 @@ def make_setting(label, constraints=(), kind="nil") -> Setting:
     twisting data ("nil") or one adjoint copy U = positives, V = roots
     ("skew")."""
     datum = build_root_datum(label)
-    table = build_coset_table(fixed_subsystem(datum, list(constraints)))
+    table = CosetTable(fixed_subsystem(datum, list(constraints)))
     if kind == "nil":
         return Setting(table)
     if kind == "skew":

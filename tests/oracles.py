@@ -4,6 +4,11 @@
   nil Hecke relation tests.
 - The reflection matrix of any root, against which the group's conjugated
   reflections are checked.
+- Every reduced word of an element, and Bruhat order by the subword
+  property.  The program reads one reduced word per element: braid moves
+  join any two reduced words and keep the set of letters, and braid
+  extraction stays inside a dihedral subgroup, which is a Bruhat interval.
+- Injectivity of the localization map on monomials of bounded degree.
 - Root data generated by the integer reflection matrices (coroots by their
   transposes), with each root's sign from a Fraction elimination against
   the simple roots.  The program carries integer simple-root coordinates
@@ -30,8 +35,10 @@ import sympy
 
 from qhecke.algebra import ModuleElement, TwistedOperator, diag_mult, left_mult, sigma_word
 from qhecke.errors import InternalDivisibilityFailure, QheckeError
-from qhecke.polyops import Poly, primitive_form
+from qhecke.localize import theta
+from qhecke.polyops import Poly, monomials_up_to, primitive_form
 from qhecke.repdata import Setting
+from qhecke.report import CheckResult
 from qhecke.rootcore import _reflection_matrix, _vec
 
 
@@ -67,6 +74,34 @@ def demazure_product_rule_check(datum, k: int, x: Poly, f: Poly) -> bool:
 def reflection_matrix(datum, root):
     """Integer matrix of the reflection in `root`."""
     return _reflection_matrix(datum.ambient_rank, tuple(root), datum.coroot(root))
+
+
+# -- reduced words and Bruhat order --------------------------------------------
+
+
+def all_reduced_words(group, g: int) -> list:
+    """Every reduced word of g, by peeling off each right descent."""
+    if group.length(g) == 0:
+        return [()]
+    return [
+        w + (k,)
+        for k in range(group.datum.rank)
+        if group.descends_right(g, k)
+        for w in all_reduced_words(group, group.mul(g, group.simple[k]))
+    ]
+
+
+def downset(group, g: int) -> frozenset:
+    """All elements below g in Bruhat order: the products of the subwords
+    of one reduced word of g."""
+    cur = {group.identity}
+    for k in group.reduced_word(g):
+        cur |= {group.mul(u, group.simple[k]) for u in cur}
+    return frozenset(cur)
+
+
+def bruhat_leq(group, u: int, g: int) -> bool:
+    return u in downset(group, g)
 
 
 # -- root data by matrices and elimination ------------------------------------
@@ -224,6 +259,28 @@ def reassemble(setting: Setting, nf: NormalForm) -> TwistedOperator:
     for g, me in nf.coefficients.items():
         out = out + diag_mult(table, me) * sigma_basis_element(setting, g)
     return out
+
+
+# -- localization ----------------------------------------------------------
+
+
+def theta_injectivity_check(setting: Setting, degree: int = 3) -> list:
+    """Distinct monomials of bounded degree have distinct localizations."""
+    n = setting.datum.ambient_rank
+    monomials = monomials_up_to(n, degree)
+    images = []
+    for i in setting.table.indices:
+        for e in monomials:
+            m = ModuleElement.monomial(n, i, e)
+            images.append(((i, e), theta(setting, m)))
+    ok = True
+    bad = None
+    for a in range(len(images)):
+        for b in range(a + 1, len(images)):
+            if images[a][1] == images[b][1]:
+                ok, bad = False, {"first": images[a][0], "second": images[b][0]}
+    return [CheckResult("localization-injective", ok, f"{len(images)} monomials", bad)]
+
 
 
 # -- cut additivity from root multisets --------------------------------------

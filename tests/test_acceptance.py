@@ -34,8 +34,8 @@ from qhecke.presets import QuiverSpec, klr_oracle_check, preset_klr
 from qhecke.repdata import Setting, q_poly
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import (
+    CosetTable,
     TorusConstraint,
-    build_coset_table,
     fixed_subsystem,
     length_comparison_check,
 )
@@ -57,7 +57,7 @@ def _nil(label):
 
 def _skew(label, copies=1):
     datum = build_root_datum(label)
-    table = build_coset_table(fixed_subsystem(datum, []))
+    table = CosetTable(fixed_subsystem(datum, []))
     return Setting(table, [datum.positive_roots] * copies, [datum.roots] * copies)
 
 

@@ -5,6 +5,7 @@ import pytest
 from qhecke.algebra import (
     ModuleElement,
     TwistedOperator,
+    _dihedral_elements,
     braid_assumptions_hold,
     braid_defect,
     check_relations,
@@ -21,12 +22,14 @@ from qhecke.errors import NonIntegralResult
 from qhecke.polyops import Poly, RatFun
 from qhecke.repdata import Setting, q_poly
 from qhecke.rootcore import build_root_datum
-from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
+from qhecke.subgroup import CosetTable, TorusConstraint, fixed_subsystem
 
 from conftest import make_setting
 from oracles import (
     NonPolynomialCoefficient,
     NotInSpan,
+    all_reduced_words,
+    bruhat_leq,
     demazure,
     demazure_word,
     normal_form,
@@ -101,7 +104,7 @@ class TestGenerators:
         f = Poly.variable(n, 0) ** 2 * Poly.variable(n, 1)
         out = sigma_word(nil_a2, 0, (0, 1, 0)).apply(ModuleElement(n, {0: f}))
         expected = demazure_word(datum, (0, 1, 0), f)
-        got = out.components.get(0, Poly.zero(n))
+        got = out.components.get(0, Poly(n))
         assert got == expected
 
     def test_apply_raises_on_nonintegral(self, nil_a2):
@@ -135,19 +138,19 @@ class TestSigmaWord:
             for i in table.indices:
                 op = sigma_word(halfint_a2, i, word)
                 for (_, v) in op.terms:
-                    assert group.bruhat_leq(v, g)
+                    assert bruhat_leq(group, v, g)
 
     def test_reduced_word_independence_mod_lower(self, halfint_a2):
         _, sub, table, _ = halfint_a2
         group = sub.group
         for g in range(len(group)):
-            words = group.all_reduced_words(g)
+            words = all_reduced_words(group, g)
             for i in table.indices:
                 base = sigma_word(halfint_a2, i, words[0])
                 for word in words[1:]:
                     diff = base - sigma_word(halfint_a2, i, word)
                     for (_, v) in diff.terms:
-                        assert group.bruhat_leq(v, g) and v != g
+                        assert bruhat_leq(group, v, g) and v != g
 
 
 class TestStraightening:
@@ -165,7 +168,7 @@ class TestStraightening:
             c = straightening_poly(nil_a2, 0, 0, t)
             coroot = datum.coroot(datum.simple_roots[0])
             expected = Poly.const(n, -Fraction(coroot[t]))
-            got = c.components.get(0, Poly.zero(n))
+            got = c.components.get(0, Poly(n))
             assert got == expected
 
     def test_skew_multiple_of_q(self, skew_a2):
@@ -198,7 +201,7 @@ class TestRelations:
         # custom twisting data (highest-root power): the closed-form square
         # and braid extraction are skipped, the rest must hold exactly
         datum = build_root_datum("A2")
-        setting = Setting(build_coset_table(fixed_subsystem(datum, [])), [[(1, 1)]], [datum.roots])
+        setting = Setting(CosetTable(fixed_subsystem(datum, [])), [[(1, 1)]], [datum.roots])
         assert not setting.data.borel_flag
         results = check_relations(setting)
         names = {r.name for r in results}
@@ -218,6 +221,20 @@ class TestRelations:
 
 
 class TestBraidDefect:
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+    def test_dihedral_elements_lie_below_the_longest(self, label):
+        # so extraction needs no Bruhat test beside membership in <s, t>
+        group = build_root_datum(label).weyl()
+        for s in range(group.datum.rank):
+            for t in range(group.datum.rank):
+                if s == t:
+                    continue
+                m = group.braid_order(s, t)
+                by_length, word_of = _dihedral_elements(group, s, t, m)
+                x = group.mul_word((s, t)[j % 2] for j in range(m))
+                assert len(word_of) == 2 * m and by_length[m] == [x]
+                assert all(bruhat_leq(group, g, x) for g in word_of)
+
     def test_nilhecke_all_zero(self, nil_a2):
         defect = braid_defect(nil_a2, 0, 0, 1)
         assert defect.all_zero() and defect.all_polynomial()
@@ -262,7 +279,7 @@ class TestBraidDefect:
         # GL3 with distinct weights: trivial W, sequences all regular
         datum = build_root_datum("GL3")
         sub = fixed_subsystem(datum, [TorusConstraint("generic", (0, 1, 2))])
-        table = build_coset_table(sub)
+        table = CosetTable(sub)
         setting = Setting(table, [datum.positive_roots], [datum.roots])
         for i in table.indices:
             defect = braid_defect(setting, i, 0, 1)

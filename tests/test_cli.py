@@ -541,6 +541,98 @@ class TestExitCodes:
         assert "is not divisible" in capsys.readouterr().err
 
 
+class TestOnlyTypedErrorsAreBadInput:
+    """Bad input raises a typed error where it is validated and exits 2;
+    any other exception is a bug, printed with its traceback, exit 3."""
+
+    def assert_bad_input(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
+    def config(self, tmp_path, raw):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    def test_unknown_torus_kind(self, capsys, tmp_path):
+        path = self.config(tmp_path, {"group": "A2", "torus": [{"kind": "bogus", "values": [0, 0]}]})
+        self.assert_bad_input(capsys, ["describe", "--config", path], "unknown constraint kind 'bogus'")
+
+    def test_torus_vector_of_the_wrong_length(self, capsys, tmp_path):
+        path = self.config(tmp_path, {"group": "A2", "torus": [{"kind": "torsion", "values": ["1/2"]}]})
+        self.assert_bad_input(
+            capsys, ["describe", "--config", path], "constraint vector has length 1, ambient rank is 2"
+        )
+
+    @pytest.mark.parametrize(
+        "group,s,t,order", [("A2", 0, 0, 1), ("A3", 0, 2, 2)], ids=["same", "commuting"]
+    )
+    def test_braid_pair_of_the_wrong_order(self, capsys, tmp_path, group, s, t, order):
+        path = self.config(tmp_path, {"group": group})
+        argv = ["braid", "--config", path, "--i", "0", "--s", str(s), "--t", str(t)]
+        self.assert_bad_input(capsys, argv, f"order 3, 4 or 6; got order {order}")
+
+    def test_poly_not_json(self, capsys, a2_config):
+        argv = ["act", "--config", a2_config, "--expr", "1(0)", "--component", "0"]
+        self.assert_bad_input(capsys, argv + ["--poly", "[[[1,0],"], "bad JSON in --poly")
+
+    def test_quiver_not_json(self, capsys):
+        argv = ["preset", "--name", "klr", "--quiver", "{'vertices': [1]}"]
+        self.assert_bad_input(capsys, argv, "bad JSON in --quiver")
+
+    def test_quiver_arrow_to_an_unknown_vertex(self, capsys):
+        quiver = {"vertices": [1, 2], "arrows": [[1, 3]], "dimension": [1, 1]}
+        argv = ["preset", "--name", "klr", "--quiver", json.dumps(quiver)]
+        self.assert_bad_input(capsys, argv, "quiver arrow (1, 3) touches an unknown vertex")
+
+    @pytest.mark.parametrize("expr", ["1(-)", "1(\u00b2)"], ids=["bare-minus", "superscript-digit"])
+    def test_integer_that_int_refuses(self, capsys, a2_config, expr):
+        argv = ["act", "--config", a2_config, "--expr", expr]
+        self.assert_bad_input(capsys, argv, "(at position 2)")
+
+    def test_expression_nested_too_deeply(self, capsys, a2_config):
+        argv = ["act", "--config", a2_config, "--expr", "(" * 5000 + "1(0)" + ")" * 5000]
+        self.assert_bad_input(capsys, argv, "expression nested too deeply")
+
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch, a2_config):
+        def broken(cfg):
+            raise KeyError("a bug")
+
+        monkeypatch.setattr(cli, "cmd_describe", broken)
+        assert cli.main(["describe", "--config", a2_config]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "KeyError: 'a bug'" in err
+
+
+class TestParserBuiltOnce:
+    def test_two_calls_share_one_parser(self, capsys, monkeypatch, a2_config):
+        import argparse
+
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert cli.main(["describe", "--config", a2_config]) == 0
+        first = len(built)
+        assert first > 0
+        assert cli.main(["euler", "--config", a2_config]) == 0
+        assert len(built) == first
+
+    def test_bad_flag_after_a_good_call_exits_2(self, capsys, a2_config):
+        assert cli.main(["describe", "--config", a2_config]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["describe", "--config", a2_config, "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert cli.main(["describe", "--config", a2_config]) == 0
+
+
 class TestCheckTimings:
     def test_check_report_times_each_suite(self, capsys, a2_config):
         assert cli.main(["check", "--config", a2_config, "--checks", "coset,euler"]) == 0

@@ -16,20 +16,17 @@ from qhecke.localize import (
     intertwining_check,
     inversion_additivity_check,
     inversion_additivity_suite,
-    lambda_poly,
     leading_term_suite,
     leading_term_check,
     localize_op,
     localize_sigma,
-    localize_unit,
-    localize_var,
+    localize_diagonal,
     pathway_agreement_check,
     q_translate,
     tangent_m,
     tangent_n,
     theta,
     theta_equivariance_check,
-    theta_injectivity_check,
 )
 from qhecke.config import build_setting
 from qhecke.errors import InternalDivisibilityFailure
@@ -37,7 +34,7 @@ from qhecke.polyops import Poly, RatFun, add_term
 from qhecke.presets import preset_nilhecke
 from qhecke.repdata import Setting, fiber_weights, h_count
 from qhecke.rootcore import build_root_datum
-from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
+from qhecke.subgroup import CosetTable, TorusConstraint, fixed_subsystem
 
 import oracles
 from conftest import make_setting
@@ -176,8 +173,8 @@ class TestLambda:
         datum, sub, _, _ = setting
         group = sub.group
         alpha = Poly.linear(datum.simple_roots[0])
-        assert lambda_poly(setting, group.identity).expand() == -alpha
-        assert lambda_poly(setting, group.simple[0]).expand() == alpha
+        assert setting.lambdas[group.identity].expand() == -alpha
+        assert setting.lambdas[group.simple[0]].expand() == alpha
 
     def test_empty_twist_is_tangent_product(self):
         setting = make_setting("A2")
@@ -185,8 +182,8 @@ class TestLambda:
         group = sub.group
         for g in range(len(group)):
             expected = euler(setting, tangent_n(setting, g))
-            assert lambda_poly(setting, g) == expected
-            assert matches(lambda_poly(setting, g), oracles.euler_of(oracles.tangent_n(setting, g)))
+            assert setting.lambdas[g] == expected
+            assert matches(setting.lambdas[g], oracles.euler_of(oracles.tangent_n(setting, g)))
 
 
 class TestCrossingCells:
@@ -201,7 +198,7 @@ class TestCrossingCells:
         setting = make_setting("A1", kind="skew")
         e = setting.group.identity
         # h = 1: the power form collapses to Lambda itself
-        assert eu_zbar_s(setting, e, 0) == lambda_poly(setting, e)
+        assert eu_zbar_s(setting, e, 0) == setting.lambdas[e]
 
     def test_general_matches_simple_case(self, setting):
         datum, sub, _, _ = setting
@@ -258,7 +255,7 @@ class TestTheta:
             degree = 2
         else:
             degree = 3
-        for r in theta_injectivity_check(setting, degree):
+        for r in oracles.theta_injectivity_check(setting, degree):
             assert r.passed, r.counterexample
 
     def test_equivariance(self, setting):
@@ -514,11 +511,12 @@ class TestDiagonalMatrices:
         n = datum.ambient_rank
         for i in table.indices:
             points = table.fixed_points_of(i)
-            assert localize_unit(setting, i) == {(g, g): Poly.const(n, 1) for g in points}
+            unit = ModuleElement.unit(n, i)
+            assert localize_diagonal(setting, unit) == {(g, g): Poly.const(n, 1) for g in points}
             for t in range(n):
                 x_t = Poly.variable(n, t)
                 want = {(g, g): x_t.weyl_image(group, g) for g in points}
-                assert localize_var(setting, i, t) == want
+                assert localize_diagonal(setting, ModuleElement(n, {i: x_t})) == want
 
 
 def _leading_pairs(setting):
@@ -576,7 +574,7 @@ class TestNonBorelBoundary:
         # asymmetric custom twisting data breaks cut additivity, so the
         # multiplicativity genuinely fails there; the suite declares the skip
         datum = build_root_datum("A2")
-        setting = Setting(build_coset_table(fixed_subsystem(datum, [])), [[(1, 1)]], [datum.roots])
+        setting = Setting(CosetTable(fixed_subsystem(datum, [])), [[(1, 1)]], [datum.roots])
         results = leading_term_suite(setting)
         assert len(results) == 1 and results[0].passed
         assert "skipped" in results[0].details

@@ -10,7 +10,7 @@ from qhecke.algebra import (
     gen_unit,
 )
 from qhecke.config import build_setting, emit_config, parse_config
-from qhecke.errors import UnsupportedDimension
+from qhecke.errors import ParseError, UnsupportedDimension
 from qhecke.presets import (
     QuiverSpec,
     coset_sequences,
@@ -167,6 +167,35 @@ class TestKlrPresets:
             preset_klr(QuiverSpec(vertices=(1,), arrows=(), dimension={1: 7}))
         with pytest.raises(UnsupportedDimension):
             preset_klr(QuiverSpec(vertices=(1,), arrows=(), dimension={1: 0}))
+
+
+class TestQuiverSpecValidation:
+    """`QuiverSpec` goes through `config.check_quiver`, the validator
+    `--quiver` uses too."""
+
+    @pytest.mark.parametrize(
+        "dimension", [{"a": 2, 1: 1}, {"a": 2, "1": 1}, [2, 1]],
+        ids=["by-vertex", "by-name", "list"],
+    )
+    def test_three_spellings_of_the_dimension(self, dimension):
+        spec = QuiverSpec(["a", 1], [["a", 1]], dimension)
+        assert spec.vertices == ("a", 1) and spec.arrows == (("a", 1),)
+        assert spec.dimension == {"a": 2, 1: 1}
+
+    @pytest.mark.parametrize(
+        "vertices,arrows,dimension,message",
+        [
+            ((1, 2), ((1, 3),), {1: 1}, "touches an unknown vertex"),
+            ((1, 2), (), {3: 1}, "dimension at unknown vertex 3"),
+            ((1, 2), (), {1: 1, "1": 2}, "dimension given twice at vertex 1"),
+            ((1, 2), (), {1: -1}, "must be at least 0"),
+            ((1, 2), (), [1], "one entry per vertex"),
+        ],
+        ids=["arrow", "dimension-key", "dimension-twice", "negative", "short-list"],
+    )
+    def test_bad_input_is_a_parse_error(self, vertices, arrows, dimension, message):
+        with pytest.raises(ParseError, match=message):
+            QuiverSpec(vertices, arrows, dimension)
 
 
 class TestOracle:

@@ -15,7 +15,7 @@ from qhecke.repdata import (
     validate,
 )
 from qhecke.rootcore import build_root_datum
-from qhecke.subgroup import TorusConstraint, build_coset_table, fixed_subsystem
+from qhecke.subgroup import CosetTable, TorusConstraint, fixed_subsystem
 
 import oracles
 from oracles import as_counter
@@ -28,13 +28,13 @@ def a2():
 
 @pytest.fixture(scope="module")
 def a2_table(a2):
-    return build_coset_table(fixed_subsystem(a2, []))
+    return CosetTable(fixed_subsystem(a2, []))
 
 
 @pytest.fixture(scope="module")
 def gl2_table():
     gl2 = build_root_datum("GL2")
-    return build_coset_table(fixed_subsystem(gl2, [TorusConstraint("generic", (0, 1))]))
+    return CosetTable(fixed_subsystem(gl2, [TorusConstraint("generic", (0, 1))]))
 
 
 class TestValidate:
@@ -62,7 +62,7 @@ class TestValidate:
 
     def test_non_w_stable_v_fails(self, a2):
         constraint = TorusConstraint("torsion", (Fraction(1, 2), 0))
-        table = build_coset_table(fixed_subsystem(a2, [constraint]))
+        table = CosetTable(fixed_subsystem(a2, [constraint]))
         results = validate(Setting(table, [a2.positive_roots], [[(0, 1)]]))
         assert not all(r.passed for r in results)
 
@@ -87,7 +87,7 @@ class TestCounts:
 
     def test_jordan_adjoint_h_is_one_everywhere(self, gl2_table):
         gl2 = gl2_table.sub.datum
-        table = build_coset_table(fixed_subsystem(gl2, []))
+        table = CosetTable(fixed_subsystem(gl2, []))
         setting = Setting(table, [gl2.positive_roots], [gl2.roots])
         for i in table.indices:
             assert h_count(setting, i, 0) == 1
@@ -150,7 +150,7 @@ class TestFibers:
     def test_split_identity(self, label, constraint):
         datum = build_root_datum(label)
         constraints = [TorusConstraint(*constraint)] if constraint else []
-        table = build_coset_table(fixed_subsystem(datum, constraints))
+        table = CosetTable(fixed_subsystem(datum, constraints))
         setting = Setting(table, [datum.positive_roots], [datum.roots])
         for r in fiber_split_check(setting):
             assert r.passed, (label, r.name)

@@ -3,6 +3,7 @@ calling convention it stands for across the source tree."""
 
 import ast
 import pathlib
+import re
 
 from qhecke import localize
 from qhecke.config import build_setting
@@ -11,6 +12,7 @@ from qhecke.repdata import fiber_weights
 from qhecke.presets import preset_skew
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qhecke"
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 
 # functions that take the Λ table itself: none, since localization works in
 # the Λ-cleared basis, where the fixed-point products are the plain ones
@@ -128,7 +130,75 @@ def sparse_sums(source: str, module: str) -> list:
     return out
 
 
+def _referenced_names(node) -> dict:
+    """How often each name is read, as a bare name or as an attribute."""
+    counts: dict = {}
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            counts[n.id] = counts.get(n.id, 0) + 1
+        elif isinstance(n, ast.Attribute):
+            counts[n.attr] = counts.get(n.attr, 0) + 1
+    return counts
+
+
+def uncalled_functions(sources: dict, traced: set) -> list:
+    """(module, qualified name) of every function or method in `sources`
+    (module -> text) that no code outside its own body names, unless it is
+    a dunder or (module, qualified name) is in `traced`."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    total: dict = {}
+    for tree in trees.values():
+        for name, count in _referenced_names(tree).items():
+            total[name] = total.get(name, 0) + count
+    out = []
+    for module, tree in trees.items():
+        for qualified, fn in _qualified_functions(tree):
+            name = fn.name
+            if name.startswith("__") and name.endswith("__") or (module, qualified) in traced:
+                continue
+            if total.get(name, 0) == _referenced_names(fn).get(name, 0):
+                out.append((module, qualified))
+    return out
+
+
 class TestCallingConvention:
+    def test_every_function_in_src_has_a_caller(self):
+        # a verifier or helper that only the tests call belongs in
+        # tests/oracles.py; the tracer's targets count as callers
+        sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+        traced = set(re.findall(r"qhecke\.(\w+):([\w.]+)", TRACING.read_text(encoding="utf-8")))
+        assert ("localize", "lambda_table") in traced
+        assert uncalled_functions(sources, traced) == []
+
+    def test_caller_scan_sees_every_shape(self):
+        sources = {
+            "a": (
+                "def used():\n"
+                "    return 1\n"
+                "def unused():\n"
+                "    return used()\n"
+                "def recursive(n):\n"
+                "    return recursive(n - 1)\n"
+                "def traced():\n"
+                "    pass\n"
+                "class C:\n"
+                "    def __len__(self):\n"
+                "        return 0\n"
+                "    def method(self):\n"
+                "        def inner():\n"
+                "            pass\n"
+                "        return inner\n"
+                "    def orphan(self):\n"
+                "        pass\n"
+            ),
+            "b": "import a\nx = a.C().method\n",
+        }
+        assert uncalled_functions(sources, {("a", "traced")}) == [
+            ("a", "unused"),
+            ("a", "recursive"),
+            ("a", "C.orphan"),
+        ]
+
     def test_lambdas_only_in_the_matrix_products(self):
         bad = [
             (mod, name)

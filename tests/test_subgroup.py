@@ -4,8 +4,8 @@ import pytest
 
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import (
+    CosetTable,
     TorusConstraint,
-    build_coset_table,
     factorization_check,
     fixed_subsystem,
     length_comparison_check,
@@ -13,7 +13,7 @@ from qhecke.subgroup import (
     s_adapted,
 )
 
-from oracles import reflection_matrix
+from oracles import all_reduced_words, reflection_matrix
 
 
 @pytest.fixture(scope="module")
@@ -47,19 +47,19 @@ class TestFixedSubsystem:
         sub = fixed_subsystem(a2, [])
         assert sub.roots == frozenset(a2.roots)
         assert sub.group_order == 6
-        assert len(build_coset_table(sub)) == 1
+        assert len(CosetTable(sub)) == 1
 
     def test_half_integral_torsion(self, a2, a2_halfint):
         assert a2_halfint.roots == {(0, 1), (0, -1)}
         assert a2_halfint.group_order == 2
-        assert len(build_coset_table(a2_halfint)) == 3
+        assert len(CosetTable(a2_halfint)) == 3
 
     def test_gl2_generic(self):
         gl2 = build_root_datum("GL2")
         sub = fixed_subsystem(gl2, [TorusConstraint("generic", (0, 1))])
         assert sub.roots == frozenset()
         assert sub.group_order == 1
-        table = build_coset_table(sub)
+        table = CosetTable(sub)
         assert len(table) == 2
         group = sub.group
         assert table.rep(0) == group.identity
@@ -132,7 +132,7 @@ class TestCosetTable:
     def test_fixed_points_partition_the_group(self, label, values):
         datum = build_root_datum(label)
         sub = fixed_subsystem(datum, [TorusConstraint("torsion", values)])
-        table = build_coset_table(sub)
+        table = CosetTable(sub)
         seen = []
         for i in table.indices:
             fixed = table.fixed_points_of(i)
@@ -146,7 +146,7 @@ class TestCosetTable:
         datum = build_root_datum(label)
         sub = fixed_subsystem(datum, [TorusConstraint("torsion", values)])
         assert len(sub.group) <= 48
-        table = build_coset_table(sub)
+        table = CosetTable(sub)
         group = sub.group
         assert len(table) * sub.group_order == len(group)
         pos_big = datum._positive_set
@@ -165,7 +165,7 @@ class TestCosetTable:
         assert all(len(v) == 1 for v in cosets.values())
 
     def test_action_matches_rep_product(self, a2_halfint):
-        table = build_coset_table(a2_halfint)
+        table = CosetTable(a2_halfint)
         group = a2_halfint.group
         for i in table.indices:
             for k in range(a2_halfint.datum.rank):
@@ -181,7 +181,7 @@ class TestCosetTable:
                     assert group.matrix(conj) == reflection_matrix(a2_halfint.datum, root)
 
     def test_action_well_defined_on_pairs(self, a2_halfint):
-        table = build_coset_table(a2_halfint)
+        table = CosetTable(a2_halfint)
         group = a2_halfint.group
         rank = a2_halfint.datum.rank
         for i in table.indices:
@@ -191,7 +191,7 @@ class TestCosetTable:
                     assert table.act(table.act(i, k1), k2) == table.act_elem(i, prod)
 
     def test_stab_flags_match_membership(self, a2_halfint):
-        table = build_coset_table(a2_halfint)
+        table = CosetTable(a2_halfint)
         group = a2_halfint.group
         for i in table.indices:
             for k in range(a2_halfint.datum.rank):
@@ -235,6 +235,34 @@ class TestAdaptedness:
         # its reduced words, J = {second} contains them all
         assert s_adapted(a2_halfint, [0])
         assert s_adapted(a2_halfint, [1])
+
+    @pytest.mark.parametrize(
+        "label,kind,values,most_words",
+        [
+            # (0 2) = s0 s1 s0 = s1 s0 s1 lies in W
+            ("GL4", "generic", (0, 1, 0, 1), 2),
+            ("GL5", "generic", (0, 1, 0, 1, 0), 2),
+            ("A3", "torsion", (Fraction(1, 2), 0, Fraction(1, 2)), 6),
+            ("A2", "torsion", (Fraction(1, 2), 0), 1),
+            ("B2", "torsion", (0, Fraction(1, 2)), 1),
+            ("B3", "torsion", (Fraction(1, 2), 0, 0), 1),
+            ("B3", "torsion", (0, 0, Fraction(1, 2)), 1),
+        ],
+    )
+    def test_one_reduced_word_decides(self, label, kind, values, most_words):
+        # the definition reads every reduced word of each reflection of W
+        from itertools import combinations
+
+        datum = build_root_datum(label)
+        sub = fixed_subsystem(datum, [TorusConstraint(kind, values)])
+        words = [all_reduced_words(sub.group, t) for t in sub._refl]
+        assert max(map(len, words)) == most_words
+        for size in range(datum.rank + 1):
+            for J in map(set, combinations(range(datum.rank), size)):
+                every_word = all(
+                    not set(w) & J or set(w) <= J for ws in words for w in ws
+                )
+                assert s_adapted(sub, J) == every_word, J
 
     def test_non_adapted_example(self):
         # B2 with the subsystem generated by the long root through both walls:
