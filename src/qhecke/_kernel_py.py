@@ -1,12 +1,62 @@
 """Pure-Python polynomial kernels.
 
-A polynomial is a dict mapping exponent tuples (fixed length, nonnegative
-ints) to nonzero exact rational coefficients.  Coefficients are plain ints
-whenever integral and fractions.Fraction otherwise; both compare and hash
-consistently, so mixed dicts are fine.
+A polynomial is a dict mapping packed monomials to nonzero exact rational
+coefficients.  Coefficients are plain ints whenever integral and
+fractions.Fraction otherwise; both compare and hash consistently, so mixed
+dicts are fine.
+
+Key layout.  The monomial x_0^e_0 ... x_{n-1}^e_{n-1} is one nonnegative
+int of n + 1 fields, WIDTH bits each, from most to least significant: the
+total degree, then e_0, ..., e_{n-1} (`pack`, `unpack`).  The top bit of
+every field is a guard that a valid key never sets, so fields stay below
+DEGREE_LIMIT and no sum of two fields carries into the next.  Hence:
+
+- a monomial product is one int `+`, and the constant monomial is 0;
+- graded-lex order, (total degree, exponent tuple), is int order, so the
+  leading term is `max`;
+- monomial a divides monomial b exactly when q = b - a has `q >= 0 and
+  not q & GUARD`: a field that borrows sets its guard bit, and a negative
+  degree makes q < 0;
+- every exponent is at most the total degree, so a product whose degree
+  field stays clear of its guard keeps every field clear: `kmul` checks the
+  two leading degrees once per call, and a product that would reach the
+  guard raises `InternalInvariantError` rather than carry.
+
+Keys have at most MAX_VARS + 1 fields; the root datum bounds its ambient
+rank by MAX_VARS, so every polynomial of a setting fits.
 """
 
 from fractions import Fraction
+
+from .errors import InternalInvariantError
+
+WIDTH = 16
+MAX_VARS = 16
+# exponents and total degrees are below this; its bit is a field's guard
+DEGREE_LIMIT = 1 << (WIDTH - 1)
+_FIELD = (1 << WIDTH) - 1
+GUARD = sum(DEGREE_LIMIT << (WIDTH * i) for i in range(MAX_VARS + 1))
+# _SHIFTS[n]: the shift of each exponent field of a key in n variables,
+# e_0's first
+_SHIFTS = tuple(tuple(range(WIDTH * (n - 1), -1, -WIDTH)) for n in range(MAX_VARS + 1))
+
+
+def pack(exponents) -> int:
+    """The key of the monomial with these exponents (see the module doc)."""
+    key = sum(exponents)
+    if len(exponents) > MAX_VARS or key >= DEGREE_LIMIT:
+        raise InternalInvariantError(
+            f"monomial {tuple(exponents)} exceeds the kernel's {MAX_VARS} variables "
+            f"or degree {DEGREE_LIMIT - 1}"
+        )
+    for x in exponents:
+        key = key << WIDTH | x
+    return key
+
+
+def unpack(key: int, n: int) -> tuple:
+    """The exponent tuple of a key in n variables."""
+    return tuple([key >> s & _FIELD for s in _SHIFTS[n]])
 
 
 def norm_coeff(c):
@@ -39,22 +89,29 @@ def kscale(a, c):
 
 
 def kmul(a, b):
+    if not a or not b:
+        return {}
+    if (max(a) + max(b)) & GUARD:
+        raise InternalInvariantError(
+            f"a polynomial product reaches degree {DEGREE_LIMIT}, past the kernel's fields"
+        )
     if len(a) > len(b):
         a, b = b, a
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = ea + eb
             s = out.get(e, 0) + ca * cb
             if s:
-                out[e] = norm_coeff(s)
+                # most coefficients are ints: skip the call for them
+                out[e] = s if type(s) is int else norm_coeff(s)
             elif e in out:
                 del out[e]
     return out
 
 
-def kpow(a, n, nvars):
-    out = {(0,) * nvars: 1}
+def kpow(a, n):
+    out = {0: 1}
     base = a
     while n:
         if n & 1:
@@ -71,35 +128,25 @@ def ksubst(a, cols, nvars):
     This is the Weyl-matrix action on polynomials: each degree-1 generator is
     replaced by an integer linear combination, extended multiplicatively.
     """
-    zero = (0,) * nvars
-    lin = []
-    for col in cols:
-        form = {}
-        for i, c in enumerate(col):
-            if c:
-                e = list(zero)
-                e[i] = 1
-                form[tuple(e)] = norm_coeff(c)
-        lin.append(form)
+    shifts = _SHIFTS[nvars]
+    top = 1 << WIDTH * nvars
+    lin = [{top | 1 << s: norm_coeff(c) for s, c in zip(shifts, col) if c} for col in cols]
     powcache = {}
     out = {}
     for e, c in a.items():
-        term = {zero: c}
-        for k, ek in enumerate(e):
+        term = {0: c}
+        for k, s in enumerate(shifts):
+            ek = e >> s & _FIELD
             if not ek:
                 continue
             key = (k, ek)
             p = powcache.get(key)
             if p is None:
-                p = kpow(lin[k], ek, nvars)
+                p = kpow(lin[k], ek)
                 powcache[key] = p
             term = kmul(term, p)
         out = kadd(out, term)
     return out
-
-
-def _grlex(e):
-    return (sum(e), e)
 
 
 def kdivexact(a, b):
@@ -111,15 +158,15 @@ def kdivexact(a, b):
     """
     if not a:
         return {}
-    eb = max(b, key=_grlex)
+    eb = max(b)
     cb = b[eb]
     rest = [(e, c) for e, c in b.items() if e != eb]
     rem = dict(a)
     quot = {}
     while rem:
-        ea = max(rem, key=_grlex)
-        eq = tuple(x - y for x, y in zip(ea, eb))
-        if any(x < 0 for x in eq):
+        ea = max(rem)
+        eq = ea - eb
+        if eq < 0 or eq & GUARD:
             return None
         ca = rem[ea]
         if isinstance(ca, int) and isinstance(cb, int):
@@ -130,7 +177,7 @@ def kdivexact(a, b):
         quot[eq] = cq
         del rem[ea]
         for e, c in rest:
-            key = tuple(x + y for x, y in zip(e, eq))
+            key = e + eq
             s = rem.get(key, 0) - cq * c
             if s:
                 rem[key] = norm_coeff(s)

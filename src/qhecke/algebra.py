@@ -41,7 +41,7 @@ class ModuleElement:
 
     @classmethod
     def monomial(cls, n: int, i: int, exponents) -> "ModuleElement":
-        return cls(n, {i: Poly(n, {tuple(exponents): 1})})
+        return cls(n, {i: Poly.monomial(n, exponents)})
 
     @classmethod
     def unit(cls, n: int, i: int) -> "ModuleElement":

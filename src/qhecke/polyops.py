@@ -1,11 +1,12 @@
 """Exact multivariate polynomials and rational functions over the rationals.
 
-Polynomials are sparse dicts from exponent tuples to exact rational
-coefficients; the ambient variables are the coordinate functions of the
-character lattice, so a root (an integer vector) becomes a linear form and a
-Weyl matrix acts by substituting linear forms for the generators.  A Weyl
-group element acts by its index (`weyl_image`): each monomial's image is
-substituted once per group and element, then summed from the memo.
+Polynomials are sparse dicts from packed monomials, one int each (the key
+layout is in `_kernel_py`'s docstring), to exact rational coefficients; the
+ambient variables are the coordinate functions of the character lattice, so
+a root (an integer vector) becomes a linear form and a Weyl matrix acts by
+substituting linear forms for the generators.  A Weyl group element acts by
+its index (`weyl_image`): each monomial's image is substituted once per
+group and element, then summed from the memo.
 
 Rational functions are kept unreduced; equality is cross-multiplication.
 Euler classes (products of weights) are kept factored instead: an
@@ -83,13 +84,16 @@ class Poly:
     @classmethod
     def const(cls, n: int, c) -> "Poly":
         c = _coeff(c)
-        return cls(n, {(0,) * n: c} if c else None)
+        return cls(n, {0: c} if c else None)
+
+    @classmethod
+    def monomial(cls, n: int, exponents) -> "Poly":
+        """The monomial with these n exponents, coefficient 1."""
+        return cls(n, {_k.pack(exponents): 1})
 
     @classmethod
     def variable(cls, n: int, k: int) -> "Poly":
-        e = [0] * n
-        e[k] = 1
-        return cls(n, {tuple(e): 1})
+        return cls.monomial(n, [int(i == k) for i in range(n)])
 
     @classmethod
     def linear(cls, vec) -> "Poly":
@@ -99,21 +103,17 @@ class Poly:
         for i, c in enumerate(vec):
             c = _coeff(c)
             if c:
-                e = [0] * n
-                e[i] = 1
-                d[tuple(e)] = c
+                d[_k.pack([int(j == i) for j in range(n)])] = c
         return cls(n, d)
 
     def is_zero(self) -> bool:
         return not self.d
 
     def is_constant(self) -> bool:
-        return not self.d or (len(self.d) == 1 and not any(next(iter(self.d))))
+        return not self.d or (len(self.d) == 1 and 0 in self.d)
 
     def constant_value(self):
-        if not self.d:
-            return 0
-        return self.d.get((0,) * self.n, 0)
+        return self.d.get(0, 0)
 
     def __bool__(self):
         return bool(self.d)
@@ -158,7 +158,7 @@ class Poly:
     def __pow__(self, m: int):
         if m < 0:
             raise ValueError("negative polynomial power")
-        return Poly(self.n, _k.kpow(self.d, m, self.n))
+        return Poly(self.n, _k.kpow(self.d, m))
 
     def substitute_linear(self, matrix) -> "Poly":
         """Apply an integer matrix to the degree-1 generators.
@@ -207,7 +207,7 @@ class Poly:
         """Total degree (internal, not doubled); zero polynomial gives -1."""
         if not self.d:
             return -1
-        return max(sum(e) for e in self.d)
+        return max(self.d) >> _k.WIDTH * self.n
 
     def artifact_degree(self) -> int:
         return 2 * self.degree()
@@ -215,19 +215,20 @@ class Poly:
     def is_homogeneous(self) -> bool:
         if not self.d:
             return True
-        degs = {sum(e) for e in self.d}
-        return len(degs) == 1
+        shift = _k.WIDTH * self.n
+        return min(self.d) >> shift == max(self.d) >> shift
 
     def to_pairs(self):
         """Canonical serialization: graded-lex sorted (exponents, "p/q")."""
-        items = sorted(self.d.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return [[list(e), coeff_str(c)] for e, c in items]
+        n = self.n
+        return [[list(_k.unpack(e, n)), coeff_str(c)] for e, c in sorted(self.d.items())]
 
     @classmethod
     def from_pairs(cls, n, pairs) -> "Poly":
         """Parse outside input: a list of [exponents, coefficient] pairs, each
         exponent list n non-negative integers, each coefficient an integer or
-        a "p/q" string.  Anything else raises ParseError."""
+        a "p/q" string, the total degree below the kernel's field limit.
+        Anything else raises ParseError."""
         if not isinstance(pairs, list):
             raise ParseError(f"polynomial must be a list of pairs, got {pairs!r}")
         d = {}
@@ -245,21 +246,28 @@ class Poly:
                 raise ParseError(
                     f"exponents {e!r} must be a list of {n} non-negative integers"
                 )
+            if sum(e) >= _k.DEGREE_LIMIT:
+                raise ParseError(
+                    f"exponents {e!r} reach total degree {sum(e)}, "
+                    f"past the limit {_k.DEGREE_LIMIT - 1}"
+                )
             try:
                 c = _coeff(c)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad coefficient {c!r}") from exc
             if c:
-                d[tuple(e)] = c
+                d[_k.pack(e)] = c
         return cls(n, d)
 
     def __repr__(self):
         if not self.d:
             return "Poly(0)"
         parts = []
-        for e, c in sorted(self.d.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        for e, c in sorted(self.d.items()):
             mono = "*".join(
-                f"x{i}" if p == 1 else f"x{i}^{p}" for i, p in enumerate(e) if p
+                f"x{i}" if p == 1 else f"x{i}^{p}"
+                for i, p in enumerate(_k.unpack(e, self.n))
+                if p
             )
             parts.append(f"{coeff_str(c)}" + (f"*{mono}" if mono else ""))
         return "Poly(" + " + ".join(parts) + ")"
@@ -423,11 +431,11 @@ def _ratio(a, b):
 
 def _form_product(n: int, scalar, forms) -> dict:
     """Kernel dict of scalar * prod(form ** mult) over a {form: mult} map."""
-    d = {(0,) * n: scalar}
+    d = {0: scalar}
     for form in sorted(forms):
         lin = Poly.linear(form).d
         mult = forms[form]
-        d = _k.kmul(d, lin if mult == 1 else _k.kpow(lin, mult, n))
+        d = _k.kmul(d, lin if mult == 1 else _k.kpow(lin, mult))
     return d
 
 

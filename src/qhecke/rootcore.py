@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._kernel_py import MAX_VARS
 from .errors import InvalidRootDatum
 
 Vec = tuple
@@ -202,9 +203,11 @@ class RootDatum:
     """Ambient lattice, roots, coroots and the generated positive system."""
 
     def __init__(self, ambient_rank, simple_roots, coroots, roots=None):
-        if type(ambient_rank) is not int or ambient_rank < 1:
+        # checked before any vector is built: a polynomial's packed key has
+        # one field per ambient variable (`_kernel_py`)
+        if type(ambient_rank) is not int or not 1 <= ambient_rank <= MAX_VARS:
             raise InvalidRootDatum(
-                f"ambient_rank must be a positive integer, got {ambient_rank!r}"
+                f"ambient_rank must be an integer from 1 to {MAX_VARS}, got {ambient_rank!r}"
             )
         self.ambient_rank = n = ambient_rank
         self.simple_roots = _vectors("simple_roots", simple_roots, n, _int_vec)
@@ -391,8 +394,9 @@ class WeylGroup:
         return m
 
     def monomial_images(self, g: int) -> dict:
-        """The memo of g's action on monomials: exponent tuple -> kernel dict
-        of its image under `matrix(g)`.  `polyops` fills and reads it."""
+        """The memo of g's action on monomials: packed monomial (the key
+        layout of `_kernel_py`) -> kernel dict of its image under
+        `matrix(g)`.  `polyops` fills and reads it."""
         memo = self._images[g]
         if memo is None:
             memo = self._images[g] = {}
@@ -452,10 +456,11 @@ def build_root_datum(spec) -> RootDatum:
     """Root datum from a Cartan label, a GL-style spec, or explicit lists.
 
     Accepted specs: "A2".."A4", "B2".."B4", "C2".."C4", "D2".."D4", "G2",
-    "F4", "GL2".."GL6" (or {"gl": d}), or a dict with ambient_rank,
+    "F4", "GL2".."GL16" (or {"gl": d}), or a dict with ambient_rank,
     simple_roots, coroots and optionally roots.  An explicit datum needs an
-    integer ambient_rank, simple roots and coroots of that many entries
-    each, and linearly independent simple roots.
+    integer ambient_rank from 1 to MAX_VARS (16), simple roots and coroots
+    of that many entries each, and linearly independent simple roots.  A
+    group of more than 2,000,000 elements is refused when it is enumerated.
     """
     if isinstance(spec, str):
         label = spec.strip().upper()
@@ -497,8 +502,10 @@ def _cartan_datum(C) -> RootDatum:
 
 
 def _gl_datum(d: int) -> RootDatum:
-    if d < 2:
-        raise InvalidRootDatum("GL datum needs d >= 2")
+    # GL_d has ambient rank d; GL16 (240 roots) is also the largest GL datum
+    # within the Weyl group's 256-root bound
+    if not 2 <= d <= MAX_VARS:
+        raise InvalidRootDatum(f"GL datum needs 2 <= d <= {MAX_VARS}, got {d}")
     simples = []
     for a in range(d - 1):
         v = [0] * d

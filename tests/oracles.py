@@ -25,6 +25,10 @@
   primitive forms).  The program packs the same classes over its weight
   table (`repdata.WeightTable`); `tests/test_euler_index.py` compares the
   two exhaustively.
+- The polynomial kernel on exponent-tuple keys, the layout the program
+  kept before it packed each monomial into one int (`qhecke._kernel_py`);
+  `tests/test_polyops.py` checks the packed kernel's products, powers,
+  substitutions and divisions against it.
 """
 
 from collections import Counter
@@ -397,8 +401,8 @@ def q_weights(setting, gx: int, s: int) -> Counter:
 def to_sympy(poly: Poly, xs):
     """A Poly as a sympy expression in the symbols xs."""
     out = sympy.Integer(0)
-    for e, c in poly.d.items():
-        term = sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else sympy.Integer(c)
+    for e, c in poly.to_pairs():
+        term = sympy.Rational(c)
         for x, k in zip(xs, e):
             term *= x**k
         out += term
@@ -411,3 +415,71 @@ def sympy_product(ws, xs):
     for w in ws:
         out *= sum(c * x for c, x in zip(w, xs))
     return out
+
+
+# -- the exponent-tuple kernel ------------------------------------------------
+
+
+def tuple_dict(poly: Poly) -> dict:
+    """A Poly's terms keyed by exponent tuples."""
+    return {tuple(e): Fraction(c) for e, c in poly.to_pairs()}
+
+
+def _tuple_add_to(out: dict, e: tuple, c) -> None:
+    s = out.get(e, 0) + c
+    if s:
+        out[e] = s
+    elif e in out:
+        del out[e]
+
+
+def tuple_kmul(a: dict, b: dict) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            _tuple_add_to(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+    return out
+
+
+def tuple_kpow(a: dict, m: int, nvars: int) -> dict:
+    out = {(0,) * nvars: 1}
+    for _ in range(m):
+        out = tuple_kmul(out, a)
+    return out
+
+
+def tuple_ksubst(a: dict, cols, nvars: int) -> dict:
+    """Variable k replaced by the linear form cols[k], term by term."""
+    lin = [
+        {tuple(int(j == i) for j in range(nvars)): c for i, c in enumerate(col) if c}
+        for col in cols
+    ]
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * nvars: c}
+        for k, ek in enumerate(e):
+            term = tuple_kmul(term, tuple_kpow(lin[k], ek, nvars))
+        for e2, c2 in term.items():
+            _tuple_add_to(out, e2, c2)
+    return out
+
+
+def _grlex(e: tuple) -> tuple:
+    return (sum(e), e)
+
+
+def tuple_kdivexact(a: dict, b: dict):
+    """Quotient a/b by graded-lex long division, or None when inexact."""
+    eb = max(b, key=_grlex)
+    rem = dict(a)
+    quot = {}
+    while rem:
+        ea = max(rem, key=_grlex)
+        eq = tuple(x - y for x, y in zip(ea, eb))
+        if any(x < 0 for x in eq):
+            return None
+        cq = Fraction(rem[ea]) / b[eb]
+        quot[eq] = cq
+        for e, c in b.items():
+            _tuple_add_to(rem, tuple(x + y for x, y in zip(e, eq)), -cq * c)
+    return quot

@@ -299,11 +299,13 @@ class TestMalformedInputToMain:
             ([[[1, 0], "1/0"]], "bad coefficient"),
             ([[[1, 0], 0.5]], "bad coefficient"),
             ({"x": 1}, "must be a list of pairs"),
+            ([[[2**15, 0], "1"]], "reach total degree 32768, past the limit 32767"),
+            ([[[2**14, 2**14], "0"]], "reach total degree 32768, past the limit 32767"),
         ],
         ids=[
             "negative-exponent", "short-exponents", "long-exponents", "bool-exponent",
             "not-a-pair", "one-entry", "three-entries", "zero-denominator",
-            "float-coefficient", "not-a-list",
+            "float-coefficient", "not-a-list", "degree-at-the-guard", "zero-term-at-the-guard",
         ],
     )
     def test_act_poly(self, capsys, a2_config, pairs, message):
@@ -532,6 +534,12 @@ class TestExitCodes:
         monkeypatch.setattr(cli.localize, "lambda_table", broken)
         assert cli.main(["euler", "--config", a2_config]) == 3
         assert "exact division failed" in capsys.readouterr().err
+
+    def test_product_past_the_kernel_fields_exits_3(self, capsys, a2_config):
+        # x0 times x0^32767: one term, but its degree reaches the guard bit
+        argv = ["act", "--config", a2_config, "--expr", "z(0,0)", "--component", "0"]
+        assert cli.main(argv + ["--poly", json.dumps([[[2**15 - 1, 0], "1"]])]) == 3
+        assert "reaches degree 32768" in capsys.readouterr().err
 
     def test_inexact_row_clearing_exits_3(self, capsys, monkeypatch, a2_config):
         from qhecke.polyops import Poly

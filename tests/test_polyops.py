@@ -10,16 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhecke
-from qhecke.errors import DivisionByZeroDenominator
+from qhecke._kernel_py import DEGREE_LIMIT, pack, unpack
+from qhecke.errors import DivisionByZeroDenominator, InternalInvariantError, ParseError
 from qhecke.polyops import (
     Poly,
     RatFun,
+    _columns,
     add_term,
     monomials_up_to,
 )
 from qhecke.rootcore import build_root_datum
 
-from oracles import demazure, demazure_product_rule_check, demazure_word
+from oracles import (
+    demazure,
+    demazure_product_rule_check,
+    demazure_word,
+    tuple_dict,
+    tuple_kdivexact,
+    tuple_kmul,
+    tuple_kpow,
+    tuple_ksubst,
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +124,125 @@ class TestPoly:
         assert Poly.from_pairs(2, pairs) == f
         # graded-lex order is canonical
         assert pairs == sorted(pairs, key=lambda p: (sum(p[0]), p[0]))
+
+
+@st.composite
+def sized_poly(draw, n, max_terms=4, max_exponent=3):
+    """A random polynomial in n variables with Fraction coefficients."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, max_exponent), min_size=n, max_size=n),
+                st.fractions(min_value=-4, max_value=4, max_denominator=5),
+            ),
+            max_size=max_terms,
+        )
+    )
+    out = Poly(n)
+    for e, c in terms:
+        out = out + Poly.monomial(n, e) * c
+    return out
+
+
+nvars = st.integers(1, 6)
+
+
+class TestPackedKernelAgainstTheTupleOracle:
+    """Each kernel op on packed keys against the exponent-tuple kernel of
+    `tests/oracles.py`, on random polynomials in 1 to 6 variables."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_kmul(self, data):
+        n = data.draw(nvars)
+        f, g = data.draw(sized_poly(n)), data.draw(sized_poly(n))
+        assert tuple_dict(f * g) == tuple_kmul(tuple_dict(f), tuple_dict(g))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_kpow(self, data):
+        n = data.draw(nvars)
+        f = data.draw(sized_poly(n, max_terms=3, max_exponent=2))
+        m = data.draw(st.integers(0, 4))
+        assert tuple_dict(f**m) == tuple_kpow(tuple_dict(f), m, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_ksubst(self, data):
+        n = data.draw(nvars)
+        f = data.draw(sized_poly(n, max_terms=3, max_exponent=2))
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+        matrix = data.draw(st.lists(row, min_size=n, max_size=n).map(tuple))
+        want = tuple_ksubst(tuple_dict(f), _columns(matrix, n), n)
+        assert tuple_dict(f.substitute_linear(matrix)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_kdivexact(self, data):
+        n = data.draw(nvars)
+        f, g = data.draw(sized_poly(n)), data.draw(sized_poly(n).filter(bool))
+        h = data.draw(sized_poly(n, max_terms=2))
+        for a in (f * g, f * g + h, f):
+            q = a.divexact(g)
+            want = tuple_kdivexact(tuple_dict(a), tuple_dict(g))
+            assert (q is None) == (want is None)
+            if q is not None:
+                assert tuple_dict(q) == want
+                assert q * g == a
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            # the quotient's x1 field borrows from the x0 field above it
+            ([[[1, 0], 1]], [[[0, 1], 1]]),
+            ([[[2, 0], 1]], [[[1, 1], 1]]),
+            # the second step, x1 / x0, borrows from the degree field
+            ([[[2, 0], 1], [[0, 1], 1]], [[[1, 0], 1]]),
+            # the degree field goes negative, and with it the whole key
+            ([[[0, 0], 1]], [[[1, 0], 1]]),
+            ([[[1, 0], 1]], [[[2, 0], 1]]),
+            ([[[1, 1], 1]], [[[0, 3], 1], [[1, 0], 1]]),
+        ],
+        ids=["x0/x1", "x0^2/x0x1", "x0^2+x1/x0", "1/x0", "x0/x0^2", "x0x1/x1^3+x0"],
+    )
+    def test_failed_division(self, a, b):
+        a, b = Poly.from_pairs(2, a), Poly.from_pairs(2, b)
+        assert a.divexact(b) is None
+        assert tuple_kdivexact(tuple_dict(a), tuple_dict(b)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_key_order_is_graded_lex(self, data):
+        # exponents up to 5000 in at most 6 variables stay below the limit
+        n = data.draw(nvars)
+        exps = data.draw(
+            st.lists(st.lists(st.integers(0, 5000), min_size=n, max_size=n).map(tuple))
+        )
+        keys = [pack(e) for e in exps]
+        assert [unpack(k, n) for k in keys] == exps
+        assert [unpack(k, n) for k in sorted(keys)] == sorted(exps, key=lambda e: (sum(e), e))
+
+
+class TestFieldLimit:
+    def test_parsed_degree_at_the_guard_is_refused(self):
+        top = DEGREE_LIMIT - 1
+        assert Poly.from_pairs(2, [[[top, 0], 1]]).degree() == top
+        for e in ([DEGREE_LIMIT, 0], [top, 1], [DEGREE_LIMIT // 2] * 2):
+            with pytest.raises(ParseError, match="past the limit 32767"):
+                Poly.from_pairs(2, [[e, 1]])
+
+    def test_product_reaching_the_guard_raises(self):
+        x = Poly.variable(2, 0)
+        assert (x ** (DEGREE_LIMIT - 1)).degree() == DEGREE_LIMIT - 1
+        with pytest.raises(InternalInvariantError, match="reaches degree 32768"):
+            x**DEGREE_LIMIT
+        big = Poly.from_pairs(2, [[[0, DEGREE_LIMIT - 2], 1], [[0, 0], 1]])
+        with pytest.raises(InternalInvariantError):
+            big * (x + 1) * (x + 1)
+
+    def test_more_variables_than_fields_raise(self):
+        with pytest.raises(InternalInvariantError):
+            Poly.variable(17, 0)
 
 
 class TestRatFun:
@@ -212,7 +342,7 @@ class TestDemazure:
         n = datum.ambient_rank
         for k in range(datum.rank):
             for e in monomials(n, 5):
-                f = Poly(n, {e: 1})
+                f = Poly.monomial(n, e)
                 assert demazure(datum, k, demazure(datum, k, f)).is_zero()
 
     @pytest.mark.parametrize(
@@ -224,7 +354,7 @@ class TestDemazure:
         w1 = tuple((0, 1)[j % 2] for j in range(lengths))
         w2 = tuple((1, 0)[j % 2] for j in range(lengths))
         for e in monomials(n, min(lengths + 1, 5)):
-            f = Poly(n, {e: 1})
+            f = Poly.monomial(n, e)
             assert demazure_word(datum, w1, f) == demazure_word(datum, w2, f)
 
     def test_product_rule_trivial_cases(self, a2):
@@ -247,7 +377,7 @@ class TestDemazure:
             )
             out = Poly(n)
             for e, c in terms:
-                out = out + Poly(n, {e: c} if c else {})
+                out = out + Poly.monomial(n, e) * c
             return out
 
         x = poly(data.draw)

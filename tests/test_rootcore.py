@@ -1,3 +1,6 @@
+import os
+import resource
+import time
 from fractions import Fraction
 
 import pytest
@@ -228,6 +231,51 @@ class TestMalformedExplicitData:
     def test_rational_coroot_entries(self):
         datum = build_root_datum(EXPLICIT["explicit-A2-even"])
         assert datum.coroot((2, 2)) == (Fraction(1, 2), Fraction(1, 2))
+
+
+def _address_space() -> int:
+    """This process's current virtual memory size in bytes."""
+    with open("/proc/self/statm", encoding="ascii") as f:
+        return int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestSizeRefusedBeforeAllocating:
+    """An ambient rank or GL size past the packed kernel's 16 variables is
+    refused before any vector is built: one explicit datum with
+    ambient_rank 10**50 once grew a process to 5.4 GB."""
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ({"ambient_rank": 10**50, "simple_roots": [], "coroots": []}, "ambient_rank"),
+            ({"ambient_rank": 10**9, "simple_roots": [], "coroots": []}, "ambient_rank"),
+            ({"ambient_rank": 17, "simple_roots": [], "coroots": []}, "ambient_rank"),
+            ({"gl": 10**50}, "GL datum"),
+            ("GL1000000000", "GL datum"),
+            ("GL17", "GL datum"),
+        ],
+        ids=["rank-1e50", "rank-1e9", "rank-17", "gl-1e50", "GL1e9", "GL17"],
+    )
+    def test_refused_within_a_small_address_space(self, spec, message):
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = _address_space() + (64 << 20)
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+        try:
+            start = time.perf_counter()
+            with pytest.raises(InvalidRootDatum, match=f"^{message}.*16"):
+                build_root_datum(spec)
+            elapsed = time.perf_counter() - start
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert elapsed < 1
+
+    def test_the_largest_accepted_sizes(self):
+        assert build_root_datum("GL16").ambient_rank == 16
+        assert len(build_root_datum({"gl": 16}).roots) == 240
+        explicit = {"ambient_rank": 16, "simple_roots": [[1] + [0] * 15], "coroots": [[2] + [0] * 15]}
+        assert len(build_root_datum(explicit).roots) == 2
 
 
 class TestGroupOps:

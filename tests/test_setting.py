@@ -21,6 +21,8 @@ TAKE_LAMBDAS = set()
 # coefficient-level sums that keep their own loops for speed
 KERNEL_MODULE = "_kernel_py"
 OWN_SPARSE_SUMS = {("polyops", "Poly.weyl_image")}
+# the modules that know the packed-monomial keys of `Poly.d`
+KEY_MODULES = {"polyops", KERNEL_MODULE}
 
 
 def _functions():
@@ -128,6 +130,24 @@ def sparse_sums(source: str, module: str) -> list:
         if reads & writes:
             out.append((module, name))
     return out
+
+
+def poly_key_uses(source: str, module: str) -> list:
+    """(module, line) of every read of an attribute `d`, unless it is
+    `self.d`, and of every `Poly(...)` call given terms beside n.  Outside
+    `polyops` no class is a Poly, so `self.d` there belongs to something
+    else (the KLR oracle's dimension)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "d":
+            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                out.append((module, node.lineno))
+        elif isinstance(node, ast.Call) and len(node.args) + len(node.keywords) > 1:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Poly":
+                out.append((module, node.lineno))
+    return sorted(out)
 
 
 def _referenced_names(node) -> dict:
@@ -302,6 +322,32 @@ class TestCallingConvention:
             ("m", "popped"),
             ("m", "C.summed"),
         ]
+
+    def test_only_polyops_and_the_kernel_see_monomial_keys(self):
+        # `Poly.d` is keyed by packed ints; every other module builds
+        # polynomials through Poly's constructors and reads them through
+        # its methods
+        found = [
+            site
+            for path in sorted(SRC.glob("*.py"))
+            if path.stem not in KEY_MODULES
+            for site in poly_key_uses(path.read_text(encoding="utf-8"), path.stem)
+        ]
+        assert found == []
+
+    def test_key_scan_sees_every_shape(self):
+        source = (
+            "def f(p, q, n, e):\n"
+            "    a = p.d\n"
+            "    b = q.num.d.items()\n"
+            "    c = Poly(n, {e: 1})\n"
+            "    g = polyops.Poly(n, terms=dict(x=1))\n"
+            "    return Poly(n), Poly.monomial(n, e), RatFun(p, q)\n"
+            "class K:\n"
+            "    def __init__(self, d):\n"
+            "        self.d = d\n"
+        )
+        assert poly_key_uses(source, "m") == [("m", 2), ("m", 3), ("m", 4), ("m", 5)]
 
     def test_subsystem_keeps_no_tangent_memo(self):
         tree = ast.parse((SRC / "subgroup.py").read_text(encoding="utf-8"))

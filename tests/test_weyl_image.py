@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qhecke import algebra, localize
 from qhecke.config import build_setting
+from qhecke._kernel_py import pack
 from qhecke.polyops import Poly, RatFun
 from qhecke.presets import preset_nilhecke, preset_skew
 
@@ -28,11 +29,10 @@ def poly(draw, n, max_terms=4):
             max_size=max_terms,
         )
     )
-    d = {}
+    out = Poly(n)
     for e, c in terms:
-        d[e] = d.get(e, 0) + c
-    # integral coefficients as ints, as the kernel keeps them
-    return Poly(n, {e: int(c) if c.denominator == 1 else c for e, c in d.items() if c})
+        out = out + Poly.monomial(n, e) * c
+    return out
 
 
 @st.composite
@@ -97,7 +97,7 @@ class TestAgainstTheMatrixPath:
         setting = build_setting(preset_nilhecke("A2"))
         group = setting.group
         g = group.mul(group.simple[0], group.simple[1])
-        f = Poly(2, {(2, 0): 1, (0, 1): -2, (0, 0): 5})
+        f = Poly.from_pairs(2, [[[2, 0], 1], [[0, 1], -2], [[0, 0], 5]])
         assert group.monomial_images(g) == {}
         f.weyl_image(group, g)
         assert set(group.monomial_images(g)) == set(f.d)
@@ -108,11 +108,11 @@ class TestAgainstTheMatrixPath:
         cfg = preset_nilhecke("B2")
         first, second = build_setting(cfg), build_setting(cfg)
         assert first.group is not second.group
-        f = Poly(2, {(1, 2): 1, (3, 0): -1})
+        f = Poly.from_pairs(2, [[[1, 2], 1], [[3, 0], -1]])
         images = [f.weyl_image(first.group, g) for g in range(len(first.group))]
         assert all(second.group.monomial_images(g) == {} for g in range(len(second.group)))
         # a wrong entry in the first memo does not reach the second setting
-        first.group.monomial_images(first.group.simple[0])[(1, 2)] = {(0, 0): 7}
+        first.group.monomial_images(first.group.simple[0])[pack((1, 2))] = {pack((0, 0)): 7}
         assert [f.weyl_image(second.group, g) for g in range(len(second.group))] == images
 
 
