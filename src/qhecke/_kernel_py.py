@@ -97,6 +97,15 @@ def kmul(a, b):
         )
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        # a single term shifts the keys and scales the coefficients: products
+        # of nonzero terms never collide and never vanish
+        ((ea, ca),) = a.items()
+        if not ea and ca == 1:
+            return dict(b)
+        return {
+            ea + eb: s if type(s := ca * cb) is int else norm_coeff(s) for eb, cb in b.items()
+        }
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -122,31 +131,47 @@ def kpow(a, n):
     return out
 
 
+def _linear_form(col, nvars):
+    """The polynomial sum_j col[j] * x_j."""
+    top = 1 << WIDTH * nvars
+    return {top | 1 << s: norm_coeff(c) for s, c in zip(_SHIFTS[nvars], col) if c}
+
+
 def ksubst(a, cols, nvars):
     """Substitute variable k by the linear form cols[k] (a coefficient tuple).
 
     This is the Weyl-matrix action on polynomials: each degree-1 generator is
     replaced by an integer linear combination, extended multiplicatively.
+    The monomial images come from `kimage` over a memo local to the call.
     """
-    shifts = _SHIFTS[nvars]
-    top = 1 << WIDTH * nvars
-    lin = [{top | 1 << s: norm_coeff(c) for s, c in zip(shifts, col) if c} for col in cols]
-    powcache = {}
+    memo = {}
     out = {}
     for e, c in a.items():
-        term = {0: c}
-        for k, s in enumerate(shifts):
-            ek = e >> s & _FIELD
-            if not ek:
-                continue
-            key = (k, ek)
-            p = powcache.get(key)
-            if p is None:
-                p = kpow(lin[k], ek)
-                powcache[key] = p
-            term = kmul(term, p)
-        out = kadd(out, term)
+        out = kadd(out, kscale(kimage(memo, e, cols, nvars), c))
     return out
+
+
+def kimage(memo, e, cols, nvars):
+    """The image of the monomial e under the substitution of `ksubst`, read
+    from and filled into memo (monomial -> image).  For the last variable
+    x_k of e, image(e) = image(e / x_k) * cols[k]: a miss walks down this
+    chain of divisors to the first one the memo holds, or to the constant
+    monomial, and fills in every monomial on the way back up."""
+    shifts = _SHIFTS[nvars]
+    top = 1 << WIDTH * nvars
+    chain = []
+    while e not in memo:
+        if not e:
+            memo[0] = {0: 1}
+            break
+        # the last variable's field is the lowest nonzero one
+        k = nvars - 1 - ((e & -e).bit_length() - 1) // WIDTH
+        chain.append((e, k))
+        e -= top | 1 << shifts[k]
+    img = memo[e]
+    for e, k in reversed(chain):
+        img = memo[e] = kmul(img, _linear_form(cols[k], nvars))
+    return img
 
 
 def kdivexact(a, b):

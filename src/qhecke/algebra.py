@@ -88,7 +88,7 @@ def module_act(table: CosetTable, g: int, m: ModuleElement) -> ModuleElement:
 class TwistedOperator:
     """Finite sum of twisted terms keyed by (component index, group element)."""
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "terms", "_sources")
 
     def __init__(self, table: CosetTable, terms=None):
         self.table = table
@@ -98,6 +98,7 @@ class TwistedOperator:
                 if c:
                     t[key] = c
         self.terms = t
+        self._sources = None
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -144,18 +145,45 @@ class TwistedOperator:
     def is_zero(self):
         return not self.terms
 
+    def _by_source(self):
+        """The terms indexed by the component they read, built on first use
+        (nothing changes `terms` after construction): component j ->
+        [(slot, g, numerator)], where slot k stands for the k-th distinct
+        (output component, denominator) pair `slots[k]` among the terms."""
+        if self._sources is None:
+            table = self.table
+            sources, slots = {}, {}
+            for (i, g), c in self.terms.items():
+                k = slots.setdefault((i, c.den), len(slots))
+                sources.setdefault(table.act_elem(i, g), []).append((k, g, c.num))
+            self._sources = sources, list(slots)
+        return self._sources
+
     def apply(self, m: ModuleElement) -> ModuleElement:
-        """Evaluate on a module element; results must clear denominators."""
-        table, group = self.table, self.table.group
-        acc: dict[int, RatFun] = {}
-        for (i, g), c in self.terms.items():
-            j = table.act_elem(i, g)
-            f = m.components.get(j)
-            if f is None:
-                continue
-            add_term(acc, i, c * RatFun(f.weyl_image(group, g)))
+        """Evaluate on a module element; results must clear denominators.
+
+        Per output component, the numerators over one denominator are summed
+        as polynomials, the sums brought over one common denominator, and
+        that is divided out once: a value is a polynomial exactly when its
+        denominator divides its numerator, however it is written, and the
+        quotient is then the same."""
+        group = self.table.group
+        sources, slots = self._by_source()
+        nums = {}
+        for j, f in m.components.items():
+            for k, g, num in sources.get(j, ()):
+                add_term(nums, k, num * f.weyl_image(group, g))
+        acc = {}  # output component -> (numerator, denominator)
+        for k, num in nums.items():
+            i, den = slots[k]
+            if i in acc:
+                num0, den0 = acc[i]
+                acc[i] = (num0 * den + num * den0, den0 * den)
+            else:
+                acc[i] = (num, den)
         out = {}
-        for i, val in acc.items():
+        for i, (num, den) in acc.items():
+            val = RatFun(num, den, reduce=False)
             q = val.polynomial()
             if q is None:
                 raise NonIntegralResult(

@@ -5,8 +5,9 @@ layout is in `_kernel_py`'s docstring), to exact rational coefficients; the
 ambient variables are the coordinate functions of the character lattice, so
 a root (an integer vector) becomes a linear form and a Weyl matrix acts by
 substituting linear forms for the generators.  A Weyl group element acts by
-its index (`weyl_image`): each monomial's image is substituted once per
-group and element, then summed from the memo.
+its index (`weyl_image`): each monomial's image is built once per group
+and element, as the image of a divisor of one degree less (kept in the same
+memo) times the image of one variable, then summed from the memo.
 
 Rational functions are kept unreduced; equality is cross-multiplication.
 Euler classes (products of weights) are kept factored instead: an
@@ -47,8 +48,8 @@ def _coeff(value):
 
 
 def _columns(matrix, n: int) -> tuple:
-    """The columns of a square matrix: the linear forms `ksubst` puts in
-    for the variables."""
+    """The columns of a square matrix: the linear forms `ksubst` and
+    `kimage` put in for the variables."""
     return tuple(tuple(row[k] for row in matrix) for k in range(n))
 
 
@@ -171,8 +172,10 @@ class Poly:
     def weyl_image(self, group, g: int) -> "Poly":
         """g(self) for the element index g of a `WeylGroup`: the identity
         returns self, otherwise the sum of c * g(monomial) over the terms.
-        A monomial's image is substituted on first use only and kept in
-        `group.monomial_images(g)`."""
+        A monomial's image is built on first use only, as the image of the
+        monomial with its last variable removed times g of that variable,
+        and kept in `group.monomial_images(g)` with every divisor on the way
+        (`_kernel_py.kimage`)."""
         if g == group.identity or not self.d:
             return self
         n = self.n
@@ -182,7 +185,7 @@ class Poly:
         for e, c in self.d.items():
             img = memo.get(e)
             if img is None:
-                img = memo[e] = _k.ksubst({e: 1}, _columns(group.matrix(g), n), n)
+                img = _k.kimage(memo, e, _columns(group.matrix(g), n), n)
             if out is None:
                 # the first term starts a fresh dict: most arguments are
                 # single monomials with coefficient 1

@@ -13,8 +13,8 @@ failures to warnings since the weight test is sufficient but not necessary.
 
 A `Setting` bundles the twisting data with the coset table it is read
 against, and owns what is derived from both: the weight table its Euler
-classes are packed over, the Lambda table, and the tangent and fiber sets of
-every fixed point.
+classes are packed over, the Lambda table, the tangent and fiber sets of
+every fixed point and the q-polynomial of every crossing.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ class Setting:
         self.data = SpringerData(self.datum, U_sets, V_sets)
         self.tangents = {}  # element -> tangent set, filled by localize.tangent_n
         self.fibers = {}  # element -> fiber set per copy, filled by fiber_weights
+        self.qpolys = {}  # (i, s) -> q-polynomial, filled by q_poly
 
     def __iter__(self):
         return iter((self.datum, self.sub, self.table, self.data))
@@ -255,7 +256,12 @@ def h_count(setting: Setting, i: int, s: int) -> int:
 
 def q_poly(setting: Setting, i: int, s: int) -> Poly:
     """Product of the linear forms alpha over all copies k and weights
-    alpha in U_k with s(alpha) outside U_k and x_i(alpha) in V_k."""
+    alpha in U_k with s(alpha) outside U_k and x_i(alpha) in V_k.
+    Computed, and with positive-system data checked against alpha_s^h,
+    once per (i, s)."""
+    q = setting.qpolys.get((i, s))
+    if q is not None:
+        return q
     datum, _, table, data = setting
     group = setting.group
     s_elem = group.simple[s]
@@ -272,6 +278,7 @@ def q_poly(setting: Setting, i: int, s: int) -> Poly:
         expected = Poly.linear(datum.simple_roots[s]) ** h
         if out != expected:
             raise InternalInvariantError(f"q != alpha_s^h at (i={i}, s={s})")
+    setting.qpolys[i, s] = out
     return out
 
 

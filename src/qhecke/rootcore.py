@@ -22,18 +22,23 @@ multiplying, lengths, descents and reduced words are index lookups.
 Integer matrices are built lazily from the reduced word and cached; acting
 on a vector that is not a root goes through the matrix.  Polynomials are
 acted on by element index (`Poly.weyl_image`): the image of each monomial
-under an element is substituted once and kept in that element's memo here,
-so it lives as long as the group does.
+under an element is built once, from the image of a divisor one degree
+lower, and kept in that element's memo here, so it lives as long as the
+group does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from ._kernel_py import MAX_VARS
 from .errors import InvalidRootDatum
 
 Vec = tuple
+
+# the most elements a Weyl group may have: enumeration stops past it
+MAX_GROUP_ORDER = 2_000_000
 
 # Cartan matrices C[i][j] = <alpha_i, alpha_j^vee>, Bourbaki numbering.
 def _cartan_a(n):
@@ -336,7 +341,7 @@ class WeylGroup:
                         new.append(h)
             found.extend(new)
             frontier = new
-            if len(depth) > 2000000:
+            if len(depth) > MAX_GROUP_ORDER:
                 raise InvalidRootDatum("Weyl group enumeration exceeded desk scale")
         # reduced word: the reduced word of g s_k followed by k, for the
         # smallest right descent k (g(alpha_k) negative)
@@ -396,7 +401,9 @@ class WeylGroup:
     def monomial_images(self, g: int) -> dict:
         """The memo of g's action on monomials: packed monomial (the key
         layout of `_kernel_py`) -> kernel dict of its image under
-        `matrix(g)`.  `polyops` fills and reads it."""
+        `matrix(g)`.  `polyops` fills and reads it: a monomial's entry
+        comes with one for each divisor on its chain down to the constant
+        monomial (`_kernel_py.kimage`)."""
         memo = self._images[g]
         if memo is None:
             memo = self._images[g] = {}
@@ -456,11 +463,13 @@ def build_root_datum(spec) -> RootDatum:
     """Root datum from a Cartan label, a GL-style spec, or explicit lists.
 
     Accepted specs: "A2".."A4", "B2".."B4", "C2".."C4", "D2".."D4", "G2",
-    "F4", "GL2".."GL16" (or {"gl": d}), or a dict with ambient_rank,
+    "F4", "GL2".."GL9" (or {"gl": d}), or a dict with ambient_rank,
     simple_roots, coroots and optionally roots.  An explicit datum needs an
     integer ambient_rank from 1 to MAX_VARS (16), simple roots and coroots
     of that many entries each, and linearly independent simple roots.  A
-    group of more than 2,000,000 elements is refused when it is enumerated.
+    GL datum past GL9 is refused up front, since S_10 already has more than
+    MAX_GROUP_ORDER (2,000,000) elements; any other group larger than that
+    is refused when it is enumerated.
     """
     if isinstance(spec, str):
         label = spec.strip().upper()
@@ -502,10 +511,16 @@ def _cartan_datum(C) -> RootDatum:
 
 
 def _gl_datum(d: int) -> RootDatum:
-    # GL_d has ambient rank d; GL16 (240 roots) is also the largest GL datum
-    # within the Weyl group's 256-root bound
+    # GL_d has ambient rank d and Weyl group S_d: GL9, with 9! = 362,880
+    # elements, is the largest whose group the enumeration accepts, so a
+    # larger d is refused here rather than after 2,000,000 elements
     if not 2 <= d <= MAX_VARS:
         raise InvalidRootDatum(f"GL datum needs 2 <= d <= {MAX_VARS}, got {d}")
+    if factorial(d) > MAX_GROUP_ORDER:
+        raise InvalidRootDatum(
+            f"GL datum GL{d} has a Weyl group of {d}! = {factorial(d):,} elements, "
+            f"past the enumeration bound {MAX_GROUP_ORDER:,}"
+        )
     simples = []
     for a in range(d - 1):
         v = [0] * d

@@ -14,6 +14,9 @@
   the simple roots.  The program carries integer simple-root coordinates
   through its generation instead; `tests/test_rootcore.py` compares the
   two on every accepted label.
+- An operator applied to a module element one term at a time, each term a
+  reduced `RatFun` (`apply_per_term`), against which `TwistedOperator.apply`
+  and its one division per component are checked.
 - Normal forms over the crossing-word basis sigma(w): descending-length
   elimination and reassembly, which round-trip the generators and their
   products.
@@ -38,9 +41,9 @@ from fractions import Fraction
 import sympy
 
 from qhecke.algebra import ModuleElement, TwistedOperator, diag_mult, left_mult, sigma_word
-from qhecke.errors import InternalDivisibilityFailure, QheckeError
+from qhecke.errors import InternalDivisibilityFailure, NonIntegralResult, QheckeError
 from qhecke.localize import theta
-from qhecke.polyops import Poly, monomials_up_to, primitive_form
+from qhecke.polyops import Poly, RatFun, add_term, monomials_up_to, primitive_form
 from qhecke.repdata import Setting
 from qhecke.report import CheckResult
 from qhecke.rootcore import _reflection_matrix, _vec
@@ -187,6 +190,27 @@ class NotInSpan(QheckeError):
 
 class NonPolynomialCoefficient(QheckeError):
     pass
+
+
+def apply_per_term(op: TwistedOperator, m: ModuleElement) -> ModuleElement:
+    """op applied to m one term at a time: each term's value is a reduced
+    `RatFun`, the values are summed per component with `RatFun` addition,
+    and each sum is divided out.  The program instead sums the numerators
+    over each denominator and divides once per component."""
+    table, group = op.table, op.table.group
+    acc = {}
+    for (i, g), c in op.terms.items():
+        f = m.components.get(table.act_elem(i, g))
+        if f is None:
+            continue
+        add_term(acc, i, c * RatFun(f.weyl_image(group, g)))
+    out = {}
+    for i, val in acc.items():
+        q = val.polynomial()
+        if q is None:
+            raise NonIntegralResult(f"component {i} evaluated to a non-polynomial: {val!r}")
+        out[i] = q
+    return ModuleElement(m.n, out)
 
 
 def sigma_basis_element(setting: Setting, g: int) -> TwistedOperator:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,11 @@ from qhecke.algebra import (
     sigma_word,
     straightening_poly,
 )
+from qhecke.cli import _all_generators
+from qhecke.config import build_setting
 from qhecke.errors import NonIntegralResult
-from qhecke.polyops import Poly, RatFun
+from qhecke.polyops import Poly, RatFun, monomials_up_to
+from qhecke.presets import QuiverSpec, preset_klr, preset_nilhecke, preset_skew
 from qhecke.repdata import Setting, q_poly
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import CosetTable, TorusConstraint, fixed_subsystem
@@ -29,6 +33,7 @@ from oracles import (
     NonPolynomialCoefficient,
     NotInSpan,
     all_reduced_words,
+    apply_per_term,
     bruhat_leq,
     demazure,
     demazure_word,
@@ -377,3 +382,94 @@ class TestAssociativity:
         for _ in range(15):
             a, b, c = (rng.choice(gens) for _ in range(3))
             assert (a * b) * c == a * (b * c)
+
+
+APPLY_PRESETS = {
+    "nil:A2": preset_nilhecke("A2"),
+    "nil:B2": preset_nilhecke("B2"),
+    "nil:G2": preset_nilhecke("G2"),
+    "nil:A3": preset_nilhecke("A3"),
+    "skew:B2": preset_skew("B2"),
+    "klr-arrow-2-2": preset_klr(QuiverSpec((1, 2), ((1, 2),), {1: 2, 2: 2})),
+    "klr-looparrow-2-2": preset_klr(QuiverSpec((1, 2), ((1, 1), (1, 2)), {1: 2, 2: 2})),
+    "klr-jordan-3": preset_klr(QuiverSpec((1,), ((1, 1),), {1: 3})),
+}
+
+
+def _sources(op):
+    table = op.table
+    return sorted({table.act_elem(i, g) for (i, g) in op.terms})
+
+
+def _assert_apply_matches_the_oracle(op, n, monos):
+    for j in _sources(op):
+        for e in monos:
+            m = ModuleElement.monomial(n, j, e)
+            assert op.apply(m) == apply_per_term(op, m), (op, j, e)
+
+
+class TestApplyAgainstThePerTermOracle:
+    """`TwistedOperator.apply` divides once per output component; the
+    oracle builds one reduced RatFun per term and adds them."""
+
+    @pytest.mark.parametrize("key", sorted(APPLY_PRESETS))
+    def test_every_generator_on_monomials_up_to_degree_4(self, key):
+        setting = build_setting(APPLY_PRESETS[key])
+        n = setting.datum.ambient_rank
+        monos = monomials_up_to(n, 4)
+        for _, gen in _all_generators(setting):
+            _assert_apply_matches_the_oracle(gen, n, monos)
+
+    @pytest.mark.parametrize("key", sorted(APPLY_PRESETS))
+    def test_every_product_of_two_generators(self, key):
+        # every A * B the products suite can draw, applied on all its source
+        # cosets to the monomials the suite draws from
+        cfg = APPLY_PRESETS[key]
+        setting = build_setting(cfg)
+        n = setting.datum.ambient_rank
+        gens = [gen for _, gen in _all_generators(setting)]
+        monos = monomials_up_to(n, min(cfg.degree_bound, 2))
+        for A in gens:
+            for B in gens:
+                _assert_apply_matches_the_oracle(A * B, n, monos)
+
+    def test_operator_over_two_denominators(self, nil_a2):
+        # sigma_0 + sigma_1 on one component: numerators over alpha_0 and
+        # alpha_1 meet in one component and are divided out together
+        n = nil_a2.datum.ambient_rank
+        op = gen_sigma(nil_a2, 0, 0) + gen_sigma(nil_a2, 0, 1) + gen_var(nil_a2.table, 0, 1)
+        _assert_apply_matches_the_oracle(op, n, monomials_up_to(n, 4))
+
+    def test_nonintegral_raises_on_both_paths(self, nil_a2):
+        datum, _, table, _ = nil_a2
+        n = datum.ambient_rank
+        group = nil_a2.group
+        alpha0 = Poly.linear(datum.simple_roots[0])
+        alpha1 = Poly.linear(datum.simple_roots[1])
+        # 1/alpha_0, and alpha_1 / alpha_0 - (s_0 applied) / alpha_0, whose
+        # two terms share a denominator that still does not divide
+        single = TwistedOperator(table, {(0, group.identity): RatFun(Poly.const(n, 1), alpha0)})
+        shared = TwistedOperator(
+            table,
+            {
+                (0, group.identity): RatFun(alpha1, alpha0),
+                (0, group.simple[0]): RatFun(Poly.const(n, 2), alpha0),
+            },
+        )
+        for op in (single, shared):
+            m = ModuleElement.unit(n, 0)
+            with pytest.raises(NonIntegralResult):
+                op.apply(m)
+            with pytest.raises(NonIntegralResult):
+                apply_per_term(op, m)
+
+    def test_index_by_source_is_built_once(self, nil_a2):
+        n = nil_a2.datum.ambient_rank
+        sig = gen_sigma(nil_a2, 0, 0)
+        assert sig._sources is None
+        sig.apply(ModuleElement.unit(n, 0))
+        sources, slots = sig._sources
+        # both terms read component 0 and share the denominator alpha_0
+        assert list(sources) == [0] and len(sources[0]) == 2 and len(slots) == 1
+        sig.apply(ModuleElement.monomial(n, 0, (1, 0)))
+        assert sig._sources[0] is sources

@@ -567,6 +567,12 @@ class TestOnlyTypedErrorsAreBadInput:
         path = self.config(tmp_path, {"group": "A2", "torus": [{"kind": "bogus", "values": [0, 0]}]})
         self.assert_bad_input(capsys, ["describe", "--config", path], "unknown constraint kind 'bogus'")
 
+    def test_gl_group_past_the_enumeration_bound(self, capsys, tmp_path):
+        path = self.config(tmp_path, {"group": "GL10"})
+        self.assert_bad_input(
+            capsys, ["describe", "--config", path], "GL10 has a Weyl group of 10! = 3,628,800"
+        )
+
     def test_torus_vector_of_the_wrong_length(self, capsys, tmp_path):
         path = self.config(tmp_path, {"group": "A2", "torus": [{"kind": "torsion", "values": ["1/2"]}]})
         self.assert_bad_input(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhecke
-from qhecke._kernel_py import DEGREE_LIMIT, pack, unpack
+from qhecke._kernel_py import DEGREE_LIMIT, kmul, pack, unpack
 from qhecke.errors import DivisionByZeroDenominator, InternalInvariantError, ParseError
 from qhecke.polyops import (
     Poly,
@@ -157,6 +157,34 @@ class TestPackedKernelAgainstTheTupleOracle:
         n = data.draw(nvars)
         f, g = data.draw(sized_poly(n)), data.draw(sized_poly(n))
         assert tuple_dict(f * g) == tuple_kmul(tuple_dict(f), tuple_dict(g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_kmul_with_a_single_term_side(self, data):
+        n = data.draw(nvars)
+        f = data.draw(sized_poly(n))
+        e = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        c = data.draw(st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool))
+        for single in (Poly.monomial(n, e) * c, Poly.const(n, 1)):
+            want = tuple_kmul(tuple_dict(single), tuple_dict(f))
+            assert tuple_dict(single * f) == want
+            assert tuple_dict(f * single) == want
+
+    @pytest.mark.parametrize("swap", (False, True), ids=("single-first", "single-second"))
+    def test_kmul_single_term_edge_cases(self, swap):
+        def mul(a, b):
+            return kmul(b, a) if swap else kmul(a, b)
+
+        # 2 * 1/2 is the int 1, as every integral coefficient of the kernel
+        one = mul({0: 2}, {0: Fraction(1, 2)})
+        assert one == {0: 1} and type(one[0]) is int
+        # the constant 1 returns a copy of the other factor
+        x = {pack((1, 0)): Fraction(3, 2), 0: 4}
+        got = mul({0: 1}, x)
+        assert got == x and got is not x
+        got = mul({pack((0, 1)): 2}, {pack((1, 0)): Fraction(1, 2), 0: Fraction(1, 4)})
+        assert got == {pack((1, 1)): 1, pack((0, 1)): Fraction(1, 2)}
+        assert type(got[pack((1, 1))]) is int
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -4,8 +4,11 @@ from operator import and_
 
 import pytest
 
-from qhecke.errors import UnsuitableData
+from qhecke import repdata
+from qhecke.config import build_setting
+from qhecke.errors import InternalInvariantError, UnsuitableData
 from qhecke.polyops import Poly
+from qhecke.presets import QuiverSpec, preset_klr
 from qhecke.repdata import (
     Setting,
     fiber_split_check,
@@ -113,6 +116,44 @@ class TestCounts:
         setting = Setting(a2_table, [[(1, 1)]], [a2.roots])
         with pytest.raises(ValueError):
             h_count(setting, 0, 0)
+
+
+class TestQPolyMemo:
+    """q_poly is computed, and checked against alpha_s^h, once per (i, s)
+    and kept in its setting's `qpolys`."""
+
+    @pytest.fixture
+    def klr_setting(self):
+        return build_setting(preset_klr(QuiverSpec((1, 2), ((1, 1), (1, 2)), {1: 2, 2: 1})))
+
+    def test_one_entry_per_index_and_reflection(self, klr_setting):
+        table, rank = klr_setting.table, klr_setting.datum.rank
+        keys = {(i, s) for i in table.indices for s in range(rank)}
+        assert klr_setting.qpolys == {}
+        first = {key: q_poly(klr_setting, *key) for key in sorted(keys)}
+        assert set(klr_setting.qpolys) == keys
+        for key in keys:
+            assert q_poly(klr_setting, *key) is first[key]
+        assert set(klr_setting.qpolys) == keys
+
+    def test_second_setting_keeps_its_own_memo(self, a2, a2_table):
+        first = Setting(a2_table, [a2.positive_roots] * 2, [a2.roots] * 2)
+        second = Setting(a2_table, [a2.positive_roots] * 2, [a2.roots] * 2)
+        want = q_poly(first, 0, 1)
+        assert second.qpolys == {}
+        first.qpolys[0, 1] = Poly.const(2, 7)
+        assert q_poly(second, 0, 1) == want
+        assert q_poly(first, 0, 1) == Poly.const(2, 7)
+
+    def test_borel_check_runs_on_the_first_call(self, a2, a2_table, monkeypatch):
+        setting = Setting(a2_table, [a2.positive_roots], [a2.roots])
+        monkeypatch.setattr(repdata, "h_count", lambda setting, i, s: 2)
+        with pytest.raises(InternalInvariantError, match="alpha_s"):
+            q_poly(setting, 0, 0)
+        assert setting.qpolys == {}
+        monkeypatch.undo()
+        assert q_poly(setting, 0, 0) == Poly.linear(a2.simple_roots[0])
+        assert set(setting.qpolys) == {(0, 0)}
 
 
 class TestFibers:

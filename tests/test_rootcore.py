@@ -2,11 +2,12 @@ import os
 import resource
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from qhecke.errors import InvalidRootDatum
-from qhecke.rootcore import _dot, _mat_vec, build_root_datum
+from qhecke.rootcore import MAX_GROUP_ORDER, _dot, _mat_vec, build_root_datum
 
 from oracles import all_reduced_words, bruhat_leq, matrix_root_system, simple_combination
 
@@ -239,10 +240,29 @@ def _address_space() -> int:
         return int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
 
 
+def _refused_within_a_small_address_space(spec, pattern):
+    """build_root_datum(spec) raises InvalidRootDatum matching pattern
+    within 1 s while the address space may grow by 64 MB at most."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = _address_space() + (64 << 20)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        start = time.perf_counter()
+        with pytest.raises(InvalidRootDatum, match=pattern):
+            build_root_datum(spec)
+        elapsed = time.perf_counter() - start
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert elapsed < 1
+
+
 class TestSizeRefusedBeforeAllocating:
     """An ambient rank or GL size past the packed kernel's 16 variables is
     refused before any vector is built: one explicit datum with
-    ambient_rank 10**50 once grew a process to 5.4 GB."""
+    ambient_rank 10**50 once grew a process to 5.4 GB.  So is a GL size
+    whose Weyl group, S_d, is past the group enumeration bound."""
 
     @pytest.mark.parametrize(
         "spec,message",
@@ -257,23 +277,19 @@ class TestSizeRefusedBeforeAllocating:
         ids=["rank-1e50", "rank-1e9", "rank-17", "gl-1e50", "GL1e9", "GL17"],
     )
     def test_refused_within_a_small_address_space(self, spec, message):
-        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-        limit = _address_space() + (64 << 20)
-        if hard != resource.RLIM_INFINITY:
-            limit = min(limit, hard)
-        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-        try:
-            start = time.perf_counter()
-            with pytest.raises(InvalidRootDatum, match=f"^{message}.*16"):
-                build_root_datum(spec)
-            elapsed = time.perf_counter() - start
-        finally:
-            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-        assert elapsed < 1
+        _refused_within_a_small_address_space(spec, f"^{message}.*16")
+
+    @pytest.mark.parametrize("spec", ["GL10", "GL16", {"gl": 12}], ids=["GL10", "GL16", "gl-12"])
+    def test_gl_group_past_the_enumeration_bound(self, spec):
+        # S_10 has 3,628,800 elements: refused before the roots, let alone
+        # the 2,000,000 elements the enumeration would visit first
+        _refused_within_a_small_address_space(spec, r"^GL datum GL1\d has a Weyl group.*2,000,000")
 
     def test_the_largest_accepted_sizes(self):
-        assert build_root_datum("GL16").ambient_rank == 16
-        assert len(build_root_datum({"gl": 16}).roots) == 240
+        gl9 = build_root_datum("GL9")
+        assert gl9.ambient_rank == 9 and len(gl9.roots) == 72
+        assert len(build_root_datum({"gl": 9}).roots) == 72
+        assert factorial(9) <= MAX_GROUP_ORDER < factorial(10)
         explicit = {"ambient_rank": 16, "simple_roots": [[1] + [0] * 15], "coroots": [[2] + [0] * 15]}
         assert len(build_root_datum(explicit).roots) == 2
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from qhecke import algebra, localize
 from qhecke.config import build_setting
 from qhecke._kernel_py import pack
-from qhecke.polyops import Poly, RatFun
+from qhecke.polyops import Poly, RatFun, monomials_up_to
 from qhecke.presets import preset_nilhecke, preset_skew
+from qhecke.rootcore import build_root_datum
 
 LABELS = ("A2", "B2", "G2", "A3", "B3", "GL4")
 # one setting per label for the whole module: its group's memo stays warm
@@ -100,7 +101,10 @@ class TestAgainstTheMatrixPath:
         f = Poly.from_pairs(2, [[[2, 0], 1], [[0, 1], -2], [[0, 0], 5]])
         assert group.monomial_images(g) == {}
         f.weyl_image(group, g)
-        assert set(group.monomial_images(g)) == set(f.d)
+        # x0^2 comes from x0, x0 and x1 from the constant monomial: the
+        # monomials of f and the divisors on their chains, nothing else
+        chain = {pack((2, 0)), pack((1, 0)), pack((0, 1)), pack((0, 0))}
+        assert set(group.monomial_images(g)) == chain
         f.weyl_image(group, group.identity)
         assert group.monomial_images(group.identity) == {}
 
@@ -114,6 +118,38 @@ class TestAgainstTheMatrixPath:
         # a wrong entry in the first memo does not reach the second setting
         first.group.monomial_images(first.group.simple[0])[pack((1, 2))] = {pack((0, 0)): 7}
         assert [f.weyl_image(second.group, g) for g in range(len(second.group))] == images
+
+
+class TestChainedImages:
+    """A memo miss builds image(e) = image(e / x_k) * g(x_k) for the last
+    variable x_k of e; whatever order the monomials first arrive in, every
+    image equals the matrix substitution."""
+
+    @pytest.mark.parametrize("order", ("ascending", "descending"))
+    @pytest.mark.parametrize("label", ("A3", "B3", "G2"))
+    def test_every_element_up_to_degree_5(self, label, order):
+        group = build_root_datum(label).weyl()
+        n = group.datum.ambient_rank
+        monos = [Poly.monomial(n, e) for e in monomials_up_to(n, 5)]
+        if order == "descending":
+            monos.reverse()
+        for g in range(len(group)):
+            m = group.matrix(g)
+            for f in monos:
+                assert f.weyl_image(group, g) == f.substitute_linear(m)
+        # every monomial up to degree 5 and nothing else is in the memo
+        keys = {pack(e) for e in monomials_up_to(n, 5)}
+        assert all(set(group.monomial_images(g)) == keys for g in range(len(group)) if g)
+
+    def test_chain_from_a_filled_divisor(self):
+        group = build_root_datum("A3").weyl()
+        g = group.simple[1]
+        x1 = Poly.variable(3, 1)
+        x1.weyl_image(group, g)
+        f = Poly.monomial(3, (0, 3, 2))
+        assert f.weyl_image(group, g) == f.substitute_linear(group.matrix(g))
+        chain = {(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 3, 1), (0, 3, 2)}
+        assert set(group.monomial_images(g)) == {pack(e) for e in chain}
 
 
 def corrupt_one_image(setting):
