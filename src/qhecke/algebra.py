@@ -1,5 +1,9 @@
 """The twisted-operator algebra acting on a direct sum of polynomial rings.
 
+A module element, a family of polynomials over the cosets, is a plain dict
+{coset index: Poly} holding no zero value; `apply` and `module_act` return
+the same shape.
+
 An operator is a finite sum of terms (i, c, w): the term consumes the
 component indexed by the coset i*w, substitutes the group element w into the
 input polynomial, multiplies by the rational-function coefficient c and
@@ -25,64 +29,13 @@ from .report import CheckResult
 from .subgroup import CosetTable
 
 
-class ModuleElement:
-    """Finitely supported element of the direct sum of component rings."""
-
-    __slots__ = ("n", "components")
-
-    def __init__(self, n: int, components=None):
-        self.n = n
-        comp = {}
-        if components:
-            for i, f in components.items():
-                if f:
-                    comp[i] = f
-        self.components = comp
-
-    @classmethod
-    def monomial(cls, n: int, i: int, exponents) -> "ModuleElement":
-        return cls(n, {i: Poly.monomial(n, exponents)})
-
-    @classmethod
-    def unit(cls, n: int, i: int) -> "ModuleElement":
-        return cls(n, {i: Poly.const(n, 1)})
-
-    def __add__(self, other):
-        out = dict(self.components)
-        for i, f in other.components.items():
-            add_term(out, i, f)
-        return ModuleElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + ModuleElement(other.n, {i: -f for i, f in other.components.items()})
-
-    def __mul__(self, scalar):
-        return ModuleElement(self.n, {i: f * scalar for i, f in self.components.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleElement) and self.components == other.components
-
-    def __bool__(self):
-        return bool(self.components)
-
-    def is_zero(self):
-        return not self.components
-
-    def __repr__(self):
-        return f"ModuleElement({self.components!r})"
-
-
-def module_act(table: CosetTable, g: int, m: ModuleElement) -> ModuleElement:
+def module_act(table: CosetTable, g: int, m: dict) -> dict:
     """Left group action on the module: component i lands in i*g^{-1}."""
     group = table.group
     ginv = group.inv(g)
-    # i -> i*g^{-1} permutes the cosets, so no two components collide
-    return ModuleElement(
-        m.n,
-        {table.act_elem(i, ginv): f.weyl_image(group, g) for i, f in m.components.items()},
-    )
+    # i -> i*g^{-1} permutes the cosets, so no two components collide, and
+    # g is a ring automorphism, so no nonzero component maps to zero
+    return {table.act_elem(i, ginv): f.weyl_image(group, g) for i, f in m.items()}
 
 
 class TwistedOperator:
@@ -159,18 +112,19 @@ class TwistedOperator:
             self._sources = sources, list(slots)
         return self._sources
 
-    def apply(self, m: ModuleElement) -> ModuleElement:
+    def apply(self, m: dict) -> dict:
         """Evaluate on a module element; results must clear denominators.
 
         Per output component, the numerators over one denominator are summed
         as polynomials, the sums brought over one common denominator, and
         that is divided out once: a value is a polynomial exactly when its
         denominator divides its numerator, however it is written, and the
-        quotient is then the same."""
+        quotient is then the same.  A component whose quotient is zero is
+        left out."""
         group = self.table.group
         sources, slots = self._by_source()
         nums = {}
-        for j, f in m.components.items():
+        for j, f in m.items():
             for k, g, num in sources.get(j, ()):
                 add_term(nums, k, num * f.weyl_image(group, g))
         acc = {}  # output component -> (numerator, denominator)
@@ -189,8 +143,9 @@ class TwistedOperator:
                 raise NonIntegralResult(
                     f"component {i} evaluated to a non-polynomial: {val!r}"
                 )
-            out[i] = q
-        return ModuleElement(m.n, out)
+            if q:
+                out[i] = q
+        return out
 
     def graded_degree(self):
         """Common artifact degree of all terms, or None if inhomogeneous."""
@@ -244,10 +199,10 @@ def left_mult(table: CosetTable, i: int, c) -> TwistedOperator:
     return TwistedOperator(table, {(i, table.group.identity): c})
 
 
-def diag_mult(table: CosetTable, m: ModuleElement) -> TwistedOperator:
+def diag_mult(table: CosetTable, m: dict) -> TwistedOperator:
     """Left multiplication by a module element, acting diagonally."""
     e = table.group.identity
-    return TwistedOperator(table, {(i, e): RatFun(f) for i, f in m.components.items()})
+    return TwistedOperator(table, {(i, e): RatFun(f) for i, f in m.items()})
 
 
 def sigma_word(setting: Setting, i: int, word) -> TwistedOperator:
@@ -261,10 +216,10 @@ def sigma_word(setting: Setting, i: int, word) -> TwistedOperator:
     return op
 
 
-def straightening_poly(setting: Setting, i: int, s: int, t: int) -> ModuleElement:
+def straightening_poly(setting: Setting, i: int, s: int, t: int) -> dict:
     """The polynomial correction in the variable-crossing commutation."""
     n = setting.datum.ambient_rank
-    return gen_sigma(setting, i, s).apply(ModuleElement(n, {i: Poly.variable(n, t)}))
+    return gen_sigma(setting, i, s).apply({i: Poly.variable(n, t)})
 
 
 @dataclass

@@ -23,7 +23,7 @@ import traceback
 from fractions import Fraction
 
 from . import algebra, localize, presets, repdata
-from .config import Config, build_setting, check_int, emit_config, load_json, parse_config
+from .config import Config, build_setting, check_degree_bound, emit_config, load_json, parse_config
 from .errors import InternalInvariantError, ParseError, QheckeError, UnknownIndex
 from .polyops import KERNEL_NAME, Poly, RatFun, monomials_up_to
 from .report import CheckResult
@@ -167,8 +167,8 @@ def _ratfun_json(c: RatFun):
     }
 
 
-def _module_element_json(m: algebra.ModuleElement):
-    return {str(i): f.to_pairs() for i, f in sorted(m.components.items())}
+def _module_element_json(m: dict):
+    return {str(i): f.to_pairs() for i, f in sorted(m.items())}
 
 
 def _fp_matrix_json(mat, group):
@@ -272,7 +272,7 @@ def _integrality_checks(setting, degree_bound: int) -> list:
             if i not in sources:
                 continue
             for e in monos:
-                m = algebra.ModuleElement.monomial(n, i, e)
+                m = {i: Poly.monomial(n, e)}
                 try:
                     gen.apply(m)
                 except NonIntegralResult:
@@ -295,9 +295,8 @@ def _product_checks(setting, seed: int, degree_bound: int) -> list:
         (na, A), (nb, B), (nc, C) = (rng.choice(gens) for _ in range(3))
         if (A * B) * C != A * (B * C):
             ok, bad = False, {"triple": (na, nb, nc)}
-        m = algebra.ModuleElement.monomial(
-            n, rng.randrange(len(setting.table.indices)), rng.choice(monos)
-        )
+        i = rng.randrange(len(setting.table.indices))
+        m = {i: Poly.monomial(n, rng.choice(monos))}
         if (A * B).apply(m) != A.apply(B.apply(m)):
             ok, bad = False, {"pair": (na, nb), "monomial": True}
     results.append(CheckResult("associativity-sampled", ok, "12 seeded triples", bad))
@@ -446,12 +445,11 @@ def cmd_act(cfg: Config, expr: str, component: int | None, poly_pairs) -> dict:
     if component is None:
         results = {}
         for i in table.indices:
-            m = algebra.ModuleElement.unit(n, i)
-            results[str(i)] = _module_element_json(op.apply(m))
+            results[str(i)] = _module_element_json(op.apply({i: Poly.const(n, 1)}))
         return {"operator_terms": _operator_json(op, sub.group), "unit_images": results}
     _check_index(component, table)
     f = Poly.const(n, 1) if poly_pairs is None else Poly.from_pairs(n, poly_pairs)
-    m = algebra.ModuleElement(n, {component: f})
+    m = {component: f} if f else {}
     return {
         "operator_terms": _operator_json(op, sub.group),
         "image": _module_element_json(op.apply(m)),
@@ -600,7 +598,7 @@ def main(argv=None) -> int:
             if args.strict:
                 cfg.strict_suitability = True
             if args.degree_bound is not None:
-                cfg.degree_bound = check_int(args.degree_bound, "--degree-bound", 0)
+                cfg.degree_bound = check_degree_bound(args.degree_bound, "--degree-bound")
             if args.seed is not None:
                 cfg.seed = args.seed
             selected = None if args.checks is None else args.checks.split(",")

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._kernel_py import DEGREE_LIMIT
 from .errors import ParseError
 from .polyops import coeff_str
 from .repdata import Setting
@@ -53,6 +54,16 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
         raise ParseError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ParseError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def check_degree_bound(value, name: str) -> int:
+    """A degree bound of the check suites: an int from 0 up to the kernel's
+    top degree (a monomial past it does not fit its packed fields), else
+    ParseError."""
+    value = check_int(value, name, 0)
+    if value >= DEGREE_LIMIT:
+        raise ParseError(f"{name} must be at most {DEGREE_LIMIT - 1}, got {value}")
     return value
 
 
@@ -162,7 +173,7 @@ def parse_config(text: str) -> Config:
     if not isinstance(strict, bool):
         raise ParseError(f"options.strict_suitability must be true or false, got {strict!r}")
     cfg.strict_suitability = strict
-    cfg.degree_bound = check_int(options.get("degree_bound", 4), "options.degree_bound", 0)
+    cfg.degree_bound = check_degree_bound(options.get("degree_bound", 4), "options.degree_bound")
     cfg.checks = options.get("checks")
     if cfg.checks is not None and not (
         isinstance(cfg.checks, list) and all(isinstance(c, str) for c in cfg.checks)

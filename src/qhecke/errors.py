@@ -26,10 +26,6 @@ class InternalInvariantError(QheckeError):
     input and not a failed check."""
 
 
-class InternalDivisibilityFailure(InternalInvariantError):
-    """A division that is guaranteed exact failed; indicates an arithmetic bug."""
-
-
 class NonIntegralResult(QheckeError):
     """An operator applied to a polynomial produced a non-polynomial component."""
 

@@ -1,13 +1,14 @@
 """Euler classes of fixed points and the localization pathway.
 
 Every fixed point carries an Euler class: the product of the weights of its
-fiber and tangent data.  Localization sends a module element to the vector
-w(c)/Lambda_w over the fixed points, and an operator to a sparse matrix with
-the rescaled product psi_{x,w} * psi_{w,y} = Lambda_w psi_{x,y}.  Here row
-x of every vector and matrix is multiplied by Lambda_x, which is never zero:
-in this Lambda-cleared basis a module element localizes to the polynomials
-w(c), operators multiply as plain sparse matrices, and the operator
-translation of c*w at (u, uw) is u(c).  Comparing that translation with the
+fiber and tangent data.  Localization sends a module element, a dict
+{coset index: Poly} as in `algebra`, to the vector w(c)/Lambda_w over the
+fixed points, and an operator to a sparse matrix with the rescaled product
+psi_{x,w} * psi_{w,y} = Lambda_w psi_{x,y}.  Here row x of every vector and
+matrix is multiplied by Lambda_x, which is never zero: in this
+Lambda-cleared basis a module element localizes to the polynomials w(c),
+operators multiply as plain sparse matrices, and the operator translation
+of c*w at (u, uw) is u(c).  Comparing that translation with the
 multiplicity-formula matrix Lambda_x / E(x, xw), built from the fixed
 points' weights, is the central cross-check between the two pathways.
 
@@ -33,14 +34,13 @@ exactly; the swapped placement flips the sign.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from operator import and_
 
-from .errors import InternalDivisibilityFailure
+from .errors import InternalInvariantError
 from .polyops import EulerClass, Poly, add_term, monomials_up_to
 from .repdata import Setting, fiber_weights, h_count, q_poly
 from .report import CheckResult
-from .algebra import ModuleElement, TwistedOperator, gen_sigma, gen_unit, gen_var, module_act
+from .algebra import TwistedOperator, gen_sigma, gen_unit, gen_var, module_act
 
 
 def euler(setting: Setting, *sets) -> EulerClass:
@@ -104,7 +104,7 @@ def eu_zbar_s(setting: Setting, gx: int, s: int) -> EulerClass:
     return eu_zbar_w(setting, gx, setting.group.simple[s])
 
 
-def theta(setting: Setting, m: ModuleElement) -> dict:
+def theta(setting: Setting, m: dict) -> dict:
     """Localization of a module element in the Lambda-cleared basis: the
     polynomial w(c) at each fixed point w of the coset carrying the
     component.  Cosets are disjoint and w acts injectively, so every
@@ -112,7 +112,7 @@ def theta(setting: Setting, m: ModuleElement) -> dict:
     table, group = setting.table, setting.group
     return {
         g: f.weyl_image(group, g)
-        for i, f in m.components.items()
+        for i, f in m.items()
         for g in table.fixed_points_of(i)
     }
 
@@ -127,7 +127,7 @@ def fp_apply(A: dict, v: dict) -> dict:
     return out
 
 
-def localize_diagonal(setting: Setting, m: ModuleElement) -> dict:
+def localize_diagonal(setting: Setting, m: dict) -> dict:
     """Multiplication by m as a fixed-point matrix: theta(m) on the
     diagonal.  The unit of coset i is 1 at every fixed point g of i, and
     x_t on coset i is g(x_t) there."""
@@ -175,11 +175,11 @@ def pathway_agreement_check(setting: Setting) -> list:
     n = datum.ambient_rank
     results = []
     for i in table.indices:
-        geo = localize_diagonal(setting, ModuleElement.unit(n, i))
+        geo = localize_diagonal(setting, {i: Poly.const(n, 1)})
         alg = localize_op(setting, gen_unit(table, i))
         results.append(CheckResult(f"pathway-unit(i={i})", geo == alg))
         for t in range(n):
-            geo = localize_diagonal(setting, ModuleElement(n, {i: Poly.variable(n, t)}))
+            geo = localize_diagonal(setting, {i: Poly.variable(n, t)})
             alg = localize_op(setting, gen_var(table, i, t))
             results.append(CheckResult(f"pathway-var(i={i},t={t})", geo == alg))
         for s in range(datum.rank):
@@ -189,42 +189,33 @@ def pathway_agreement_check(setting: Setting) -> list:
     return results
 
 
-def clear_rows(mat: dict) -> tuple:
-    """(D, M): D_x the product of the distinct denominators in row x of a
-    matrix of RatFuns, and M = D * mat, whose entries are polynomials."""
-    dens: dict = {}
-    for (x, _), a in mat.items():
-        row = dens.setdefault(x, [])
-        if a.den not in row:
-            row.append(a.den)
-    factor = {x: prod(row) for x, row in dens.items()}
-    cleared = {}
-    for (x, w), a in mat.items():
-        q = factor[x].divexact(a.den)
-        if q is None:
-            raise InternalDivisibilityFailure(f"row {x}: D_x is not divisible by a denominator")
-        cleared[(x, w)] = a.num * q
-    return factor, cleared
-
-
 def intertwining_check(setting: Setting, degree: int = 3) -> list:
     """The localization map intertwines crossing generators with their
-    fixed-point matrices on all monomials up to the given degree.  Row x of
-    both sides is multiplied by the nonzero D_x of `clear_rows` once per
-    generator, so each monomial costs polynomial arithmetic only."""
+    fixed-point matrices on all monomials up to the given degree.  Every
+    entry of row x of `localize_sigma` lies over the one denominator D_x,
+    which depends only on the Euler classes' counts (Lambda_x / E at
+    (x, xs) and Lambda_x / (-E) at (x, x)); row x of both sides is
+    multiplied by it once per generator, so each monomial costs polynomial
+    arithmetic only."""
     datum, table = setting.datum, setting.table
     n = datum.ambient_rank
     results = []
     monomials = monomials_up_to(n, degree)
     for i in table.indices:
         for s in range(datum.rank):
-            factor, mat = clear_rows(localize_sigma(setting, i, s))
+            factor, mat = {}, {}
+            for (x, y), a in localize_sigma(setting, i, s).items():
+                if factor.setdefault(x, a.den) != a.den:
+                    raise InternalInvariantError(
+                        f"row {x} of sigma({i},{s}) has two denominators"
+                    )
+                mat[(x, y)] = a.num
             sig = gen_sigma(setting, i, s)
             src = table.act(i, s)
             ok = True
             bad = None
             for e in monomials:
-                f = ModuleElement.monomial(n, src, e)
+                f = {src: Poly.monomial(n, e)}
                 lhs = fp_apply(mat, theta(setting, f))
                 rhs = {x: factor[x] * v for x, v in theta(setting, sig.apply(f)).items()}
                 if lhs != rhs:
@@ -248,7 +239,7 @@ def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
         bad = None
         for i in table.indices:
             for e in monomials:
-                c = ModuleElement.monomial(n, i, e)
+                c = {i: Poly.monomial(n, e)}
                 lhs = theta(setting, module_act(table, w, c))
                 rhs = {group.mul(x, group.inv(w)): v for x, v in theta(setting, c).items()}
                 if lhs != rhs:

@@ -9,7 +9,9 @@ its index (`weyl_image`): each monomial's image is built once per group
 and element, as the image of a divisor of one degree less (kept in the same
 memo) times the image of one variable, then summed from the memo.
 
-Rational functions are kept unreduced; equality is cross-multiplication.
+A rational function is not brought to lowest terms: it is replaced by its
+quotient when the denominator divides the numerator (a constant denominator
+always does), and otherwise kept as given; equality is cross-multiplication.
 Euler classes (products of weights) are kept factored instead: an
 `EulerClass` is a rational scalar times a count vector over the primitive
 linear forms of its setting's weight table, packed into one int, so a
@@ -229,9 +231,9 @@ class Poly:
     @classmethod
     def from_pairs(cls, n, pairs) -> "Poly":
         """Parse outside input: a list of [exponents, coefficient] pairs, each
-        exponent list n non-negative integers, each coefficient an integer or
-        a "p/q" string, the total degree below the kernel's field limit.
-        Anything else raises ParseError."""
+        exponent list n non-negative integers, each coefficient an integer
+        (not a boolean) or a "p/q" string, the total degree below the
+        kernel's field limit.  Anything else raises ParseError."""
         if not isinstance(pairs, list):
             raise ParseError(f"polynomial must be a list of pairs, got {pairs!r}")
         d = {}
@@ -254,6 +256,8 @@ class Poly:
                     f"exponents {e!r} reach total degree {sum(e)}, "
                     f"past the limit {_k.DEGREE_LIMIT - 1}"
                 )
+            if isinstance(c, bool):
+                raise ParseError(f"bad coefficient {c!r}")
             try:
                 c = _coeff(c)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -277,7 +281,10 @@ class Poly:
 
 
 class RatFun:
-    """Unreduced fraction of polynomials; equality by cross-multiplication."""
+    """Fraction of polynomials, not brought to lowest terms: unless
+    `reduce=False`, it becomes its quotient over 1 when the denominator
+    divides the numerator, and is kept as given otherwise.  Equality is by
+    cross-multiplication."""
 
     __slots__ = ("num", "den")
 

@@ -1,5 +1,6 @@
 """Builders shared by the test modules."""
 
+from qhecke.polyops import Poly, RatFun
 from qhecke.repdata import Setting
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import CosetTable, fixed_subsystem
@@ -16,3 +17,19 @@ def make_setting(label, constraints=(), kind="nil") -> Setting:
     if kind == "skew":
         return Setting(table, [datum.positive_roots], [datum.roots])
     raise ValueError(kind)
+
+
+def second_denominator(localize_sigma):
+    """`localize_sigma` with the first entry of each matrix written over a
+    second denominator, x0 times its own: the same value, so only code that
+    reads the denominators of a row sees the change.  On a stabilized coset
+    that row then holds two denominators."""
+
+    def wrapped(setting, i, s):
+        mat = localize_sigma(setting, i, s)
+        key, a = next(iter(mat.items()))
+        x0 = Poly.variable(a.num.n, 0)
+        mat[key] = RatFun(a.num * x0, a.den * x0, reduce=False)
+        return mat
+
+    return wrapped

@@ -40,8 +40,8 @@ from fractions import Fraction
 
 import sympy
 
-from qhecke.algebra import ModuleElement, TwistedOperator, diag_mult, left_mult, sigma_word
-from qhecke.errors import InternalDivisibilityFailure, NonIntegralResult, QheckeError
+from qhecke.algebra import TwistedOperator, diag_mult, left_mult, sigma_word
+from qhecke.errors import InternalInvariantError, NonIntegralResult, QheckeError
 from qhecke.localize import theta
 from qhecke.polyops import Poly, RatFun, add_term, monomials_up_to, primitive_form
 from qhecke.repdata import Setting
@@ -60,7 +60,7 @@ def demazure(datum, k: int, f: Poly) -> Poly:
     g = f.substitute_linear(s) - f
     q = g.divexact(alpha)
     if q is None:
-        raise InternalDivisibilityFailure("divided difference did not divide")
+        raise InternalInvariantError("divided difference did not divide")
     return q
 
 
@@ -192,7 +192,7 @@ class NonPolynomialCoefficient(QheckeError):
     pass
 
 
-def apply_per_term(op: TwistedOperator, m: ModuleElement) -> ModuleElement:
+def apply_per_term(op: TwistedOperator, m: dict) -> dict:
     """op applied to m one term at a time: each term's value is a reduced
     `RatFun`, the values are summed per component with `RatFun` addition,
     and each sum is divided out.  The program instead sums the numerators
@@ -200,7 +200,7 @@ def apply_per_term(op: TwistedOperator, m: ModuleElement) -> ModuleElement:
     table, group = op.table, op.table.group
     acc = {}
     for (i, g), c in op.terms.items():
-        f = m.components.get(table.act_elem(i, g))
+        f = m.get(table.act_elem(i, g))
         if f is None:
             continue
         add_term(acc, i, c * RatFun(f.weyl_image(group, g)))
@@ -210,7 +210,7 @@ def apply_per_term(op: TwistedOperator, m: ModuleElement) -> ModuleElement:
         if q is None:
             raise NonIntegralResult(f"component {i} evaluated to a non-polynomial: {val!r}")
         out[i] = q
-    return ModuleElement(m.n, out)
+    return out
 
 
 def sigma_basis_element(setting: Setting, g: int) -> TwistedOperator:
@@ -227,7 +227,7 @@ def sigma_basis_element(setting: Setting, g: int) -> TwistedOperator:
 class NormalForm:
     """Coefficients of an operator over the crossing-word basis sigma(w)."""
 
-    coefficients: dict  # group element -> ModuleElement
+    coefficients: dict  # group element -> {component: Poly}
 
     def support(self):
         return sorted(self.coefficients)
@@ -237,7 +237,6 @@ def normal_form(setting: Setting, op: TwistedOperator) -> NormalForm:
     """Descending-length elimination against sigma(w) for the fixed reduced
     words; coefficients must come out polynomial and the remainder zero."""
     table, group = setting.table, setting.group
-    n = setting.datum.ambient_rank
     basis_cache: dict[int, TwistedOperator] = {}
     coeffs: dict[int, dict[int, Poly]] = {}
     remaining = TwistedOperator(table, dict(op.terms))
@@ -278,7 +277,7 @@ def normal_form(setting: Setting, op: TwistedOperator) -> NormalForm:
         for i in table.indices:
             if (i, v) in remaining.terms:
                 raise NotInSpan("leading coefficient failed to cancel")
-    return NormalForm({g: ModuleElement(n, cs) for g, cs in coeffs.items()})
+    return NormalForm(coeffs)
 
 
 def reassemble(setting: Setting, nf: NormalForm) -> TwistedOperator:
@@ -299,8 +298,7 @@ def theta_injectivity_check(setting: Setting, degree: int = 3) -> list:
     images = []
     for i in setting.table.indices:
         for e in monomials:
-            m = ModuleElement.monomial(n, i, e)
-            images.append(((i, e), theta(setting, m)))
+            images.append(((i, e), theta(setting, {i: Poly.monomial(n, e)})))
     ok = True
     bad = None
     for a in range(len(images)):

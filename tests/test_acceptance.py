@@ -12,7 +12,6 @@ import pytest
 
 from qhecke import cli
 from qhecke.algebra import (
-    ModuleElement,
     braid_assumptions_hold,
     braid_defect,
     check_relations,
@@ -146,7 +145,7 @@ def test_criterion_2_skew_suite():
         for _ in range(m_st):
             power = power * shifted[0] * shifted[1]
         for e in _monomials(n, 4):
-            m = ModuleElement.monomial(n, 0, e)
+            m = {0: Poly.monomial(n, e)}
             assert power.apply(m) == m, (label, e)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from qhecke.algebra import (
-    ModuleElement,
     TwistedOperator,
     _dihedral_elements,
     braid_assumptions_hold,
@@ -78,7 +77,7 @@ class TestGenerators:
         for i in table.indices:
             total = total + gen_unit(table, i)
         for i in table.indices:
-            m = ModuleElement.monomial(n, i, (1, 2))
+            m = {i: Poly.monomial(n, (1, 2))}
             assert total.apply(m) == m
 
     def test_vars_commute(self, halfint_a2):
@@ -90,26 +89,30 @@ class TestGenerators:
     def test_unit_apply_restricts(self, halfint_a2):
         datum, _, table, _ = halfint_a2
         n = datum.ambient_rank
-        m = ModuleElement(n, {0: Poly.variable(n, 0), 1: Poly.variable(n, 1)})
+        m = {0: Poly.variable(n, 0), 1: Poly.variable(n, 1)}
         out = gen_unit(table, 0).apply(m)
-        assert out.components == {0: Poly.variable(n, 0)}
+        assert out == {0: Poly.variable(n, 0)}
 
     def test_sigma_apply_own_root(self, skew_a2):
         # crossing applied to its own root is -2 q on a stabilized index
         datum, _, _, _ = skew_a2
-        n = datum.ambient_rank
         alpha = Poly.linear(datum.simple_roots[0])
-        out = gen_sigma(skew_a2, 0, 0).apply(ModuleElement(n, {0: alpha}))
+        out = gen_sigma(skew_a2, 0, 0).apply({0: alpha})
         q = q_poly(skew_a2, 0, 0)
-        assert out.components == {0: -2 * q}
+        assert out == {0: -2 * q}
+
+    def test_a_crossing_that_kills_its_input_leaves_no_component(self, nil_a2):
+        # the divided difference of a constant is zero: apply drops it
+        n = nil_a2.datum.ambient_rank
+        assert gen_sigma(nil_a2, 0, 0).apply({0: Poly.const(n, 1)}) == {}
 
     def test_nilhecke_sigma_is_divided_difference(self, nil_a2):
         datum, _, _, _ = nil_a2
         n = datum.ambient_rank
         f = Poly.variable(n, 0) ** 2 * Poly.variable(n, 1)
-        out = sigma_word(nil_a2, 0, (0, 1, 0)).apply(ModuleElement(n, {0: f}))
+        out = sigma_word(nil_a2, 0, (0, 1, 0)).apply({0: f})
         expected = demazure_word(datum, (0, 1, 0), f)
-        got = out.components.get(0, Poly(n))
+        got = out.get(0, Poly(n))
         assert got == expected
 
     def test_apply_raises_on_nonintegral(self, nil_a2):
@@ -121,7 +124,7 @@ class TestGenerators:
             table, {(0, group.identity): RatFun(Poly.const(n, 1), alpha)}
         )
         with pytest.raises(NonIntegralResult):
-            bad.apply(ModuleElement.unit(n, 0))
+            bad.apply({0: Poly.const(n, 1)})
 
 
 class TestSigmaWord:
@@ -164,7 +167,7 @@ class TestStraightening:
         for i in table.indices:
             for s in range(datum.rank):
                 if table.act(i, s) != i:
-                    assert straightening_poly(halfint_a2, i, s, 0).is_zero()
+                    assert straightening_poly(halfint_a2, i, s, 0) == {}
 
     def test_nilhecke_constant(self, nil_a2):
         datum, _, _, _ = nil_a2
@@ -173,7 +176,7 @@ class TestStraightening:
             c = straightening_poly(nil_a2, 0, 0, t)
             coroot = datum.coroot(datum.simple_roots[0])
             expected = Poly.const(n, -Fraction(coroot[t]))
-            got = c.components.get(0, Poly(n))
+            got = c.get(0, Poly(n))
             assert got == expected
 
     def test_skew_multiple_of_q(self, skew_a2):
@@ -182,7 +185,7 @@ class TestStraightening:
         c = straightening_poly(skew_a2, 0, 0, 1)
         q = q_poly(skew_a2, 0, 0)
         coroot = datum.coroot(datum.simple_roots[0])
-        assert c.components[0] == q * (-Fraction(coroot[1]))
+        assert c[0] == q * (-Fraction(coroot[1]))
 
 
 class TestRelations:
@@ -305,7 +308,7 @@ class TestNormalForm:
         nf = normal_form(halfint_a2, gen_unit(table, 1))
         assert nf.support() == [group.identity]
         me = nf.coefficients[group.identity]
-        assert me.components == {1: Poly.const(datum.ambient_rank, 1)}
+        assert me == {1: Poly.const(datum.ambient_rank, 1)}
 
     def test_sigma(self, halfint_a2):
         datum, sub, table, _ = halfint_a2
@@ -315,7 +318,7 @@ class TestNormalForm:
                 sig = gen_sigma(halfint_a2, i, s)
                 nf = normal_form(halfint_a2, sig)
                 top = nf.coefficients[group.simple[s]]
-                assert top.components[i] == Poly.const(datum.ambient_rank, 1)
+                assert top[i] == Poly.const(datum.ambient_rank, 1)
                 assert reassemble(halfint_a2, nf) == sig
 
     def test_roundtrip_random_products(self, halfint_a2):
@@ -352,7 +355,7 @@ class TestNormalForm:
                 nf = normal_form(halfint_a2, op)
                 top = nf.coefficients.get(sw)
                 assert top is not None
-                assert all(f == one for f in top.components.values())
+                assert all(f == one for f in top.values())
 
     def test_not_in_span(self, halfint_a2):
         datum, sub, table, _ = halfint_a2
@@ -404,7 +407,7 @@ def _sources(op):
 def _assert_apply_matches_the_oracle(op, n, monos):
     for j in _sources(op):
         for e in monos:
-            m = ModuleElement.monomial(n, j, e)
+            m = {j: Poly.monomial(n, e)}
             assert op.apply(m) == apply_per_term(op, m), (op, j, e)
 
 
@@ -457,7 +460,7 @@ class TestApplyAgainstThePerTermOracle:
             },
         )
         for op in (single, shared):
-            m = ModuleElement.unit(n, 0)
+            m = {0: Poly.const(n, 1)}
             with pytest.raises(NonIntegralResult):
                 op.apply(m)
             with pytest.raises(NonIntegralResult):
@@ -467,9 +470,9 @@ class TestApplyAgainstThePerTermOracle:
         n = nil_a2.datum.ambient_rank
         sig = gen_sigma(nil_a2, 0, 0)
         assert sig._sources is None
-        sig.apply(ModuleElement.unit(n, 0))
+        sig.apply({0: Poly.const(n, 1)})
         sources, slots = sig._sources
         # both terms read component 0 and share the denominator alpha_0
         assert list(sources) == [0] and len(sources[0]) == 2 and len(slots) == 1
-        sig.apply(ModuleElement.monomial(n, 0, (1, 0)))
+        sig.apply({0: Poly.monomial(n, (1, 0))})
         assert sig._sources[0] is sources

@@ -11,6 +11,8 @@ from qhecke.errors import ParseError, UnknownIndex
 from qhecke.polyops import KERNEL_NAME
 from qhecke.presets import preset_nilhecke, preset_skew
 
+from conftest import second_denominator
+
 
 @pytest.fixture(scope="module")
 def nil_setting():
@@ -298,6 +300,7 @@ class TestMalformedInputToMain:
             ([[[1, 0], "1", "2"]], "is not an [exponents, coefficient] pair"),
             ([[[1, 0], "1/0"]], "bad coefficient"),
             ([[[1, 0], 0.5]], "bad coefficient"),
+            ([[[1, 0], True]], "bad coefficient"),
             ({"x": 1}, "must be a list of pairs"),
             ([[[2**15, 0], "1"]], "reach total degree 32768, past the limit 32767"),
             ([[[2**14, 2**14], "0"]], "reach total degree 32768, past the limit 32767"),
@@ -305,7 +308,8 @@ class TestMalformedInputToMain:
         ids=[
             "negative-exponent", "short-exponents", "long-exponents", "bool-exponent",
             "not-a-pair", "one-entry", "three-entries", "zero-denominator",
-            "float-coefficient", "not-a-list", "degree-at-the-guard", "zero-term-at-the-guard",
+            "float-coefficient", "bool-coefficient", "not-a-list", "degree-at-the-guard",
+            "zero-term-at-the-guard",
         ],
     )
     def test_act_poly(self, capsys, a2_config, pairs, message):
@@ -437,7 +441,8 @@ class TestMalformedInputToMain:
 
 class TestIntegerFields:
     """options.degree_bound, options.seed and springer.r must be ints (not
-    bools); degree_bound and r, like --degree-bound, must be >= 0."""
+    bools); degree_bound and r, like --degree-bound, must be >= 0, and the
+    degree bound at most the kernel's top degree 32767."""
 
     def write(self, tmp_path, options=None, springer=None):
         raw = {"group": "A2"}
@@ -486,6 +491,22 @@ class TestIntegerFields:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--degree-bound must be at least 0" in err
 
+    @pytest.mark.parametrize("spelling", ["--degree-bound", "options.degree_bound"])
+    def test_degree_bound_past_the_kernel_fields(self, capsys, tmp_path, spelling):
+        # on a rank-1 datum the monomial x0^32768 is reached at once; it is
+        # refused as input before any monomial is built
+        raw = {"group": {"ambient_rank": 1, "simple_roots": [[1]], "coroots": [[2]]}}
+        argv = ["check", "--checks", "integrality"]
+        if spelling == "--degree-bound":
+            argv += ["--degree-bound", "32768"]
+        else:
+            raw["options"] = {"degree_bound": 32768}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(argv + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{spelling} must be at most 32767" in err
+
     def test_zero_degree_bound_flag_runs(self, capsys, a2_config):
         argv = ["check", "--config", a2_config, "--checks", "integrality", "--degree-bound", "0"]
         assert cli.main(argv) == 0
@@ -526,10 +547,10 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("internal invariant broken: q != alpha_s^h")
 
     def test_divisibility_failure_exits_3(self, capsys, monkeypatch, a2_config):
-        from qhecke.errors import InternalDivisibilityFailure
+        from qhecke.errors import InternalInvariantError
 
         def broken(*args):
-            raise InternalDivisibilityFailure("exact division failed")
+            raise InternalInvariantError("exact division failed")
 
         monkeypatch.setattr(cli.localize, "lambda_table", broken)
         assert cli.main(["euler", "--config", a2_config]) == 3
@@ -541,12 +562,11 @@ class TestExitCodes:
         assert cli.main(argv + ["--poly", json.dumps([[[2**15 - 1, 0], "1"]])]) == 3
         assert "reaches degree 32768" in capsys.readouterr().err
 
-    def test_inexact_row_clearing_exits_3(self, capsys, monkeypatch, a2_config):
-        from qhecke.polyops import Poly
-
-        monkeypatch.setattr(Poly, "divexact", lambda self, other: None)
+    def test_a_second_denominator_in_a_row_exits_3(self, capsys, monkeypatch, a2_config):
+        real = cli.localize.localize_sigma
+        monkeypatch.setattr(cli.localize, "localize_sigma", second_denominator(real))
         assert cli.main(["check", "--config", a2_config, "--checks", "localization"]) == 3
-        assert "is not divisible" in capsys.readouterr().err
+        assert "has two denominators" in capsys.readouterr().err
 
 
 class TestOnlyTypedErrorsAreBadInput:

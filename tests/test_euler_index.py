@@ -17,7 +17,8 @@ import sympy
 import oracles
 from oracles import as_counter, euler_of, matches, sympy_product, to_sympy
 from qhecke.config import Config, build_setting
-from qhecke.localize import eu_zbar_w, q_translate, tangent_n
+from qhecke.localize import eu_zbar_w, localize_sigma, q_translate, tangent_n
+from qhecke.polyops import Poly
 from qhecke.presets import QuiverSpec, preset_klr, preset_nilhecke, preset_skew
 from qhecke.repdata import fiber_weights
 
@@ -66,6 +67,25 @@ def test_every_crossing_cell_class(setting):
         for w in range(size):
             want = euler_of(oracles.eu_zbar_weights(setting, x, w))
             assert matches(eu_zbar_w(setting, x, w), want), (x, w)
+
+
+def test_every_crossing_row_has_one_denominator(setting):
+    # row x of sigma(i, s) holds Lambda_x / E and, on stabilized cosets,
+    # Lambda_x / (-E): one denominator D_x, the forms E has more of than
+    # Lambda_x, which `intertwining_check` clears the row by
+    group, n = setting.group, setting.datum.ambient_rank
+    for i in setting.table.indices:
+        for s in range(setting.datum.rank):
+            dens = {}
+            for (x, _), a in localize_sigma(setting, i, s).items():
+                dens.setdefault(x, set()).add(a.den)
+            for x, found in dens.items():
+                lam = euler_of(oracles.lambda_weights(setting, x))[1]
+                cell = euler_of(oracles.eu_zbar_weights(setting, x, group.simple[s]))[1]
+                want = Poly.const(n, 1)
+                for form, mult in (cell - lam).items():
+                    want = want * Poly.linear(form) ** mult
+                assert found == {want}, (i, s, x)
 
 
 def test_every_q_translate(setting):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qhecke import localize
-from qhecke.algebra import ModuleElement, gen_sigma
+from qhecke.algebra import gen_sigma
 from qhecke.localize import (
     additivity_sides,
     eu_zbar_s,
@@ -29,7 +29,7 @@ from qhecke.localize import (
     theta_equivariance_check,
 )
 from qhecke.config import build_setting
-from qhecke.errors import InternalDivisibilityFailure
+from qhecke.errors import InternalInvariantError
 from qhecke.polyops import Poly, RatFun, add_term
 from qhecke.presets import preset_nilhecke
 from qhecke.repdata import Setting, fiber_weights, h_count
@@ -37,7 +37,7 @@ from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import CosetTable, TorusConstraint, fixed_subsystem
 
 import oracles
-from conftest import make_setting
+from conftest import make_setting, second_denominator
 from oracles import as_counter, matches
 
 
@@ -227,12 +227,11 @@ class TestCrossingCells:
 
 class TestTheta:
     def test_zero(self, setting):
-        datum, _, _, _ = setting
-        assert theta(setting, ModuleElement(datum.ambient_rank)) == {}
+        assert theta(setting, {}) == {}
 
     def test_unit_support(self, setting):
         datum, _, table, _ = setting
-        m = ModuleElement.unit(datum.ambient_rank, 0)
+        m = {0: Poly.const(datum.ambient_rank, 1)}
         vec = theta(setting, m)
         fixed = table.fixed_points_of(0)
         assert sorted(vec) == sorted(fixed)
@@ -245,7 +244,7 @@ class TestTheta:
         n = datum.ambient_rank
         f = Poly.variable(n, 0) * Poly.variable(n, n - 1) + Poly.const(n, 3)
         for i in table.indices:
-            vec = theta(setting, ModuleElement(n, {i: f}))
+            vec = theta(setting, {i: f})
             assert vec == {g: f.weyl_image(group, g) for g in table.fixed_points_of(i)}
             assert all(isinstance(v, Poly) for v in vec.values())
 
@@ -268,9 +267,9 @@ class TestTheta:
         x = Poly.variable(n, 0)
         y = Poly.variable(n, min(1, n - 1))
         for i in table.indices:
-            a = ModuleElement(n, {i: x})
-            b = ModuleElement(n, {i: y})
-            ab = ModuleElement(n, {i: x * y})
+            a = {i: x}
+            b = {i: y}
+            ab = {i: x * y}
             va = theta(setting, a)
             vb = theta(setting, b)
             vab = theta(setting, ab)
@@ -323,7 +322,7 @@ class TestFixedPointAlgebra:
         datum, _, table, _ = setting
         n = datum.ambient_rank
         mat = localize_sigma(setting, 0, 0)
-        m = ModuleElement.unit(n, table.act(0, 0))
+        m = {table.act(0, 0): Poly.const(n, 1)}
         vec = theta(setting, m)
         via_apply = fp_apply(mat, vec)
         as_matrix = {(g, 0): c for g, c in vec.items()}
@@ -392,20 +391,14 @@ class TestClearedCrossingEntries:
 
 
     def test_clear_rows(self, setting):
-        for s in range(setting.datum.rank):
-            mat = localize_sigma(setting, 0, s)
-            factor, cleared = localize.clear_rows(mat)
-            assert sorted(cleared) == sorted(mat)
-            for (x, w), a in mat.items():
-                assert isinstance(cleared[(x, w)], Poly)
-                assert cleared[(x, w)] == a * factor[x]
-                assert factor[x]
-
-    def test_clear_rows_raises_when_a_row_does_not_divide(self, setting, monkeypatch):
-        mat = localize_sigma(setting, 0, 0)
-        monkeypatch.setattr(Poly, "divexact", lambda self, other: None)
-        with pytest.raises(InternalDivisibilityFailure):
-            localize.clear_rows(mat)
+        # `intertwining_check` multiplies row x by the one denominator D_x
+        # of its entries and keeps their numerators
+        for i in setting.table.indices:
+            for s in range(setting.datum.rank):
+                factor = {}
+                for (x, _), a in localize_sigma(setting, i, s).items():
+                    assert factor.setdefault(x, a.den) == a.den, (i, s, x)
+                    assert a * factor[x] == a.num and factor[x]
 
 
 class TestLocalizationMutants:
@@ -437,6 +430,15 @@ class TestLocalizationMutants:
         real = localize.eu_zbar_w
         monkeypatch.setattr(localize, "eu_zbar_w", lambda *args: -real(*args))
         assert self.failures(build_setting(preset_nilhecke("A2"))) == (2, 5, 2, 2)
+
+    def test_a_second_denominator_in_one_row(self, monkeypatch):
+        # the value is unchanged, so the pathway checks pass, but row
+        # clearing reads one denominator per row and must refuse two
+        setting = build_setting(preset_nilhecke("A2"))
+        monkeypatch.setattr(localize, "localize_sigma", second_denominator(localize_sigma))
+        assert all(r.passed for r in pathway_agreement_check(setting))
+        with pytest.raises(InternalInvariantError, match="has two denominators"):
+            intertwining_check(setting)
 
 
 class TestWeightMemoMutants:
@@ -511,12 +513,12 @@ class TestDiagonalMatrices:
         n = datum.ambient_rank
         for i in table.indices:
             points = table.fixed_points_of(i)
-            unit = ModuleElement.unit(n, i)
+            unit = {i: Poly.const(n, 1)}
             assert localize_diagonal(setting, unit) == {(g, g): Poly.const(n, 1) for g in points}
             for t in range(n):
                 x_t = Poly.variable(n, t)
                 want = {(g, g): x_t.weyl_image(group, g) for g in points}
-                assert localize_diagonal(setting, ModuleElement(n, {i: x_t})) == want
+                assert localize_diagonal(setting, {i: x_t}) == want
 
 
 def _leading_pairs(setting):

@@ -3,7 +3,6 @@ from itertools import combinations_with_replacement
 import pytest
 
 from qhecke.algebra import (
-    ModuleElement,
     TwistedOperator,
     check_relations,
     gen_sigma,
@@ -11,6 +10,7 @@ from qhecke.algebra import (
 )
 from qhecke.config import build_setting, emit_config, parse_config
 from qhecke.errors import ParseError, UnsupportedDimension
+from qhecke.polyops import Poly
 from qhecke.presets import (
     QuiverSpec,
     coset_sequences,
@@ -83,7 +83,7 @@ class TestSkew:
         for _ in range(m_st):
             power = power * shifted[0] * shifted[1]
         for e in monomials(n, 4):
-            m = ModuleElement.monomial(n, 0, e)
+            m = {0: Poly.monomial(n, e)}
             assert power.apply(m) == m
 
     def test_relations(self):

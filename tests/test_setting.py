@@ -237,6 +237,27 @@ class TestCallingConvention:
         ]
         assert bad == []
 
+    def test_no_module_element_class_or_row_product_in_src(self):
+        # a module element is a {coset index: Poly} dict and each crossing
+        # row clears by its one denominator, so no wrapper class, no
+        # `.components` and no `clear_rows` come back
+        gone = {"ModuleElement", "clear_rows"}
+        bad = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute):
+                    names = {node.attr} & (gone | {"components"})
+                elif isinstance(node, ast.Name):
+                    names = {node.id} & gone
+                elif isinstance(node, ast.alias):
+                    names = {node.name, node.asname} & gone
+                elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    names = {node.name} & gone
+                else:
+                    continue
+                bad += [(path.name, node.lineno, name) for name in names]
+        assert bad == []
+
     def test_no_counter_in_src(self):
         # Euler classes are packed over the weight table and cut additivity
         # reads root indices; the weight-multiset forms of both are the
