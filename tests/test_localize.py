@@ -400,6 +400,13 @@ class TestClearedCrossingEntries:
                     assert factor.setdefault(x, a.den) == a.den, (i, s, x)
                     assert a * factor[x] == a.num and factor[x]
 
+    def test_clear_rows_raises_when_a_row_does_not_divide(self, setting, monkeypatch):
+        # an entry over a second denominator is not cleared by D_x, and
+        # `intertwining_check` refuses its row rather than drop that factor
+        monkeypatch.setattr(localize, "localize_sigma", second_denominator(localize_sigma))
+        with pytest.raises(InternalInvariantError, match="has two denominators"):
+            intertwining_check(setting, degree=0)
+
 
 class TestLocalizationMutants:
     """Corruptions the localization suites must see on nil:A2, at the same
