@@ -27,6 +27,7 @@ from .config import Config, build_setting, check_degree_bound, emit_config, load
 from .errors import InternalInvariantError, ParseError, QheckeError, UnknownIndex
 from .polyops import KERNEL_NAME, Poly, RatFun, monomials_up_to
 from .report import CheckResult
+from .rootcore import build_root_datum
 from .subgroup import factorization_check, length_comparison_check, member_of_W, s_adapted
 
 
@@ -255,9 +256,15 @@ def _all_generators(setting):
 def _integrality_checks(setting, degree_bound: int) -> list:
     """Generators stay polynomial on every monomial up to the degree bound.
 
-    This is the documented property test, not a proof: exact divisibility is
-    certified on the monomial family only.  A generator is applied only on
-    the cosets its terms read; it sends every other component to zero.
+    A generator whose coefficients all have constant denominators is
+    integral on every polynomial, and is not applied: each term c*g(f) is a
+    polynomial times a nonzero rational times the image of f under an
+    integer substitution.  These are the units, the variables, the crossings
+    across a wall and the divided differences q*(s - 1)/alpha_s with alpha_s
+    dividing q; the decision reads the denominators, not the kind.  Every other
+    generator is swept: applied to every monomial up to the degree bound, on
+    the cosets its terms read, since it sends every other component to zero.
+    That sweep is the documented property test, not a proof.
     """
     from .errors import NonIntegralResult
 
@@ -267,6 +274,8 @@ def _integrality_checks(setting, degree_bound: int) -> list:
     ok = True
     bad = None
     for name, gen in _all_generators(setting):
+        if all(c.den.is_constant() for c in gen.terms.values()):
+            continue
         sources = {table.act_elem(i, g) for (i, g) in gen.terms}
         for i in table.indices:
             if i not in sources:
@@ -510,10 +519,11 @@ def cmd_euler(cfg: Config) -> dict:
 
 
 def cmd_preset(name: str, quiver_json: str | None) -> Config:
-    if name.startswith("nilhecke:"):
-        return presets.preset_nilhecke(name.split(":", 1)[1])
-    if name.startswith("skew:"):
-        return presets.preset_skew(name.split(":", 1)[1])
+    for prefix, preset in (("nilhecke:", presets.preset_nilhecke), ("skew:", presets.preset_skew)):
+        if name.startswith(prefix):
+            label = name[len(prefix) :]
+            build_root_datum(label)  # refuses an unknown label; builds no group
+            return preset(label)
     if name == "klr":
         if not quiver_json:
             raise ParseError("klr preset needs --quiver")

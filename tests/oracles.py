@@ -17,6 +17,10 @@
 - An operator applied to a module element one term at a time, each term a
   reduced `RatFun` (`apply_per_term`), against which `TwistedOperator.apply`
   and its one division per component are checked.
+- The integrality suite as it swept every generator on every monomial up
+  to the degree bound (`integrality_sweep_all`).  The program settles a
+  generator whose denominators are all constant without applying it;
+  `tests/test_cli.py` checks that both give the same result.
 - Normal forms over the crossing-word basis sigma(w): descending-length
   elimination and reassembly, which round-trip the generators and their
   products.
@@ -41,6 +45,7 @@ from fractions import Fraction
 import sympy
 
 from qhecke.algebra import TwistedOperator, diag_mult, left_mult, sigma_word
+from qhecke.cli import _all_generators
 from qhecke.errors import InternalInvariantError, NonIntegralResult, QheckeError
 from qhecke.localize import theta
 from qhecke.polyops import Poly, RatFun, add_term, monomials_up_to, primitive_form
@@ -211,6 +216,32 @@ def apply_per_term(op: TwistedOperator, m: dict) -> dict:
             raise NonIntegralResult(f"component {i} evaluated to a non-polynomial: {val!r}")
         out[i] = q
     return out
+
+
+def integrality_sweep_all(setting: Setting, degree_bound: int) -> list:
+    """Generators stay polynomial on every monomial up to the degree bound.
+
+    This is the documented property test, not a proof: exact divisibility is
+    certified on the monomial family only.  A generator is applied only on
+    the cosets its terms read; it sends every other component to zero.
+    """
+    table = setting.table
+    n = setting.datum.ambient_rank
+    monos = monomials_up_to(n, degree_bound)
+    ok = True
+    bad = None
+    for name, gen in _all_generators(setting):
+        sources = {table.act_elem(i, g) for (i, g) in gen.terms}
+        for i in table.indices:
+            if i not in sources:
+                continue
+            for e in monos:
+                m = {i: Poly.monomial(n, e)}
+                try:
+                    gen.apply(m)
+                except NonIntegralResult:
+                    ok, bad = False, {"generator": name, "component": i, "monomial": e}
+    return [CheckResult("generators-integral", ok, f"degree bound {degree_bound}", bad)]
 
 
 def sigma_basis_element(setting: Setting, g: int) -> TwistedOperator:

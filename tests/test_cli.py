@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import subprocess
@@ -5,13 +6,16 @@ import sys
 
 import pytest
 
-from qhecke import cli
+from qhecke import algebra, cli
+from qhecke.algebra import TwistedOperator
 from qhecke.config import Config, build_setting, emit_config, parse_config
-from qhecke.errors import ParseError, UnknownIndex
-from qhecke.polyops import KERNEL_NAME
-from qhecke.presets import preset_nilhecke, preset_skew
+from qhecke.errors import NonIntegralResult, ParseError, UnknownIndex
+from qhecke.polyops import KERNEL_NAME, Poly, RatFun
+from qhecke.presets import QuiverSpec, preset_klr, preset_nilhecke, preset_skew
 
 from conftest import second_denominator
+from oracles import integrality_sweep_all
+from test_algebra import APPLY_PRESETS
 
 
 @pytest.fixture(scope="module")
@@ -512,6 +516,149 @@ class TestIntegerFields:
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["checks"][0]["details"] == "degree bound 0"
+
+
+# every setting the operator tests apply generators on, the ten presets of the
+# check-matrix benchmark workload, and KLR arrow (3,2)
+INTEGRALITY_PRESETS = {
+    **APPLY_PRESETS,
+    **{
+        f"{family}:{label}": preset(label)
+        for family, preset in (("nil", preset_nilhecke), ("skew", preset_skew))
+        for label in ("A2", "B2", "G2", "A3")
+    },
+    "klr-arrow-3-2": preset_klr(QuiverSpec((1, 2), ((1, 2),), {1: 3, 2: 2})),
+}
+
+
+@functools.cache
+def integrality_setting(key):
+    return build_setting(INTEGRALITY_PRESETS[key])
+
+
+def divides(op) -> bool:
+    """Whether some coefficient of op has a non-constant denominator."""
+    return any(not c.den.is_constant() for c in op.terms.values())
+
+
+class TestIntegralitySuite:
+    """The suite applies only the generators with a non-constant
+    denominator; the full sweep `integrality_sweep_all` is its oracle."""
+
+    @pytest.mark.parametrize("bound", range(5))
+    @pytest.mark.parametrize("key", sorted(INTEGRALITY_PRESETS))
+    def test_same_result_as_the_full_sweep(self, key, bound):
+        setting = integrality_setting(key)
+        assert cli._integrality_checks(setting, bound) == integrality_sweep_all(setting, bound)
+
+    @pytest.mark.parametrize("key", sorted(INTEGRALITY_PRESETS))
+    def test_applies_exactly_the_generators_that_divide(self, monkeypatch, key):
+        setting = integrality_setting(key)
+        applied = {}
+        real = TwistedOperator.apply
+
+        def spy(op, m):
+            applied[id(op)] = op
+            return real(op, m)
+
+        monkeypatch.setattr(TwistedOperator, "apply", spy)
+        cli._integrality_checks(setting, 1)
+        # none on skew and loop presets, whose crossing coefficients q/alpha
+        # reduce to polynomials
+        assert all(divides(op) for op in applied.values())
+        assert len(applied) == sum(divides(gen) for _, gen in cli._all_generators(setting))
+
+
+class TestIntegralityFailures:
+    """`--checks integrality` on generators that do not stay polynomial."""
+
+    QUIVER = json.dumps({"vertices": [1, 2], "arrows": [[1, 2]], "dimension": [2, 2]})
+
+    @pytest.fixture(params=["nilhecke:A2", "klr"], ids=["nil-A2", "klr-arrow-2-2"])
+    def cfg(self, request):
+        return cli.cmd_preset(request.param, self.QUIVER if request.param == "klr" else None)
+
+    def run(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(emit_config(cfg))
+        argv = ["check", "--config", str(path), "--checks", "integrality"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "FAILED: integrality:generators-integral" in err
+        (check,) = json.loads(out)["checks"]
+        assert check["status"] == "fail" and check["details"] == "degree bound 4"
+        setting = build_setting(cfg)
+        assert cli._integrality_checks(setting, 4) == integrality_sweep_all(setting, 4)
+        return check["counterexample"]
+
+    def assert_nonintegral(self, gen, component, monomial):
+        n = len(monomial)
+        with pytest.raises(NonIntegralResult):
+            gen.apply({component: Poly.monomial(n, monomial)})
+
+    def test_crossing_over_alpha_squared(self, capsys, monkeypatch, tmp_path, cfg):
+        real = algebra.gen_sigma
+
+        def over_alpha_squared(setting, i, s):
+            sig = real(setting, i, s)
+            if not setting.table.stab(i, s):
+                return sig
+            alpha = Poly.linear(setting.datum.simple_roots[s])
+            terms = {k: RatFun(c.num, c.den * alpha, reduce=False) for k, c in sig.terms.items()}
+            return TwistedOperator(setting.table, terms)
+
+        monkeypatch.setattr(algebra, "gen_sigma", over_alpha_squared)
+        bad = self.run(capsys, tmp_path, cfg)
+        assert set(bad) == {"generator", "component", "monomial"}
+        assert bad["generator"].startswith("crossing(")
+        i, s = map(int, bad["generator"][len("crossing(") : -1].split(","))
+        gen = over_alpha_squared(build_setting(cfg), i, s)
+        self.assert_nonintegral(gen, bad["component"], bad["monomial"])
+
+    def test_variable_over_a_linear_form_is_swept(self, capsys, monkeypatch, tmp_path, cfg):
+        # a variable generator with a non-constant denominator is applied
+        # like a crossing: the suite keys on denominators, not on kinds
+        real = algebra.gen_var
+
+        def over_alpha(table, i, t):
+            alpha = Poly.linear(table.sub.datum.simple_roots[0])
+            terms = {k: RatFun(c.num, alpha) for k, c in real(table, i, t).terms.items()}
+            return TwistedOperator(table, terms)
+
+        monkeypatch.setattr(algebra, "gen_var", over_alpha)
+        bad = self.run(capsys, tmp_path, cfg)
+        assert bad["generator"].startswith("var(")
+        i, t = map(int, bad["generator"][len("var(") : -1].split(","))
+        gen = over_alpha(build_setting(cfg).table, i, t)
+        self.assert_nonintegral(gen, bad["component"], bad["monomial"])
+
+
+class TestPresetLabel:
+    """`qhecke preset` validates a Cartan or GL label when it writes the
+    config, with the check `describe` applies when it reads it."""
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("nilhecke:D5", "unsupported label 'D5'"),
+            ("skew:Z9", "unsupported label 'Z9'"),
+            ("skew:E6", "unsupported label 'E6'"),
+            ("nilhecke:", "unsupported label ''"),
+            ("nilhecke:GL10", "past the enumeration bound 2,000,000"),
+        ],
+    )
+    def test_unknown_label_is_refused(self, capsys, tmp_path, name, message):
+        path = tmp_path / "cfg.json"
+        assert cli.main(["preset", "--name", name, "--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err
+        assert not out and not path.exists()
+
+    @pytest.mark.parametrize("name", ["nilhecke:B2", "skew:G2", "nilhecke:GL3", "skew:c3"])
+    def test_accepted_label_describes(self, capsys, tmp_path, name):
+        path = tmp_path / "cfg.json"
+        assert cli.main(["preset", "--name", name, "--out", str(path)]) == 0
+        assert cli.main(["describe", "--config", str(path)]) == 0
 
 
 class TestActPoly:
