@@ -26,6 +26,7 @@ Keys have at most MAX_VARS + 1 fields; the root datum bounds its ambient
 rank by MAX_VARS, so every polynomial of a setting fits.
 """
 
+import struct
 from fractions import Fraction
 
 from .errors import InternalInvariantError
@@ -34,11 +35,12 @@ WIDTH = 16
 MAX_VARS = 16
 # exponents and total degrees are below this; its bit is a field's guard
 DEGREE_LIMIT = 1 << (WIDTH - 1)
-_FIELD = (1 << WIDTH) - 1
 GUARD = sum(DEGREE_LIMIT << (WIDTH * i) for i in range(MAX_VARS + 1))
 # _SHIFTS[n]: the shift of each exponent field of a key in n variables,
 # e_0's first
 _SHIFTS = tuple(tuple(range(WIDTH * (n - 1), -1, -WIDTH)) for n in range(MAX_VARS + 1))
+# _FIELDS[n]: `unpack`'s reader of a key in n variables; "H" is WIDTH bits
+_FIELDS = tuple(struct.Struct(">2x" + "H" * n) for n in range(MAX_VARS + 1))
 
 
 def pack(exponents) -> int:
@@ -55,8 +57,9 @@ def pack(exponents) -> int:
 
 
 def unpack(key: int, n: int) -> tuple:
-    """The exponent tuple of a key in n variables."""
-    return tuple([key >> s & _FIELD for s in _SHIFTS[n]])
+    """The exponent tuple of a key in n variables: its big-endian bytes read
+    as n + 1 unsigned 16-bit fields, the degree's skipped."""
+    return _FIELDS[n].unpack(key.to_bytes(2 * n + 2, "big"))
 
 
 def norm_coeff(c):

@@ -667,7 +667,9 @@ def main(argv=None) -> int:
 
 
 def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Write a report as one line of compact JSON with sorted keys, which
+    json's C encoder writes (`python -m json.tool` indents it)."""
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -16,7 +16,8 @@ Euler classes (products of weights) are kept factored instead: an
 `EulerClass` is a rational scalar times a count vector over the primitive
 linear forms of its setting's weight table, packed into one int, so a
 product of Euler classes adds two ints, and a quotient of two is a `RatFun`
-over the forms left after the common counts cancel.
+over the forms left after the common counts cancel.  The table expands each
+count vector once (`WeightTable.product`); a class scales that expansion.
 
 Grading convention: a linear form has artifact degree 2 (degrees are doubled);
 `artifact_degree` reports the doubled value, `degree` the internal one.
@@ -50,13 +51,15 @@ def _coeff(value):
 
 
 def _columns(matrix, n: int) -> tuple:
-    """The columns of a square matrix: the linear forms `ksubst` and
-    `kimage` put in for the variables."""
+    """The columns of a square matrix: the linear forms `ksubst` puts in
+    for the variables."""
     return tuple(tuple(row[k] for row in matrix) for k in range(n))
 
 
 def coeff_str(c) -> str:
     """Serialize an exact rational as "p" or "p/q"."""
+    if type(c) is int:
+        return str(c)
     c = Fraction(c)
     if c.denominator == 1:
         return str(c.numerator)
@@ -76,7 +79,9 @@ def add_term(out: dict, key, value) -> None:
 
 
 class Poly:
-    """Sparse exact polynomial in a fixed number of ambient variables."""
+    """Sparse exact polynomial in a fixed number of ambient variables.  The
+    constructor copies its terms and `_wrap` takes only a dict built for the
+    new Poly, so no two Polys, and no Poly and a memo, share a dict."""
 
     __slots__ = ("n", "d")
 
@@ -187,7 +192,7 @@ class Poly:
         for e, c in self.d.items():
             img = memo.get(e)
             if img is None:
-                img = _k.kimage(memo, e, _columns(group.matrix(g), n), n)
+                img = _k.kimage(memo, e, group.columns(g), n)
             if out is None:
                 # the first term starts a fresh dict: most arguments are
                 # single monomials with coefficient 1
@@ -199,7 +204,7 @@ class Poly:
                     out[e2] = norm(s)
                 elif e2 in out:
                     del out[e2]
-        return Poly(n, out)
+        return _wrap(n, out)
 
     def divexact(self, other: "Poly"):
         """Exact quotient self/other, or None when not divisible."""
@@ -278,6 +283,14 @@ class Poly:
             )
             parts.append(f"{coeff_str(c)}" + (f"*{mono}" if mono else ""))
         return "Poly(" + " + ".join(parts) + ")"
+
+
+def _wrap(n: int, d: dict) -> Poly:
+    """A Poly over a dict that was just built for it: the constructor's copy
+    is skipped, so the caller hands the dict over and keeps no reference."""
+    p = Poly.__new__(Poly)
+    p.n, p.d = n, d
+    return p
 
 
 class RatFun:
@@ -439,16 +452,6 @@ def _ratio(a, b):
     return _k.norm_coeff(Fraction(a) / b)
 
 
-def _form_product(n: int, scalar, forms) -> dict:
-    """Kernel dict of scalar * prod(form ** mult) over a {form: mult} map."""
-    d = {0: scalar}
-    for form in sorted(forms):
-        lin = Poly.linear(form).d
-        mult = forms[form]
-        d = _k.kmul(d, lin if mult == 1 else _k.kpow(lin, mult))
-    return d
-
-
 class EulerClass:
     """A product of weights kept factored: scalar * prod(form ** mult) over
     the primitive forms of a weight table (`repdata.WeightTable`), the
@@ -459,7 +462,7 @@ class EulerClass:
     its top bit raises rather than carry into the next.  Classes over
     different tables do not combine or compare: that raises."""
 
-    __slots__ = ("table", "scalar", "counts", "_poly")
+    __slots__ = ("table", "scalar", "counts")
 
     def __init__(self, table, scalar=1, counts=0):
         if not scalar:
@@ -469,7 +472,6 @@ class EulerClass:
         self.table = table
         self.scalar = scalar
         self.counts = counts
-        self._poly = None
 
     @property
     def forms(self) -> dict:
@@ -497,24 +499,29 @@ class EulerClass:
         return self.scalar == other.scalar and self.counts == other.counts
 
     def expand(self) -> Poly:
-        """The product as a dense polynomial (computed once)."""
-        if self._poly is None:
-            n = self.table.n
-            self._poly = Poly(n, _form_product(n, self.scalar, self.forms))
-        return self._poly
+        """The product as a dense polynomial, a fresh Poly on every call: the
+        scalar times the table's expansion of the forms (`WeightTable.product`,
+        computed once per count vector)."""
+        d = self.table.product(self.counts).d
+        return _wrap(self.table.n, dict(d) if self.scalar == 1 else _k.kscale(d, self.scalar))
 
     def __truediv__(self, other: "EulerClass") -> RatFun:
         """self / other as a reduced RatFun: the counts cancel by a fieldwise
-        min and only the forms left over are expanded.  Distinct primitive
-        forms are coprime irreducibles, so nothing further divides."""
-        if self.table is not other.table:
+        min and only the forms left over are expanded, each side read from
+        the table's products.  Distinct primitive forms are coprime
+        irreducibles, so nothing further divides."""
+        table = self.table
+        if table is not other.table:
             raise InternalInvariantError("Euler classes over different weight tables")
-        n, forms = self.table.n, self.table.forms
-        a, b = self.table.unpack(self.counts), other.table.unpack(other.counts)
-        num = {f: x - y for f, x, y in zip(forms, a, b) if x > y}
-        den = {f: y - x for f, x, y in zip(forms, a, b) if y > x}
-        num = _form_product(n, _ratio(self.scalar, other.scalar), num)
-        return RatFun(Poly(n, num), Poly(n, _form_product(n, 1, den)), reduce=False)
+        a, b = table.unpack(self.counts), table.unpack(other.counts)
+        num = table.product(table.pack([max(x - y, 0) for x, y in zip(a, b)])).d
+        den = table.product(table.pack([max(y - x, 0) for x, y in zip(a, b)])).d
+        ratio = _ratio(self.scalar, other.scalar)
+        return RatFun(
+            _wrap(table.n, dict(num) if ratio == 1 else _k.kscale(num, ratio)),
+            _wrap(table.n, dict(den)),
+            reduce=False,
+        )
 
     def __repr__(self):
         forms = " * ".join(

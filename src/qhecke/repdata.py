@@ -97,6 +97,10 @@ class WeightTable:
     r fiber sets, at most (r + 1) * layers per field; the width leaves room
     for products of 16 such classes below each field's top (guard) bit.
     `copies` holds, per copy k, U_k as entries and V_k as a set.
+
+    The table also expands Euler classes: `product` keeps the product of
+    forms of each count vector it is asked for, so classes that differ only
+    in their scalar share one expansion, for as long as the table lives.
     """
 
     def __init__(self, group, U_sets=(), V_sets=()):
@@ -135,6 +139,7 @@ class WeightTable:
             (tuple(index[u] for u in U if any(u)), sum(self.bit[index[v]] for v in V))
             for U, V in zip(U_sets, V_sets)
         )
+        self._products = {}  # packed counts -> Poly, filled by product
 
     def perm(self, g: int):
         """Entry e goes to entry perm(g)[e] under the element g; the
@@ -165,6 +170,29 @@ class WeightTable:
         """The fields of a packed count vector, in form order."""
         width, field = self.width, self.field
         return [(counts >> (width * j)) & field for j in range(len(self.forms))]
+
+    def pack(self, fields) -> int:
+        """The packed count vector of these fields, in form order."""
+        width = self.width
+        return sum(m << (width * j) for j, m in enumerate(fields))
+
+    @cached_property
+    def linear(self) -> tuple:
+        """The linear polynomial of each form, in form order."""
+        return tuple(Poly.linear(f) for f in self.forms)
+
+    def product(self, counts: int) -> Poly:
+        """prod(form ** mult) over the fields of a packed count vector,
+        expanded on first use and kept.  The Poly is shared: callers read it
+        and never mutate it (`EulerClass.expand` copies it)."""
+        p = self._products.get(counts)
+        if p is None:
+            p = Poly.const(self.n, 1)
+            for lin, mult in zip(self.linear, self.unpack(counts)):
+                if mult:
+                    p = p * (lin if mult == 1 else lin**mult)
+            self._products[counts] = p
+        return p
 
     def multiset(self, total: int) -> dict:
         """{weight: multiplicity} of a sum of sets."""

@@ -303,7 +303,8 @@ class WeylGroup:
     (a faithful action: W fixes the common kernel of the coroots pointwise).
     Products compose permutations, lengths are breadth-first depths, and
     integer matrices are built only on request, from the reduced word, as
-    are the per-element memos of monomial images (`monomial_images`).
+    are their columns and the per-element memos of monomial images
+    (`monomial_images`).
     """
 
     def __init__(self, datum: RootDatum):
@@ -363,6 +364,7 @@ class WeylGroup:
         self._inv = [None] * len(ordered)
         self._matrices = [None] * len(ordered)
         self._images = [None] * len(ordered)
+        self._columns = [None] * len(ordered)
 
     def _perm_of(self, images) -> bytes:
         index = self.root_index
@@ -408,6 +410,15 @@ class WeylGroup:
         if memo is None:
             memo = self._images[g] = {}
         return memo
+
+    def columns(self, g: int) -> tuple:
+        """The columns of `matrix(g)`, the images of the variables that
+        `polyops` multiplies into the monomial images; read once per
+        element."""
+        cols = self._columns[g]
+        if cols is None:
+            cols = self._columns[g] = tuple(zip(*self.matrix(g)))
+        return cols
 
     def mul(self, a: int, b: int) -> int:
         return self._index[self.perms[b].translate(self._tables[a])]

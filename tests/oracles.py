@@ -32,6 +32,9 @@
   primitive forms).  The program packs the same classes over its weight
   table (`repdata.WeightTable`); `tests/test_euler_index.py` compares the
   two exhaustively.
+- The expansion of a class as its forms multiplied out one call at a time
+  (`form_product`, and `euler_quotient` for a quotient of two classes),
+  against which the table's per-count-vector products are checked.
 - The polynomial kernel on exponent-tuple keys, the layout the program
   kept before it packed each monomial into one int (`qhecke._kernel_py`);
   `tests/test_polyops.py` checks the packed kernel's products, powers,
@@ -44,6 +47,7 @@ from fractions import Fraction
 
 import sympy
 
+from qhecke import _kernel_py as _k
 from qhecke.algebra import TwistedOperator, diag_mult, left_mult, sigma_word
 from qhecke.cli import _all_generators
 from qhecke.errors import InternalInvariantError, NonIntegralResult, QheckeError
@@ -449,6 +453,30 @@ def q_weights(setting, gx: int, s: int) -> Counter:
     group = setting.group
     xs = group.mul(gx, group.simple[s])
     return fiber_weights(setting, gx) - fiber_pair_weights(setting, gx, xs)
+
+
+def form_product(n: int, scalar, forms) -> dict:
+    """Kernel dict of scalar * prod(form ** mult) over a {form: mult} map."""
+    d = {0: scalar}
+    for form in sorted(forms):
+        lin = Poly.linear(form).d
+        mult = forms[form]
+        d = _k.kmul(d, lin if mult == 1 else _k.kpow(lin, mult))
+    return d
+
+
+def euler_quotient(a, b) -> RatFun:
+    """a / b for two Euler classes over one table, each side multiplied out
+    by `form_product` from the forms left after the counts cancel."""
+    n, forms = a.table.n, a.table.forms
+    x, y = a.table.unpack(a.counts), b.table.unpack(b.counts)
+    num = {f: p - q for f, p, q in zip(forms, x, y) if p > q}
+    den = {f: q - p for f, p, q in zip(forms, x, y) if q > p}
+    return RatFun(
+        Poly(n, form_product(n, _k.norm_coeff(Fraction(a.scalar) / b.scalar), num)),
+        Poly(n, form_product(n, 1, den)),
+        reduce=False,
+    )
 
 
 def to_sympy(poly: Poly, xs):

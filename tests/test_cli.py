@@ -842,6 +842,64 @@ class TestCheckTimings:
         }
 
 
+def _as_loaded(value):
+    """A report as `json.loads` gives it back: tuples become lists."""
+    if isinstance(value, dict):
+        return {k: _as_loaded(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_loaded(v) for v in value]
+    return value
+
+
+class TestCompactEmission:
+    """Every report is written as one line of compact JSON with sorted
+    keys, on stdout and with --out, and parses back to the report."""
+
+    QUIVER_11 = json.dumps({"vertices": [1, 2], "arrows": [[1, 2]], "dimension": [1, 1]})
+    COMMANDS = {
+        "act": ["--expr", "s(0,0)*z(0,0)"],
+        "braid": ["--i", "0", "--s", "0", "--t", "1"],
+        "check": [],
+        "describe": [],
+        "euler": [],
+        "localize": [],
+    }
+
+    @pytest.fixture(scope="class", params=["nilhecke:A2", "klr"], ids=["nil-A2", "klr-arrow-1-1"])
+    def config(self, request, tmp_path_factory):
+        cfg = cli.cmd_preset(request.param, self.QUIVER_11 if request.param == "klr" else None)
+        path = tmp_path_factory.mktemp("emission") / "config.json"
+        path.write_text(emit_config(cfg))
+        return request.param, str(path)
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_line_of_sorted_keys(self, capsys, monkeypatch, tmp_path, config, command, to_file):
+        preset, path = config
+        emitted = []
+        real = cli._emit
+
+        def spy(report, out_path):
+            emitted.append(report)
+            real(report, out_path)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        out = tmp_path / "report.json"
+        argv = [command, "--config", path, *self.COMMANDS[command]]
+        code = cli.main(argv + ["--out", str(out)] if to_file else argv)
+        text = out.read_text() if to_file and out.exists() else capsys.readouterr().out
+        if preset == "klr" and command == "braid":
+            # GL2 has one simple reflection: no pair to braid, no report
+            assert (code, emitted, text) == (2, [], "")
+            return
+        assert code == 0
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == _as_loaded(emitted[0])
+        objects = []
+        json.loads(text, object_pairs_hook=lambda pairs: objects.append([k for k, _ in pairs]))
+        assert len(objects) > 1 and all(keys == sorted(keys) for keys in objects)
+
+
 class TestPinnedReports:
     """The localize and euler reports, and for explicit weights also the
     check report, `timings` removed, are pinned by sha256: a change of basis

@@ -1,7 +1,9 @@
 """Euler classes packed over the weight table against the weight-multiset
 assembly (`oracles`), exhaustively: every Lambda_g, every crossing-cell
 class E(x, xw) over all pairs, every q-translate, and every tangent and
-fiber set.  A sample of expanded classes is checked against sympy.
+fiber set.  A sample of expanded classes is checked against sympy, and
+every expansion and every `localize_sigma` entry against the forms
+multiplied out one call at a time (`oracles.form_product`).
 
 The settings cover both families of twisting data, KLR quivers with and
 without a loop, a copy with empty V, and explicit weights off the roots:
@@ -17,8 +19,8 @@ import sympy
 import oracles
 from oracles import as_counter, euler_of, matches, sympy_product, to_sympy
 from qhecke.config import Config, build_setting
-from qhecke.localize import eu_zbar_w, localize_sigma, q_translate, tangent_n
-from qhecke.polyops import Poly
+from qhecke.localize import crossing_cells, eu_zbar_w, localize_sigma, q_translate, tangent_n
+from qhecke.polyops import EulerClass, Poly
 from qhecke.presets import QuiverSpec, preset_klr, preset_nilhecke, preset_skew
 from qhecke.repdata import fiber_weights
 
@@ -132,3 +134,76 @@ def test_non_root_weights_are_indexed_with_their_orbits():
             assert table.entries[perm[e]] == group.act(g, weight)
     # (2, 0) is twice the form of the root (1, 0)
     assert matches(oracles.table_class(table, [(2, 0), (-1, 0)]), (-2, {(1, 0): 2}))
+
+
+def every_class(setting):
+    """Every Lambda_g, crossing-cell class E(x, xw) and q-translate."""
+    size = len(setting.group)
+    yield from setting.lambdas
+    for x in range(size):
+        for w in range(size):
+            yield eu_zbar_w(setting, x, w)
+        for s in range(setting.datum.rank):
+            yield q_translate(setting, x, s)
+
+
+class TestExpansionAgainstTheFormProduct:
+    """The table expands each count vector once (`WeightTable.product`);
+    `oracles.form_product` multiplies the forms out on every call."""
+
+    def test_every_class(self, setting):
+        n = setting.datum.ambient_rank
+        for e in every_class(setting):
+            assert e.expand() == Poly(n, oracles.form_product(n, e.scalar, e.forms)), e
+
+    def test_every_localize_sigma_entry(self, setting):
+        for i in setting.table.indices:
+            for s in range(setting.datum.rank):
+                cells = {(x, y): e for x, y, e in crossing_cells(setting, i, s)}
+                for (x, y), a in localize_sigma(setting, i, s).items():
+                    want = oracles.euler_quotient(setting.lambdas[x], cells[x, y])
+                    assert (a.num, a.den) == (want.num, want.den), (i, s, x, y)
+
+    def test_tables_with_the_same_forms_share_no_memo(self):
+        cfg = CONFIGS["skew:B2"]()
+        first, second = build_setting(cfg), build_setting(cfg)
+        assert first.weights.forms == second.weights.forms
+        for e in every_class(first):
+            e.expand()
+        # the second table multiplies its forms out again
+        classes = list(every_class(second))
+        calls = []
+        real = Poly.__mul__
+
+        def spy(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Poly, "__mul__", spy)
+            for e in classes:
+                e.expand()
+        assert calls
+        counts = first.lambdas[-1].counts
+        assert first.weights.product(counts) is not second.weights.product(counts)
+
+    def test_mutating_a_result_leaves_later_expansions_unchanged(self, setting):
+        n = setting.datum.ambient_rank
+        lam = setting.lambdas[-1]
+        want = Poly(n, oracles.form_product(n, lam.scalar, lam.forms))
+        got = lam.expand()
+        got.d.clear()
+        assert lam.expand() == want
+        # a class with scalar 1 and another with the same counts share the
+        # table's product: neither result reaches it
+        one = EulerClass(setting.weights, 1, lam.counts)
+        other = -one
+        first = one.expand()
+        first.d[0] = 7
+        assert one.expand() == Poly(n, oracles.form_product(n, 1, lam.forms))
+        assert other.expand() == Poly(n, oracles.form_product(n, -1, lam.forms))
+        q = one / EulerClass(setting.weights)
+        q.num.d.clear()
+        q.den.d[0] = 3
+        again = one / EulerClass(setting.weights)
+        assert again.num == one.expand() and again.den == Poly.const(n, 1)

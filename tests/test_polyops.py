@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhecke
-from qhecke._kernel_py import DEGREE_LIMIT, kmul, pack, unpack
+from qhecke._kernel_py import DEGREE_LIMIT, MAX_VARS, kmul, pack, unpack
 from qhecke.errors import DivisionByZeroDenominator, InternalInvariantError, ParseError
 from qhecke.polyops import (
     Poly,
@@ -249,6 +249,14 @@ class TestPackedKernelAgainstTheTupleOracle:
         keys = [pack(e) for e in exps]
         assert [unpack(k, n) for k in keys] == exps
         assert [unpack(k, n) for k in sorted(keys)] == sorted(exps, key=lambda e: (sum(e), e))
+
+    def test_unpack_at_the_edges(self):
+        # the widest key and the largest exponent a field holds
+        top = DEGREE_LIMIT - 1
+        for k in (0, MAX_VARS - 1):
+            e = tuple(top if i == k else 0 for i in range(MAX_VARS))
+            assert unpack(pack(e), MAX_VARS) == e
+        assert unpack(pack(()), 0) == ()
 
 
 class TestFieldLimit:

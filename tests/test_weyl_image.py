@@ -152,6 +152,48 @@ class TestChainedImages:
         assert set(group.monomial_images(g)) == {pack(e) for e in chain}
 
 
+class TestColumnsPerElement:
+    """A memo miss reads the element's columns from the group, which builds
+    them from `matrix(g)` once per element."""
+
+    @pytest.mark.parametrize("label", ("A3", "B3", "G2"))
+    def test_columns_are_the_matrix_columns(self, label):
+        group = build_root_datum(label).weyl()
+        n = group.datum.ambient_rank
+        for g in range(len(group)):
+            m = group.matrix(g)
+            assert group.columns(g) == tuple(tuple(row[k] for row in m) for k in range(n))
+            assert group.columns(g) is group.columns(g)
+
+    def test_matrix_read_once_per_element(self, monkeypatch):
+        group = build_root_datum("B3").weyl()
+        reads = []
+        real = type(group).matrix
+
+        def spy(self, g):
+            reads.append(g)
+            return real(self, g)
+
+        monkeypatch.setattr(type(group), "matrix", spy)
+        monos = [Poly.monomial(3, e) for e in monomials_up_to(3, 3)]
+        for g in range(len(group)):
+            for f in reversed(monos):
+                f.weyl_image(group, g)
+        # one read per element, and one more per element whose matrix
+        # extends it by a letter (`matrix` recurses along the reduced
+        # word); a read per memo miss would be several per element
+        assert set(reads) == set(range(len(group)))
+        assert len(reads) < 2 * len(group)
+
+    def test_result_shares_no_dict_with_the_memo(self):
+        group = build_root_datum("A2").weyl()
+        g = group.simple[0]
+        x0 = Poly.variable(2, 0)
+        image = x0.weyl_image(group, g)
+        image.d.clear()
+        assert x0.weyl_image(group, g) == x0.substitute_linear(group.matrix(g))
+
+
 def corrupt_one_image(setting):
     """Replace the memoized image of x_0 under the first simple reflection
     by a wrong one that still differs from the true one by a multiple of
