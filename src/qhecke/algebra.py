@@ -329,8 +329,7 @@ def braid_assumptions_hold(setting: Setting, s: int, t: int) -> bool:
 
 def check_relations(setting: Setting) -> list:
     """Exact verification of the defining relations on all generators."""
-    datum, _, table, data = setting
-    group = setting.group
+    datum, table, data, group = setting.datum, setting.table, setting.data, setting.group
     n = datum.ambient_rank
     results = []
 

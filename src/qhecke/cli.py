@@ -190,7 +190,7 @@ def run_checks(cfg: Config, selected=None) -> tuple:
     CheckResults, the wall seconds of each suite by name, and the sizes of
     the setting: |W_big|, |W|, #I and the number of checks."""
     setting = build_setting(cfg)
-    datum, sub, table, _ = setting
+    datum, sub, table = setting.datum, setting.sub, setting.table
     suites = {}
     suites["suitability"] = lambda: repdata.validate(setting, strict=cfg.strict_suitability)
     suites["coset"] = lambda: _coset_checks(table)
@@ -389,7 +389,7 @@ def _factorization_checks(sub) -> list:
 
 def cmd_describe(cfg: Config) -> dict:
     setting = build_setting(cfg)
-    datum, sub, table, data = setting
+    datum, sub, table, data = setting.datum, setting.sub, setting.table, setting.data
     group = sub.group
     out = {
         "ambient_rank": datum.ambient_rank,
@@ -448,7 +448,7 @@ def cmd_act(cfg: Config, expr: str, component: int | None, poly_pairs) -> dict:
     if component is None and poly_pairs is not None:
         raise ParseError("--poly needs --component")
     setting = build_setting(cfg)
-    datum, sub, table, _ = setting
+    datum, sub, table = setting.datum, setting.sub, setting.table
     op = parse_opexpr(expr, setting)
     n = datum.ambient_rank
     if component is None:
@@ -496,8 +496,7 @@ def cmd_localize(cfg: Config) -> dict:
 
 def cmd_euler(cfg: Config) -> dict:
     setting = build_setting(cfg)
-    datum, _, table, _ = setting
-    group = setting.group
+    datum, table, group = setting.datum, setting.table, setting.group
     out = {"lambda": [], "crossing_cells": []}
     for g, lam in enumerate(setting.lambdas):
         out["lambda"].append(

@@ -34,7 +34,8 @@ exactly; the swapped placement flips the sign.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import and_
+from functools import reduce
+from operator import add, and_, mul, or_
 
 from .errors import InternalInvariantError
 from .polyops import EulerClass, Poly, add_term, monomials_up_to
@@ -228,8 +229,7 @@ def intertwining_check(setting: Setting, degree: int = 3) -> list:
 def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
     """Group-equivariance of localization: the entry of w(c) at x equals
     that of c at xw."""
-    datum, _, table, _ = setting
-    group = setting.group
+    datum, table, group = setting.datum, setting.table, setting.group
     n = datum.ambient_rank
     results = []
     monomials = monomials_up_to(n, degree)
@@ -250,7 +250,7 @@ def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
 
 def euler_identities_check(setting: Setting) -> list:
     """Sign law, power forms, curve Euler classes and duality, exhaustively."""
-    datum, _, table, data = setting
+    datum, table, data = setting.datum, setting.table, setting.data
     group, weights = setting.group, setting.weights
     results = []
 
@@ -331,32 +331,22 @@ def euler_identities_check(setting: Setting) -> list:
     return results
 
 
-def leading_term_check(setting: Setting, s: int, w: int) -> CheckResult:
-    """Composition of crossing-cell classes matches the longer cell at all
-    leading pairs (u, u*sw); needs l(sw) = l(w) + 1."""
-    group, lambdas = setting.group, setting.lambdas
-    s_elem = group.simple[s]
-    sw = group.mul(s_elem, w)
-    if group.length(sw) != group.length(w) + 1:
-        raise ValueError("length must be additive")
-    bad = None
-    ok = True
-    for u in range(len(group)):
-        us = group.mul(u, s_elem)
-        # 1/E(u,s) * 1/E(us,w) * Lambda_us == 1/E(u,sw), denominators cleared
-        lhs = eu_zbar_w(setting, u, sw) * lambdas[us]
-        rhs = eu_zbar_w(setting, u, s_elem) * eu_zbar_w(setting, us, w)
-        if lhs != rhs:
-            ok = False
-            bad = {"u": group.reduced_word(u)}
-            break
-    return CheckResult(
-        f"leading-term(s={s},w={group.reduced_word(w)})", ok, "", bad
-    )
-
-
 def leading_term_suite(setting: Setting) -> list:
-    """All length-additive pairs (s, w), for positive-system twisting data.
+    """All length-additive pairs (s, w), for positive-system twisting data:
+    the composition of crossing-cell classes matches the longer cell at every
+    leading pair (u, u*sw), 1/E(u,s) * 1/E(us,w) * Lambda_us == 1/E(u,sw),
+    compared with denominators cleared as E(u,sw) * Lambda_us ==
+    E(u,s) * E(us,w).  Every u is visited, and the first u that fails is the
+    counterexample; results come in (s, w) order.
+
+    The classes are read from rows E(., y) = `eu_zbar_w(setting, u, y)` over
+    every u, each entry kept as its scalar and packed counts (two parallel
+    tuples), so a product of classes is a product of scalars and a sum of
+    counts, and a sum that reaches a field's top bit raises, as
+    `EulerClass.__mul__` does.  Each row is built once, at its first use.  w runs in index
+    order, which is length order, and row w is dropped once w is done: only
+    the rows of about two length layers are alive at a time, besides the
+    rank rows of the simple reflections, which live for the whole suite.
 
     The multiplicativity rests on cut additivity of the twisting weight sets,
     which can fail for asymmetric custom data (e.g. a single highest-root
@@ -370,21 +360,71 @@ def leading_term_suite(setting: Setting) -> list:
                 "skipped: asserted for positive-system twisting data only",
             )
         ]
-    group = setting.group
-    results = []
-    for s in range(setting.datum.rank):
-        s_elem = group.simple[s]
-        for w in range(len(group)):
-            if group.length(group.mul(s_elem, w)) == group.length(w) + 1:
-                results.append(leading_term_check(setting, s, w))
-    return results
+    group, lambdas = setting.group, setting.lambdas
+    guard = setting.weights.guard
+    size = len(group)
+    rows = {}
+
+    def row(y: int) -> tuple:
+        r = rows.get(y)
+        if r is None:
+            scalars, counts = [], []
+            for u in range(size):
+                e = eu_zbar_w(setting, u, y)
+                scalars.append(e.scalar)
+                counts.append(e.counts)
+            r = rows[y] = (tuple(scalars), tuple(counts))
+        return r
+
+    simple = group.simple
+    right = [[group.mul(u, t) for u in range(size)] for t in simple]
+    lambda_rows = [
+        (tuple(lambdas[us].scalar for us in r), tuple(lambdas[us].counts for us in r))
+        for r in right
+    ]
+    simple_rows = [row(t) for t in simple]
+    found = [[] for _ in simple]
+    for w in range(size):
+        for s, t in enumerate(simple):
+            sw = group.mul(t, w)
+            if group.length(sw) != group.length(w) + 1:
+                continue
+            us = right[s]
+            sw_scalars, sw_counts = row(sw)
+            lam_scalars, lam_counts = lambda_rows[s]
+            s_scalars, s_counts = simple_rows[s]
+            w_scalars, w_counts = row(w)
+            lhs = list(map(add, sw_counts, lam_counts))
+            rhs = list(map(add, s_counts, map(w_counts.__getitem__, us)))
+            lhs_scalars = list(map(mul, sw_scalars, lam_scalars))
+            rhs_scalars = list(map(mul, s_scalars, map(w_scalars.__getitem__, us)))
+            bad = None
+            end = size
+            if lhs != rhs or lhs_scalars != rhs_scalars:
+                end = 1 + next(
+                    u for u in range(size)
+                    if lhs[u] != rhs[u] or lhs_scalars[u] != rhs_scalars[u]
+                )
+                bad = {"u": group.reduced_word(end - 1)}
+            # the products of every u up to the first failure are formed
+            if (reduce(or_, lhs[:end], 0) | reduce(or_, rhs[:end], 0)) & guard:
+                raise InternalInvariantError("an Euler class overflows its count fields")
+            found[s].append(
+                CheckResult(
+                    f"leading-term(s={s},w={group.reduced_word(w)})", bad is None, "", bad
+                )
+            )
+        if w not in simple:
+            rows.pop(w, None)
+    return [r for results in found for r in results]
 
 
 def additivity_sides(group, F: frozenset, w: int, s: int) -> tuple:
     """The two multisets compared by the cut additivity of (w, s), before
-    translation by x, as sorted lists of root indices: s(cut(w)) + cut(s)
+    translation by x, as sorted bytes of root indices: s(cut(w)) + cut(s)
     and cut(sw), where cut(y) = F minus y(F) for a set F of root indices.
-    Needs l(sw) = l(w) + 1."""
+    Needs l(sw) = l(w) + 1.  A root index fits a byte by the 256-root bound
+    of `WeylGroup`."""
     s_elem = group.simple[s]
     sw = group.mul(s_elem, w)
     if group.length(sw) != group.length(w) + 1:
@@ -395,32 +435,38 @@ def additivity_sides(group, F: frozenset, w: int, s: int) -> tuple:
         return F.difference(p[i] for i in F)
 
     ps = group.perms[s_elem]
-    return sorted([ps[i] for i in cut(w)] + [*cut(s_elem)]), sorted(cut(sw))
+    lhs = sorted([ps[i] for i in cut(w)] + [*cut(s_elem)])
+    return bytes(lhs), bytes(sorted(cut(sw)))
 
 
 def inversion_additivity_check(group, x: int, sides) -> bool:
     """For a stable weight set F and l(sw) = l(w)+1, the x-translate of the
     cut of sw splits as the s-translate of the cut of w plus the cut of s;
-    `sides` is `additivity_sides(group, F, w, s)`."""
+    `sides` is `additivity_sides(group, F, w, s)`.  Both sides are moved by
+    x's 256-byte table, as `WeylGroup.mul` moves a permutation.  Images that
+    are the same sequence hold the same multiset; only sides that differ as
+    sequences are compared sorted."""
     lhs, rhs = sides
-    p = group.perms[x]
-    return sorted(p[i] for i in lhs) == sorted(p[i] for i in rhs)
+    table = group._tables[x]
+    lhs, rhs = lhs.translate(table), rhs.translate(table)
+    return lhs == rhs or sorted(lhs) == sorted(rhs)
 
 
 def inversion_additivity_suite(group, F) -> list:
     """Exhaustive over all (x, w, s) with additive lengths; F holds roots."""
     F = frozenset(group.root_index[tuple(f)] for f in F)
+    size = len(group)
     ok = True
     bad = None
     count = 0
     for s in range(group.datum.rank):
         s_elem = group.simple[s]
-        for w in range(len(group)):
+        for w in range(size):
             if group.length(group.mul(s_elem, w)) != group.length(w) + 1:
                 continue
             sides = additivity_sides(group, F, w, s)
-            for x in range(len(group)):
-                count += 1
+            count += size
+            for x in range(size):
                 if not inversion_additivity_check(group, x, sides):
                     ok, bad = False, {
                         "x": group.reduced_word(x),

@@ -53,7 +53,7 @@ class SpringerData:
 class Setting:
     """The construction data of one Springer theory: root datum, fixed
     subsystem, coset table and the twisting data U_k, V_k read over the
-    table's root datum.  Unpacks as (datum, sub, table, data).
+    table's root datum, read by its attributes.
 
     Functions that read the twisting data take the setting; functions that
     need only the cosets take the table, and only W the subsystem."""
@@ -69,6 +69,9 @@ class Setting:
         self.qpolys = {}  # (i, s) -> q-polynomial, filled by q_poly
 
     def __iter__(self):
+        """(datum, sub, table, data).  The benchmark's
+        `perfbench/worker.py::group_facts` is the only reader that unpacks
+        a setting; code in `src` reads the attributes."""
         return iter((self.datum, self.sub, self.table, self.data))
 
     @cached_property
@@ -206,7 +209,7 @@ class WeightTable:
 
 def validate(setting: Setting, strict: bool = False) -> list:
     """All weight-level invariants; raises UnsuitableData in strict mode."""
-    datum, sub, _, data = setting
+    datum, sub, data = setting.datum, setting.sub, setting.data
     root_set = set(datum.roots)
     pos = datum._positive_set
     group = setting.group
@@ -290,8 +293,7 @@ def q_poly(setting: Setting, i: int, s: int) -> Poly:
     q = setting.qpolys.get((i, s))
     if q is not None:
         return q
-    datum, _, table, data = setting
-    group = setting.group
+    datum, table, data, group = setting.datum, setting.table, setting.data, setting.group
     s_elem = group.simple[s]
     x = table.rep(i)
     out = Poly.const(datum.ambient_rank, 1)
@@ -328,8 +330,7 @@ def fiber_split_check(setting: Setting) -> list:
     repeated h_i(s) times.  Multisets are sums of the per-copy sets; the
     pair fiber F_{x,y} is V_k cap x(U_k) cap y(U_k) per copy, so it lies in
     the fiber copy by copy and their difference is the integer one."""
-    datum, _, table, data = setting
-    group = setting.group
+    datum, table, data, group = setting.datum, setting.table, setting.data, setting.group
     weights = setting.weights
     bit, index = weights.bit, weights.index
     results = []

@@ -25,8 +25,14 @@
   elimination and reassembly, which round-trip the generators and their
   products.
 - Cut additivity of weight sets as `Counter`s of root tuples, translated
-  root by root through `group.act`; the program compares the same sides as
-  sorted lists of root indices (`localize.additivity_sides`).
+  root by root through `group.act`, and as sorted lists of root indices,
+  each side sorted again after x (`sorted_additivity_sides`,
+  `sorted_inversion_check`); the program holds the sides as bytes and
+  moves them by x's byte table (`localize.additivity_sides`).
+- The leading-term check of one (s, w) on `EulerClass` products, three
+  `eu_zbar_w` calls per u (`leading_term_check`); the program's suite reads
+  the same classes from rows of (scalar, packed counts) built once per
+  element.
 - The weight-multiset assembly of Euler classes: tangent and fiber weights
   as `Counter`s of weight tuples and a class as (scalar, Counter of
   primitive forms).  The program packs the same classes over its weight
@@ -51,7 +57,7 @@ from qhecke import _kernel_py as _k
 from qhecke.algebra import TwistedOperator, diag_mult, left_mult, sigma_word
 from qhecke.cli import _all_generators
 from qhecke.errors import InternalInvariantError, NonIntegralResult, QheckeError
-from qhecke.localize import theta
+from qhecke.localize import eu_zbar_w, theta
 from qhecke.polyops import Poly, RatFun, add_term, monomials_up_to, primitive_form
 from qhecke.repdata import Setting
 from qhecke.report import CheckResult
@@ -377,6 +383,59 @@ def inversion_additivity_check(group, x: int, sides) -> bool:
     for f, mult in rhs.items():
         rhs_x[group.act(x, f)] += mult
     return lhs_x == rhs_x
+
+
+def sorted_additivity_sides(group, F: frozenset, w: int, s: int) -> tuple:
+    """The two multisets compared by the cut additivity of (w, s), before
+    translation by x, as sorted lists of root indices: s(cut(w)) + cut(s)
+    and cut(sw), where cut(y) = F minus y(F) for a set F of root indices.
+    Needs l(sw) = l(w) + 1."""
+    s_elem = group.simple[s]
+    sw = group.mul(s_elem, w)
+    if group.length(sw) != group.length(w) + 1:
+        raise ValueError("length must be additive")
+
+    def cut(y: int) -> frozenset:
+        p = group.perms[y]
+        return F.difference(p[i] for i in F)
+
+    ps = group.perms[s_elem]
+    return sorted([ps[i] for i in cut(w)] + [*cut(s_elem)]), sorted(cut(sw))
+
+
+def sorted_inversion_check(group, x: int, sides) -> bool:
+    """The two `sorted_additivity_sides`, moved by x's root permutation,
+    agree when sorted again."""
+    lhs, rhs = sides
+    p = group.perms[x]
+    return sorted(p[i] for i in lhs) == sorted(p[i] for i in rhs)
+
+
+# -- leading terms on Euler class products ------------------------------------
+
+
+def leading_term_check(setting: Setting, s: int, w: int) -> CheckResult:
+    """Composition of crossing-cell classes matches the longer cell at all
+    leading pairs (u, u*sw); needs l(sw) = l(w) + 1."""
+    group, lambdas = setting.group, setting.lambdas
+    s_elem = group.simple[s]
+    sw = group.mul(s_elem, w)
+    if group.length(sw) != group.length(w) + 1:
+        raise ValueError("length must be additive")
+    bad = None
+    ok = True
+    for u in range(len(group)):
+        us = group.mul(u, s_elem)
+        # 1/E(u,s) * 1/E(us,w) * Lambda_us == 1/E(u,sw), denominators cleared
+        lhs = eu_zbar_w(setting, u, sw) * lambdas[us]
+        rhs = eu_zbar_w(setting, u, s_elem) * eu_zbar_w(setting, us, w)
+        if lhs != rhs:
+            ok = False
+            bad = {"u": group.reduced_word(u)}
+            break
+    return CheckResult(
+        f"leading-term(s={s},w={group.reduced_word(w)})", ok, "", bad
+    )
 
 
 # -- Euler classes from weight multisets ------------------------------------

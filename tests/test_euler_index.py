@@ -19,7 +19,15 @@ import sympy
 import oracles
 from oracles import as_counter, euler_of, matches, sympy_product, to_sympy
 from qhecke.config import Config, build_setting
-from qhecke.localize import crossing_cells, eu_zbar_w, localize_sigma, q_translate, tangent_n
+from qhecke import localize
+from qhecke.localize import (
+    crossing_cells,
+    eu_zbar_w,
+    leading_term_suite,
+    localize_sigma,
+    q_translate,
+    tangent_n,
+)
 from qhecke.polyops import EulerClass, Poly
 from qhecke.presets import QuiverSpec, preset_klr, preset_nilhecke, preset_skew
 from qhecke.repdata import fiber_weights
@@ -207,3 +215,43 @@ class TestExpansionAgainstTheFormProduct:
         q.den.d[0] = 3
         again = one / EulerClass(setting.weights)
         assert again.num == one.expand() and again.den == Poly.const(n, 1)
+
+
+class TestLeadingRowsAgainstTheClassOracle:
+    """`localize.leading_term_suite` reads its classes from rows of (scalar,
+    packed counts), one per element; `oracles.leading_term_check` multiplies
+    `EulerClass`es with three `eu_zbar_w` calls per u."""
+
+    def test_same_results_for_every_pair(self, setting, monkeypatch):
+        # the suite asserts the statement only for positive-system data, but
+        # its comparison is defined on any: with the flag lifted, the custom
+        # settings fail at some pairs, so counterexamples are compared too
+        custom = not setting.data.borel_flag
+        monkeypatch.setattr(setting.data, "borel_flag", True)
+        group = setting.group
+        want = [
+            oracles.leading_term_check(setting, s, w)
+            for s, t in enumerate(group.simple)
+            for w in range(len(group))
+            if group.length(group.mul(t, w)) == group.length(w) + 1
+        ]
+        got = leading_term_suite(setting)
+        assert got == want
+        assert not custom or any(not r.passed for r in got)
+
+    @pytest.mark.parametrize(
+        "config", [lambda: preset_nilhecke("A3"), CONFIGS["klr-arrow-2-2"]]
+    )
+    def test_each_row_is_built_once(self, monkeypatch, config):
+        setting = build_setting(config())
+        calls = []
+        real = localize.eu_zbar_w
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(localize, "eu_zbar_w", counting)
+        assert all(r.passed for r in leading_term_suite(setting))
+        size = len(setting.group)
+        assert len(calls) == len(set(calls)) == size * size

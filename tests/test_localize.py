@@ -17,7 +17,6 @@ from qhecke.localize import (
     inversion_additivity_check,
     inversion_additivity_suite,
     leading_term_suite,
-    leading_term_check,
     localize_op,
     localize_sigma,
     localize_diagonal,
@@ -30,7 +29,7 @@ from qhecke.localize import (
 )
 from qhecke.config import build_setting
 from qhecke.errors import InternalInvariantError
-from qhecke.polyops import Poly, RatFun, add_term
+from qhecke.polyops import EulerClass, Poly, RatFun, add_term
 from qhecke.presets import preset_nilhecke
 from qhecke.repdata import Setting, fiber_weights, h_count
 from qhecke.rootcore import build_root_datum
@@ -38,7 +37,7 @@ from qhecke.subgroup import CosetTable, TorusConstraint, fixed_subsystem
 
 import oracles
 from conftest import make_setting, second_denominator
-from oracles import as_counter, matches
+from oracles import as_counter, leading_term_check, matches
 
 
 def root_indices(group, roots) -> frozenset:
@@ -578,6 +577,28 @@ class TestLeadingTermClassComparison:
         assert sum(not r.passed for r in results) == len(results) == failing
 
 
+class TestLeadingCountGuard:
+    def test_a_sum_past_a_field_raises_as_the_class_product_does(self, monkeypatch):
+        # every crossing-cell class gains half a field of the first form, so
+        # E(u,s) * E(us,w) reaches that field's top bit
+        setting = make_setting("A2")
+        table = setting.weights
+        half = 1 << (table.width - 2)
+        real = localize.eu_zbar_w
+
+        def swollen(*args):
+            e = real(*args)
+            return EulerClass(table, e.scalar, e.counts + half)
+
+        monkeypatch.setattr(localize, "eu_zbar_w", swollen)
+        monkeypatch.setattr(oracles, "eu_zbar_w", swollen)
+        group = setting.group
+        with pytest.raises(InternalInvariantError, match="overflows its count fields"):
+            oracles.leading_term_check(setting, 0, group.identity)
+        with pytest.raises(InternalInvariantError, match="overflows its count fields"):
+            leading_term_suite(setting)
+
+
 class TestNonBorelBoundary:
     def test_leading_suite_skipped_for_custom_twist(self):
         # asymmetric custom twisting data breaks cut additivity, so the
@@ -588,8 +609,6 @@ class TestNonBorelBoundary:
         assert len(results) == 1 and results[0].passed
         assert "skipped" in results[0].details
         # and the raw check indeed fails on such data
-        from qhecke.localize import leading_term_check
-
         group = setting.group
         failures = [
             (s, w)
@@ -657,6 +676,21 @@ class TestInversionAdditivity:
                     assert got == oracles.inversion_additivity_check(group, x, want_sides)
                     failing += not got
         assert failing
+
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+    def test_suite_matches_the_suite_on_sorted_lists(self, label, monkeypatch):
+        # most random weight sets fail, so the last-failure counterexample
+        # is compared too
+        datum = build_root_datum(label)
+        group = datum.weyl()
+        rng = random.Random(f"cut-additivity suite {label}")
+        sets = [rng.sample(datum.roots, rng.randint(1, len(datum.roots))) for _ in range(6)]
+        got = [inversion_additivity_suite(group, F) for F in sets]
+        monkeypatch.setattr(localize, "additivity_sides", oracles.sorted_additivity_sides)
+        monkeypatch.setattr(localize, "inversion_additivity_check", oracles.sorted_inversion_check)
+        want = [inversion_additivity_suite(group, F) for F in sets]
+        assert got == want
+        assert sum(not results[0].passed for results in got) >= 3
 
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("mutate", ["drop", "duplicate"])

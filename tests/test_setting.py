@@ -161,6 +161,37 @@ def _referenced_names(node) -> dict:
     return counts
 
 
+def setting_unpacks(source: str, module: str) -> list:
+    """(module, line) of every place that reads a name `setting` as a
+    sequence: a tuple or list target assigned from it, a loop or starred
+    expression over it, or `tuple`, `list` or `iter` called on it."""
+
+    def is_setting(node) -> bool:
+        return isinstance(node, ast.Name) and node.id == "setting"
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            hit = is_setting(node.value) and any(
+                isinstance(t, (ast.Tuple, ast.List)) for t in node.targets
+            )
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            hit = is_setting(node.iter)
+        elif isinstance(node, ast.Starred):
+            hit = is_setting(node.value)
+        elif isinstance(node, ast.Call):
+            hit = (
+                isinstance(node.func, ast.Name)
+                and node.func.id in {"tuple", "list", "iter"}
+                and any(is_setting(a) for a in node.args)
+            )
+        else:
+            continue
+        if hit:
+            out.append((module, node.lineno))
+    return sorted(out)
+
+
 def uncalled_functions(sources: dict, traced: set) -> list:
     """(module, qualified name) of every function or method in `sources`
     (module -> text) that no code outside its own body names, unless it is
@@ -369,6 +400,31 @@ class TestCallingConvention:
             "        self.d = d\n"
         )
         assert poly_key_uses(source, "m") == [("m", 2), ("m", 3), ("m", 4), ("m", 5)]
+
+    def test_no_module_unpacks_a_setting(self):
+        # a setting is read by its attributes; `Setting.__iter__` is left
+        # for the benchmark's worker alone
+        found = [
+            site
+            for path in sorted(SRC.glob("*.py"))
+            for site in setting_unpacks(path.read_text(encoding="utf-8"), path.stem)
+        ]
+        assert found == []
+
+    def test_unpack_scan_sees_every_shape(self):
+        source = (
+            "def f(setting, other):\n"
+            "    datum, _, table, data = setting\n"
+            "    [datum, sub, table, data] = setting\n"
+            "    for part in setting:\n"
+            "        pass\n"
+            "    g(*setting)\n"
+            "    parts = tuple(setting)\n"
+            "    a, b = other\n"
+            "    datum = setting.datum\n"
+            "    same = setting\n"
+        )
+        assert setting_unpacks(source, "m") == [("m", 2), ("m", 3), ("m", 4), ("m", 6), ("m", 7)]
 
     def test_subsystem_keeps_no_tangent_memo(self):
         tree = ast.parse((SRC / "subgroup.py").read_text(encoding="utf-8"))
