@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import ExtractionStuck, NonIntegralResult
 from .polyops import Poly, RatFun, add_term
 from .repdata import Setting, h_count, q_poly
-from .report import CheckResult
+from .report import verdict
 from .subgroup import CosetTable
 
 
@@ -331,44 +331,35 @@ def check_relations(setting: Setting) -> list:
     """Exact verification of the defining relations on all generators."""
     datum, table, data, group = setting.datum, setting.table, setting.data, setting.group
     n = datum.ambient_rank
-    results = []
 
-    ok = True
-    bad = None
-    for i in table.indices:
-        for j in table.indices:
-            prod = gen_unit(table, i) * gen_unit(table, j)
-            want = gen_unit(table, i) if i == j else TwistedOperator(table)
-            if prod != want:
-                ok, bad = False, {"i": i, "j": j}
-    results.append(CheckResult("idempotents", ok, f"#I={len(table.indices)}", bad))
+    def idempotents():
+        for i in table.indices:
+            for j in table.indices:
+                prod = gen_unit(table, i) * gen_unit(table, j)
+                want = gen_unit(table, i) if i == j else TwistedOperator(table)
+                if prod != want:
+                    yield {"i": i, "j": j}
 
-    ok = True
-    bad = None
-    for i in table.indices:
-        for t in range(n):
-            z = gen_var(table, i, t)
-            if gen_unit(table, i) * z * gen_unit(table, i) != z:
-                ok, bad = False, {"i": i, "t": t}
-        for s in range(datum.rank):
-            sig = gen_sigma(setting, i, s)
-            if gen_unit(table, i) * sig * gen_unit(table, table.act(i, s)) != sig:
-                ok, bad = False, {"i": i, "s": s}
-    results.append(CheckResult("idempotent-sandwich", ok, "", bad))
+    def sandwiches():
+        for i in table.indices:
+            for t in range(n):
+                z = gen_var(table, i, t)
+                if gen_unit(table, i) * z * gen_unit(table, i) != z:
+                    yield {"i": i, "t": t}
+            for s in range(datum.rank):
+                sig = gen_sigma(setting, i, s)
+                if gen_unit(table, i) * sig * gen_unit(table, table.act(i, s)) != sig:
+                    yield {"i": i, "s": s}
 
-    ok = True
-    bad = None
-    for i in table.indices:
-        for t1 in range(n):
-            for t2 in range(t1 + 1, n):
-                a, b = gen_var(table, i, t1), gen_var(table, i, t2)
-                if a * b != b * a:
-                    ok, bad = False, {"i": i, "t": (t1, t2)}
-    results.append(CheckResult("polynomial-commutation", ok, "", bad))
+    def commutations():
+        for i in table.indices:
+            for t1 in range(n):
+                for t2 in range(t1 + 1, n):
+                    a, b = gen_var(table, i, t1), gen_var(table, i, t2)
+                    if a * b != b * a:
+                        yield {"i": i, "t": (t1, t2)}
 
-    if data.borel_flag:
-        ok = True
-        bad = None
+    def squares():
         for i in table.indices:
             for s in range(datum.rank):
                 isx = table.act(i, s)
@@ -388,64 +379,71 @@ def check_relations(setting: Setting) -> list:
                     value = alpha ** (h_i + h_is) * Fraction((-1) ** h_is)
                     rhs = left_mult(table, i, value)
                 if lhs != rhs:
-                    ok, bad = False, {"i": i, "s": s}
-        results.append(CheckResult("square-closed-form", ok, "", bad))
+                    yield {"i": i, "s": s}
 
-    ok = True
-    bad = None
-    for i in table.indices:
-        for s in range(datum.rank):
-            isx = table.act(i, s)
-            sig = gen_sigma(setting, i, s)
-            # s(x_t) from the reflection matrix, not the group's memo of
-            # monomial images, which the operator products read
-            reflection = datum.simple_reflection_matrix(s)
-            for t in range(n):
-                lhs = sig * gen_var(table, isx, t) - left_mult(
-                    table, i, Poly.variable(n, t).substitute_linear(reflection)
-                ) * sig
-                c = straightening_poly(setting, i, s, t)
-                rhs = diag_mult(table, c) if isx == i else TwistedOperator(table)
-                if lhs != rhs:
-                    ok, bad = False, {"i": i, "s": s, "t": t}
-    results.append(CheckResult("straightening", ok, "", bad))
+    def straightenings():
+        for i in table.indices:
+            for s in range(datum.rank):
+                isx = table.act(i, s)
+                sig = gen_sigma(setting, i, s)
+                # s(x_t) from the reflection matrix, not the group's memo of
+                # monomial images, which the operator products read
+                reflection = datum.simple_reflection_matrix(s)
+                for t in range(n):
+                    lhs = sig * gen_var(table, isx, t) - left_mult(
+                        table, i, Poly.variable(n, t).substitute_linear(reflection)
+                    ) * sig
+                    c = straightening_poly(setting, i, s, t)
+                    rhs = diag_mult(table, c) if isx == i else TwistedOperator(table)
+                    if lhs != rhs:
+                        yield {"i": i, "s": s, "t": t}
 
-    ok = True
-    bad = None
-    for s in range(datum.rank):
-        for t in range(s + 1, datum.rank):
-            if group.braid_order(s, t) != 2:
-                continue
-            for i in table.indices:
-                lhs = gen_sigma(setting, i, s) * gen_sigma(setting, table.act(i, s), t)
-                rhs = gen_sigma(setting, i, t) * gen_sigma(setting, table.act(i, t), s)
-                if lhs != rhs:
-                    ok, bad = False, {"i": i, "s": s, "t": t}
-    results.append(CheckResult("commuting-braid", ok, "", bad))
-
-    if data.borel_flag:
-        ok = True
-        bad = None
-        details = []
+    def commuting_braids():
         for s in range(datum.rank):
             for t in range(s + 1, datum.rank):
-                m = group.braid_order(s, t)
-                if m == 2:
+                if group.braid_order(s, t) != 2:
                     continue
-                certified = braid_assumptions_hold(setting, s, t)
                 for i in table.indices:
-                    try:
-                        defect = braid_defect(setting, i, s, t)
-                    except ExtractionStuck as exc:
-                        ok, bad = False, {"i": i, "s": s, "t": t, "error": str(exc)}
-                        continue
-                    if certified and not defect.all_polynomial():
-                        ok, bad = False, {"i": i, "s": s, "t": t, "nonpoly": True}
-                details.append(f"m({s},{t})={m}{'' if certified else ' (uncertified)'}")
-        results.append(
-            CheckResult("braid-defect-extraction", ok, "; ".join(details), bad)
-        )
+                    lhs = gen_sigma(setting, i, s) * gen_sigma(setting, table.act(i, s), t)
+                    rhs = gen_sigma(setting, i, t) * gen_sigma(setting, table.act(i, t), s)
+                    if lhs != rhs:
+                        yield {"i": i, "s": s, "t": t}
 
+    def braid_defects(certified):
+        for (s, t), cert in certified.items():
+            for i in table.indices:
+                try:
+                    defect = braid_defect(setting, i, s, t)
+                except ExtractionStuck as exc:
+                    yield {"i": i, "s": s, "t": t, "error": str(exc)}
+                    continue
+                if cert and not defect.all_polynomial():
+                    yield {"i": i, "s": s, "t": t, "nonpoly": True}
+
+    results = [
+        verdict("idempotents", idempotents(), f"#I={len(table.indices)}"),
+        verdict("idempotent-sandwich", sandwiches()),
+        verdict("polynomial-commutation", commutations()),
+    ]
+    if data.borel_flag:
+        results.append(verdict("square-closed-form", squares()))
+    results.append(verdict("straightening", straightenings()))
+    results.append(verdict("commuting-braid", commuting_braids()))
+    if data.borel_flag:
+        # (s, t) -> whether the defects of order m(s, t) > 2 are certified
+        certified = {
+            (s, t): braid_assumptions_hold(setting, s, t)
+            for s in range(datum.rank)
+            for t in range(s + 1, datum.rank)
+            if group.braid_order(s, t) != 2
+        }
+        details = "; ".join(
+            f"m({s},{t})={group.braid_order(s, t)}{'' if cert else ' (uncertified)'}"
+            for (s, t), cert in certified.items()
+        )
+        results.append(
+            verdict("braid-defect-extraction", braid_defects(certified), details)
+        )
     return results
 
 
@@ -453,20 +451,19 @@ def generator_grading_check(setting: Setting) -> list:
     """Degree bookkeeping: units 0, variables 2, crossings 2 deg q - 2 on
     stabilized indices and 2 deg q across walls."""
     datum, table = setting.datum, setting.table
-    results = []
-    ok = True
-    bad = None
-    for i in table.indices:
-        if gen_unit(table, i).graded_degree() != 0:
-            ok, bad = False, {"i": i, "gen": "unit"}
-        for t in range(datum.ambient_rank):
-            if gen_var(table, i, t).graded_degree() != 2:
-                ok, bad = False, {"i": i, "gen": f"var{t}"}
-        for s in range(datum.rank):
-            sig = gen_sigma(setting, i, s)
-            q = q_poly(setting, i, s)
-            want = 2 * q.degree() - 2 if table.stab(i, s) else 2 * q.degree()
-            if sig.graded_degree() != want:
-                ok, bad = False, {"i": i, "s": s, "want": want}
-    results.append(CheckResult("generator-grading", ok, "", bad))
-    return results
+
+    def failures():
+        for i in table.indices:
+            if gen_unit(table, i).graded_degree() != 0:
+                yield {"i": i, "gen": "unit"}
+            for t in range(datum.ambient_rank):
+                if gen_var(table, i, t).graded_degree() != 2:
+                    yield {"i": i, "gen": f"var{t}"}
+            for s in range(datum.rank):
+                sig = gen_sigma(setting, i, s)
+                q = q_poly(setting, i, s)
+                want = 2 * q.degree() - 2 if table.stab(i, s) else 2 * q.degree()
+                if sig.graded_degree() != want:
+                    yield {"i": i, "s": s, "want": want}
+
+    return [verdict("generator-grading", failures())]

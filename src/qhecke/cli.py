@@ -15,6 +15,7 @@ Indices are 0-based into the coset table and the simple-root list.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -24,11 +25,11 @@ from fractions import Fraction
 
 from . import algebra, localize, presets, repdata
 from .config import Config, build_setting, check_degree_bound, emit_config, load_json, parse_config
-from .errors import InternalInvariantError, ParseError, QheckeError, UnknownIndex
+from .errors import InternalInvariantError, NonIntegralResult, ParseError, QheckeError, UnknownIndex
 from .polyops import KERNEL_NAME, Poly, RatFun, monomials_up_to
-from .report import CheckResult
+from .report import CheckResult, verdict
 from .rootcore import build_root_datum
-from .subgroup import factorization_check, length_comparison_check, member_of_W, s_adapted
+from .subgroup import factorization_check, length_comparison_check, member_of_W, parabolic_checks, s_adapted
 
 
 class _Tokens:
@@ -230,8 +231,7 @@ def run_checks(cfg: Config, selected=None) -> tuple:
         t0 = time.perf_counter()
         suite_results = suites[name]()
         seconds[name] = time.perf_counter() - t0
-        for r in suite_results:
-            results.append(CheckResult(f"{name}:{r.name}", r.passed, r.details, r.counterexample))
+        results += [dataclasses.replace(r, name=f"{name}:{r.name}") for r in suite_results]
     sizes = {
         "big_group_order": len(table.group),
         "group_order": sub.group_order,
@@ -266,14 +266,17 @@ def _integrality_checks(setting, degree_bound: int) -> list:
     the cosets its terms read, since it sends every other component to zero.
     That sweep is the documented property test, not a proof.
     """
-    from .errors import NonIntegralResult
-
-    table = setting.table
     n = setting.datum.ambient_rank
     monos = monomials_up_to(n, degree_bound)
-    ok = True
-    bad = None
-    for name, gen in _all_generators(setting):
+    failures = _nonintegral_images(_all_generators(setting), setting.table, n, monos)
+    return [verdict("generators-integral", failures, f"degree bound {degree_bound}")]
+
+
+def _nonintegral_images(gens, table, n: int, monos):
+    """(generator, component, monomial) wherever a generator of `gens` with
+    a non-constant denominator leaves the polynomials, generator by
+    generator."""
+    for name, gen in gens:
         if all(c.den.is_constant() for c in gen.terms.values()):
             continue
         sources = {table.act_elem(i, g) for (i, g) in gen.terms}
@@ -281,12 +284,10 @@ def _integrality_checks(setting, degree_bound: int) -> list:
             if i not in sources:
                 continue
             for e in monos:
-                m = {i: Poly.monomial(n, e)}
                 try:
-                    gen.apply(m)
+                    gen.apply({i: Poly.monomial(n, e)})
                 except NonIntegralResult:
-                    ok, bad = False, {"generator": name, "component": i, "monomial": e}
-    return [CheckResult("generators-integral", ok, f"degree bound {degree_bound}", bad)]
+                    yield {"generator": name, "component": i, "monomial": e}
 
 
 def _product_checks(setting, seed: int, degree_bound: int) -> list:
@@ -297,93 +298,92 @@ def _product_checks(setting, seed: int, degree_bound: int) -> list:
     gens = _all_generators(setting)
     n = setting.datum.ambient_rank
     monos = monomials_up_to(n, min(degree_bound, 2))
-    results = []
-    ok = True
-    bad = None
-    for _ in range(12):
-        (na, A), (nb, B), (nc, C) = (rng.choice(gens) for _ in range(3))
-        if (A * B) * C != A * (B * C):
-            ok, bad = False, {"triple": (na, nb, nc)}
-        i = rng.randrange(len(setting.table.indices))
-        m = {i: Poly.monomial(n, rng.choice(monos))}
-        if (A * B).apply(m) != A.apply(B.apply(m)):
-            ok, bad = False, {"pair": (na, nb), "monomial": True}
-    results.append(CheckResult("associativity-sampled", ok, "12 seeded triples", bad))
-    return results
+
+    def failures():
+        for _ in range(12):
+            (na, A), (nb, B), (nc, C) = (rng.choice(gens) for _ in range(3))
+            if (A * B) * C != A * (B * C):
+                yield {"triple": (na, nb, nc)}
+            i = rng.randrange(len(setting.table.indices))
+            m = {i: Poly.monomial(n, rng.choice(monos))}
+            if (A * B).apply(m) != A.apply(B.apply(m)):
+                yield {"pair": (na, nb), "monomial": True}
+
+    return [verdict("associativity-sampled", failures(), "12 seeded triples")]
 
 
 def _coset_checks(table) -> list:
     sub, group = table.sub, table.group
-    results = []
-    ok = True
-    bad = None
     pos_big = sub.datum._positive_set
     target = set(sub.positives)
     reps = set(table.reps)
-    for g in range(len(group)):
-        ginv = group.inv(g)
-        P = {a for a in sub.roots if group.act(ginv, a) in pos_big}
-        canonical = P == target
-        if canonical != (g in reps):
-            ok, bad = False, {"element": group.reduced_word(g)}
-    results.append(CheckResult("canonical-reps-unique", ok, f"#W_big={len(group)}", bad))
 
-    ok = True
-    bad = None
-    for i in table.indices:
-        for k in range(sub.datum.rank):
-            j = table.act(i, k)
-            if j != i:
-                if table.reps[j] != group.mul(table.reps[i], group.simple[k]):
-                    ok, bad = False, {"i": i, "k": k}
-            else:
-                conj = group.mul(
-                    group.mul(table.reps[i], group.simple[k]), group.inv(table.reps[i])
-                )
-                if not member_of_W(sub, conj) or conj not in sub.members:
-                    ok, bad = False, {"i": i, "k": k}
-    results.append(CheckResult("action-and-stabilizers", ok, "", bad))
+    def noncanonical():
+        for g in range(len(group)):
+            ginv = group.inv(g)
+            P = {a for a in sub.roots if group.act(ginv, a) in pos_big}
+            if (P == target) != (g in reps):
+                yield {"element": group.reduced_word(g)}
 
-    ok = len(table.indices) * sub.group_order == len(group)
-    results.append(
-        CheckResult("counting", ok, f"#I * #W = {len(table.indices)} * {sub.group_order}")
-    )
+    def bad_actions():
+        for i in table.indices:
+            for k in range(sub.datum.rank):
+                j = table.act(i, k)
+                if j != i:
+                    if table.reps[j] != group.mul(table.reps[i], group.simple[k]):
+                        yield {"i": i, "k": k}
+                else:
+                    conj = group.mul(
+                        group.mul(table.reps[i], group.simple[k]), group.inv(table.reps[i])
+                    )
+                    if not member_of_W(sub, conj) or conj not in sub.members:
+                        yield {"i": i, "k": k}
 
-    ok = True
-    bad = None
-    for i in table.indices:
-        for k1 in range(sub.datum.rank):
-            for k2 in range(sub.datum.rank):
-                lhs = table.act(table.act(i, k1), k2)
-                prod = group.mul(group.simple[k1], group.simple[k2])
-                rhs = table.act_elem(i, prod)
-                if lhs != rhs:
-                    ok, bad = False, {"i": i, "pair": (k1, k2)}
-    results.append(CheckResult("action-well-defined", ok, "", bad))
-    return results
+    def ill_defined():
+        for i in table.indices:
+            for k1 in range(sub.datum.rank):
+                for k2 in range(sub.datum.rank):
+                    lhs = table.act(table.act(i, k1), k2)
+                    prod = group.mul(group.simple[k1], group.simple[k2])
+                    if lhs != table.act_elem(i, prod):
+                        yield {"i": i, "pair": (k1, k2)}
+
+    return [
+        verdict("canonical-reps-unique", noncanonical(), f"#W_big={len(group)}"),
+        verdict("action-and-stabilizers", bad_actions()),
+        CheckResult(
+            "counting",
+            len(table.indices) * sub.group_order == len(group),
+            f"#I * #W = {len(table.indices)} * {sub.group_order}",
+        ),
+        verdict("action-well-defined", ill_defined()),
+    ]
 
 
 def _factorization_checks(sub) -> list:
+    """The subsets J of the big simples that are S-adapted; then, for each
+    J, the two checks of J alone followed by the two-sided check of (J, K)
+    for every adapted K."""
     from itertools import combinations
 
     rank = sub.datum.rank
-    results = []
     adapted = []
     for size in range(rank + 1):
         for J in combinations(range(rank), size):
             if s_adapted(sub, J):
                 adapted.append(J)
-    results.append(
+    results = [
         CheckResult(
             "adapted-subsets",
             bool(adapted),
             f"{len(adapted)} adapted subsets incl. empty and full",
         )
-    )
+    ]
     cache = {}
     for J in adapted:
+        results += parabolic_checks(sub, J, cache)
         for K in adapted:
-            results.extend(factorization_check(sub, J, K, cache))
+            results += factorization_check(sub, J, K, cache)
     return results
 
 
@@ -623,11 +623,7 @@ def main(argv=None) -> int:
                 },
             }
             _emit(report, args.out)
-            failures = [r for r in results if not r.passed]
-            if failures:
-                print(f"FAILED: {failures[0].name}", file=sys.stderr)
-                return 1
-            return 0
+            return _exit_status(report["checks"])
 
         handlers = {
             "describe": lambda: cmd_describe(cfg),
@@ -648,12 +644,7 @@ def main(argv=None) -> int:
             "timings": {"total_s": round(time.time() - t0, 3)},
         }
         _emit(report, args.out)
-        if args.command == "localize":
-            bad = [c for c in payload["checks"] if c["status"] != "pass"]
-            if bad:
-                print(f"FAILED: {bad[0]['name']}", file=sys.stderr)
-                return 1
-        return 0
+        return _exit_status(payload["checks"]) if args.command == "localize" else 0
     except InternalInvariantError as exc:
         print(f"internal invariant broken: {exc}", file=sys.stderr)
         return 3
@@ -663,6 +654,16 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 3
+
+
+def _exit_status(checks) -> int:
+    """1, naming the first failed check on stderr, when a check of the
+    report's `checks` failed; 0 when all passed."""
+    failed = next((c["name"] for c in checks if c["status"] != "pass"), None)
+    if failed is None:
+        return 0
+    print(f"FAILED: {failed}", file=sys.stderr)
+    return 1
 
 
 def _emit(report: dict, out_path: str | None):

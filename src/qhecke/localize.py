@@ -40,7 +40,7 @@ from operator import add, and_, mul, or_
 from .errors import InternalInvariantError
 from .polyops import EulerClass, Poly, add_term, monomials_up_to
 from .repdata import Setting, fiber_weights, h_count, q_poly
-from .report import CheckResult
+from .report import CheckResult, verdict
 from .algebra import TwistedOperator, gen_sigma, gen_unit, gen_var, module_act
 
 
@@ -199,31 +199,31 @@ def intertwining_check(setting: Setting, degree: int = 3) -> list:
     multiplied by it once per generator, so each monomial costs polynomial
     arithmetic only."""
     datum, table = setting.datum, setting.table
-    n = datum.ambient_rank
-    results = []
-    monomials = monomials_up_to(n, degree)
-    for i in table.indices:
-        for s in range(datum.rank):
-            factor, mat = {}, {}
-            for (x, y), a in localize_sigma(setting, i, s).items():
-                if factor.setdefault(x, a.den) != a.den:
-                    raise InternalInvariantError(
-                        f"row {x} of sigma({i},{s}) has two denominators"
-                    )
-                mat[(x, y)] = a.num
-            sig = gen_sigma(setting, i, s)
-            src = table.act(i, s)
-            ok = True
-            bad = None
-            for e in monomials:
-                f = {src: Poly.monomial(n, e)}
-                lhs = fp_apply(mat, theta(setting, f))
-                rhs = {x: factor[x] * v for x, v in theta(setting, sig.apply(f)).items()}
-                if lhs != rhs:
-                    ok, bad = False, {"i": i, "s": s, "monomial": e}
-                    break
-            results.append(CheckResult(f"intertwine(i={i},s={s})", ok, "", bad))
-    return results
+    monomials = monomials_up_to(datum.ambient_rank, degree)
+    return [
+        verdict(f"intertwine(i={i},s={s})", _intertwining_failures(setting, i, s, monomials))
+        for i in table.indices
+        for s in range(datum.rank)
+    ]
+
+
+def _intertwining_failures(setting: Setting, i: int, s: int, monomials):
+    """The monomials, in order, on which sigma(i, s) and its fixed-point
+    matrix disagree."""
+    n = setting.datum.ambient_rank
+    factor, mat = {}, {}
+    for (x, y), a in localize_sigma(setting, i, s).items():
+        if factor.setdefault(x, a.den) != a.den:
+            raise InternalInvariantError(f"row {x} of sigma({i},{s}) has two denominators")
+        mat[(x, y)] = a.num
+    sig = gen_sigma(setting, i, s)
+    src = setting.table.act(i, s)
+    for e in monomials:
+        f = {src: Poly.monomial(n, e)}
+        lhs = fp_apply(mat, theta(setting, f))
+        rhs = {x: factor[x] * v for x, v in theta(setting, sig.apply(f)).items()}
+        if lhs != rhs:
+            yield {"i": i, "s": s, "monomial": e}
 
 
 def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
@@ -231,66 +231,57 @@ def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
     that of c at xw."""
     datum, table, group = setting.datum, setting.table, setting.group
     n = datum.ambient_rank
-    results = []
     monomials = monomials_up_to(n, degree)
-    for k in range(datum.rank):
+
+    def failures(k):
         w = group.simple[k]
-        ok = True
-        bad = None
         for i in table.indices:
             for e in monomials:
                 c = {i: Poly.monomial(n, e)}
                 lhs = theta(setting, module_act(table, w, c))
                 rhs = {group.mul(x, group.inv(w)): v for x, v in theta(setting, c).items()}
                 if lhs != rhs:
-                    ok, bad = False, {"i": i, "monomial": e, "simple": k}
-        results.append(CheckResult(f"equivariance(s={k})", ok, "", bad))
-    return results
+                    yield {"i": i, "monomial": e, "simple": k}
+
+    return [verdict(f"equivariance(s={k})", failures(k)) for k in range(datum.rank)]
 
 
 def euler_identities_check(setting: Setting) -> list:
     """Sign law, power forms, curve Euler classes and duality, exhaustively."""
     datum, table, data = setting.datum, setting.table, setting.data
     group, weights = setting.group, setting.weights
-    results = []
 
     def root(g, s):
         """The set holding the root g(alpha_s)."""
         return weights.bit[weights.index[group.act(g, datum.simple_roots[s])]]
 
-    ok = True
-    bad = None
-    for g in range(len(group)):
-        sets = (tangent_n(setting, g), *fiber_weights(setting, g))
-        size = sum(part.bit_count() for part in sets)
-        dual = [weights.negate(part) for part in sets]
-        if euler(setting, *dual) != euler(setting, *sets) * Fraction((-1) ** size):
-            ok, bad = False, {"element": group.reduced_word(g)}
-    results.append(CheckResult("euler-duality", ok, "", bad))
+    def dualities():
+        for g in range(len(group)):
+            sets = (tangent_n(setting, g), *fiber_weights(setting, g))
+            size = sum(part.bit_count() for part in sets)
+            dual = [weights.negate(part) for part in sets]
+            if euler(setting, *dual) != euler(setting, *sets) * Fraction((-1) ** size):
+                yield {"element": group.reduced_word(g)}
 
-    ok = True
-    bad = None
-    for g in range(len(group)):
-        i = table.coset_of[g]
-        for s in range(datum.rank):
-            gs = group.mul(g, group.simple[s])
-            alpha_img = euler(setting, root(g, s))
-            if table.stab(i, s):
-                if euler(setting, tangent_m(setting, gs, g)) != alpha_img:
-                    ok, bad = False, {"element": group.reduced_word(g), "s": s, "which": "target"}
-                if euler(setting, tangent_m(setting, g, gs)) != -alpha_img:
-                    ok, bad = False, {"element": group.reduced_word(g), "s": s, "which": "source"}
-            else:
-                if tangent_n(setting, g) != tangent_n(setting, gs):
-                    ok, bad = False, {"element": group.reduced_word(g), "s": s, "which": "equal-n"}
-                if tangent_m(setting, g, gs) or tangent_m(setting, gs, g):
-                    ok, bad = False, {"element": group.reduced_word(g), "s": s, "which": "empty-m"}
-    results.append(CheckResult("curve-euler-classes", ok, "", bad))
+    def curves():
+        for g in range(len(group)):
+            i = table.coset_of[g]
+            for s in range(datum.rank):
+                gs = group.mul(g, group.simple[s])
+                alpha_img = euler(setting, root(g, s))
+                if table.stab(i, s):
+                    if euler(setting, tangent_m(setting, gs, g)) != alpha_img:
+                        yield {"element": group.reduced_word(g), "s": s, "which": "target"}
+                    if euler(setting, tangent_m(setting, g, gs)) != -alpha_img:
+                        yield {"element": group.reduced_word(g), "s": s, "which": "source"}
+                else:
+                    if tangent_n(setting, g) != tangent_n(setting, gs):
+                        yield {"element": group.reduced_word(g), "s": s, "which": "equal-n"}
+                    if tangent_m(setting, g, gs) or tangent_m(setting, gs, g):
+                        yield {"element": group.reduced_word(g), "s": s, "which": "empty-m"}
 
-    if data.borel_flag:
+    def sign_laws():
         lambdas = setting.lambdas
-        ok = True
-        bad = None
         for g in range(len(group)):
             i = table.coset_of[g]
             for s in range(datum.rank):
@@ -299,11 +290,10 @@ def euler_identities_check(setting: Setting) -> list:
                 gs = group.mul(g, group.simple[s])
                 h = h_count(setting, i, s)
                 if lambdas[g] != lambdas[gs] * (-1) ** (1 + h):
-                    ok, bad = False, {"element": group.reduced_word(g), "s": s}
-        results.append(CheckResult("lambda-sign-law", ok, "", bad))
+                    yield {"element": group.reduced_word(g), "s": s}
 
-        ok = True
-        bad = None
+    def power_forms():
+        lambdas = setting.lambdas
         for g in range(len(group)):
             i = table.coset_of[g]
             for s in range(datum.rank):
@@ -314,20 +304,22 @@ def euler_identities_check(setting: Setting) -> list:
                 value = eu_zbar_s(setting, g, s) * euler(setting, *[alpha] * -k)
                 want = lambdas[g] * euler(setting, *[alpha] * k)
                 if value != want:
-                    ok, bad = False, {"element": group.reduced_word(g), "s": s}
-        results.append(CheckResult("power-forms", ok, "", bad))
+                    yield {"element": group.reduced_word(g), "s": s}
 
-    ok = True
-    bad = None
-    for g in range(len(group)):
-        for s in range(datum.rank):
-            via_fibers = q_translate(setting, g, s)
-            i = table.coset_of[g]
-            translated = q_poly(setting, i, s).weyl_image(group, g)
-            if via_fibers.expand() != translated:
-                ok, bad = False, {"element": group.reduced_word(g), "s": s}
-    results.append(CheckResult("q-translation", ok, "", bad))
+    def q_translations():
+        for g in range(len(group)):
+            for s in range(datum.rank):
+                via_fibers = q_translate(setting, g, s)
+                i = table.coset_of[g]
+                translated = q_poly(setting, i, s).weyl_image(group, g)
+                if via_fibers.expand() != translated:
+                    yield {"element": group.reduced_word(g), "s": s}
 
+    results = [verdict("euler-duality", dualities()), verdict("curve-euler-classes", curves())]
+    if data.borel_flag:
+        results.append(verdict("lambda-sign-law", sign_laws()))
+        results.append(verdict("power-forms", power_forms()))
+    results.append(verdict("q-translation", q_translations()))
     return results
 
 
@@ -398,22 +390,17 @@ def leading_term_suite(setting: Setting) -> list:
             rhs = list(map(add, s_counts, map(w_counts.__getitem__, us)))
             lhs_scalars = list(map(mul, sw_scalars, lam_scalars))
             rhs_scalars = list(map(mul, s_scalars, map(w_scalars.__getitem__, us)))
-            bad = None
-            end = size
+            first = size
             if lhs != rhs or lhs_scalars != rhs_scalars:
-                end = 1 + next(
+                first = next(
                     u for u in range(size)
                     if lhs[u] != rhs[u] or lhs_scalars[u] != rhs_scalars[u]
                 )
-                bad = {"u": group.reduced_word(end - 1)}
             # the products of every u up to the first failure are formed
-            if (reduce(or_, lhs[:end], 0) | reduce(or_, rhs[:end], 0)) & guard:
+            if (reduce(or_, lhs[: first + 1], 0) | reduce(or_, rhs[: first + 1], 0)) & guard:
                 raise InternalInvariantError("an Euler class overflows its count fields")
-            found[s].append(
-                CheckResult(
-                    f"leading-term(s={s},w={group.reduced_word(w)})", bad is None, "", bad
-                )
-            )
+            failures = [{"u": group.reduced_word(first)}] if first < size else []
+            found[s].append(verdict(f"leading-term(s={s},w={group.reduced_word(w)})", failures))
         if w not in simple:
             rows.pop(w, None)
     return [r for results in found for r in results]
@@ -456,21 +443,22 @@ def inversion_additivity_suite(group, F) -> list:
     """Exhaustive over all (x, w, s) with additive lengths; F holds roots."""
     F = frozenset(group.root_index[tuple(f)] for f in F)
     size = len(group)
-    ok = True
-    bad = None
-    count = 0
-    for s in range(group.datum.rank):
-        s_elem = group.simple[s]
-        for w in range(size):
-            if group.length(group.mul(s_elem, w)) != group.length(w) + 1:
-                continue
-            sides = additivity_sides(group, F, w, s)
-            count += size
-            for x in range(size):
-                if not inversion_additivity_check(group, x, sides):
-                    ok, bad = False, {
-                        "x": group.reduced_word(x),
-                        "w": group.reduced_word(w),
-                        "s": s,
-                    }
-    return [CheckResult("inversion-additivity", ok, f"{count} triples", bad)]
+    pairs = [
+        (w, s)
+        for s, s_elem in enumerate(group.simple)
+        for w in range(size)
+        if group.length(group.mul(s_elem, w)) == group.length(w) + 1
+    ]
+    failures = _inversion_failures(group, F, pairs)
+    return [verdict("inversion-additivity", failures, f"{len(pairs) * size} triples")]
+
+
+def _inversion_failures(group, F: frozenset, pairs):
+    """The triples (x, w, s), for (w, s) in `pairs` and then x in index
+    order, at which cut additivity fails."""
+    xs = range(len(group))
+    for w, s in pairs:
+        sides = additivity_sides(group, F, w, s)
+        for x in xs:
+            if not inversion_additivity_check(group, x, sides):
+                yield {"x": group.reduced_word(x), "w": group.reduced_word(w), "s": s}

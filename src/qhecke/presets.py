@@ -21,7 +21,7 @@ from .config import Config, check_quiver
 from .errors import UnsupportedDimension
 from .polyops import Poly, RatFun, add_term
 from .repdata import h_count
-from .report import CheckResult
+from .report import verdict
 
 
 @dataclass(frozen=True)
@@ -202,18 +202,6 @@ def klr_oracle_check(quiver: QuiverSpec) -> list:
     d = quiver.total_dimension
     oracle = QuiverOracle(quiver)
     seqs = coset_sequences(quiver, table)
-    results = []
-
-    ok = True
-    bad = None
-    for i in table.indices:
-        for k in range(d - 1):
-            root_h = h_count(setting, i, k)
-            orh = oracle.h_value(seqs[i], k)
-            if root_h != orh:
-                ok, bad = False, {"i": i, "k": k, "root": root_h, "oracle": orh}
-    results.append(CheckResult("oracle-h-counts", ok, f"#I={len(table.indices)}", bad))
-
     seq_index = {s: i for i, s in enumerate(seqs)}
 
     def oracle_as_operator(seq, word) -> TwistedOperator:
@@ -223,32 +211,39 @@ def klr_oracle_check(quiver: QuiverSpec) -> list:
             terms[(seq_index[s0], g)] = c
         return TwistedOperator(table, terms)
 
-    ok = True
-    bad = None
-    for i in table.indices:
-        for k in range(d - 1):
-            root_sq = gen_sigma(setting, i, k) * gen_sigma(setting, table.act(i, k), k)
-            or_sq = oracle_as_operator(seqs[i], (k, k))
-            if root_sq != or_sq:
-                ok, bad = False, {"i": i, "k": k}
-    results.append(CheckResult("oracle-squares", ok, "", bad))
+    def h_counts():
+        for i in table.indices:
+            for k in range(d - 1):
+                root_h = h_count(setting, i, k)
+                orh = oracle.h_value(seqs[i], k)
+                if root_h != orh:
+                    yield {"i": i, "k": k, "root": root_h, "oracle": orh}
 
-    ok = True
-    bad = None
-    for i in table.indices:
-        for k in range(d - 2):
-            root_bd = braid_defect(setting, i, k, k + 1)
-            lhs = oracle_as_operator(seqs[i], (k, k + 1, k))
-            rhs = oracle_as_operator(seqs[i], (k + 1, k, k + 1))
-            delta = lhs - rhs
-            recon = TwistedOperator(table)
-            e = group.identity
-            for g, q in root_bd.coefficients.items():
-                if q.is_zero():
-                    continue
-                basis = oracle_as_operator(seqs[i], root_bd.words[g])
-                recon = recon + TwistedOperator(table, {(seq_index[seqs[i]], e): q}) * basis
-            if delta != recon:
-                ok, bad = False, {"i": i, "k": k}
-    results.append(CheckResult("oracle-braid-defects", ok, "", bad))
-    return results
+    def squares():
+        for i in table.indices:
+            for k in range(d - 1):
+                root_sq = gen_sigma(setting, i, k) * gen_sigma(setting, table.act(i, k), k)
+                if root_sq != oracle_as_operator(seqs[i], (k, k)):
+                    yield {"i": i, "k": k}
+
+    def braid_defects():
+        for i in table.indices:
+            for k in range(d - 2):
+                root_bd = braid_defect(setting, i, k, k + 1)
+                lhs = oracle_as_operator(seqs[i], (k, k + 1, k))
+                rhs = oracle_as_operator(seqs[i], (k + 1, k, k + 1))
+                recon = TwistedOperator(table)
+                e = group.identity
+                for g, q in root_bd.coefficients.items():
+                    if q.is_zero():
+                        continue
+                    basis = oracle_as_operator(seqs[i], root_bd.words[g])
+                    recon = recon + TwistedOperator(table, {(seq_index[seqs[i]], e): q}) * basis
+                if lhs - rhs != recon:
+                    yield {"i": i, "k": k}
+
+    return [
+        verdict("oracle-h-counts", h_counts(), f"#I={len(table.indices)}"),
+        verdict("oracle-squares", squares()),
+        verdict("oracle-braid-defects", braid_defects()),
+    ]

@@ -24,7 +24,7 @@ from operator import and_
 
 from .errors import InternalInvariantError, UnsuitableData
 from .polyops import EulerClass, Poly, primitive_form
-from .report import CheckResult
+from .report import CheckResult, verdict
 from .rootcore import RootDatum
 from .subgroup import CosetTable
 
@@ -217,12 +217,14 @@ def validate(setting: Setting, strict: bool = False) -> list:
 
     def closed_under(name, add_set, weights) -> CheckResult:
         """Fails at the first a + b that is a root outside `weights`."""
-        for a in weights:
-            for b in add_set:
-                s = tuple(x + y for x, y in zip(a, b))
-                if s in root_set and s not in weights:
-                    return CheckResult(name, False, "", {"weight": a, "added": b})
-        return CheckResult(name, True)
+        outside = root_set - weights
+        failures = (
+            {"weight": a, "added": b}
+            for a in weights
+            for b in add_set
+            if tuple(x + y for x, y in zip(a, b)) in outside
+        )
+        return verdict(name, failures)
 
     for k, U in enumerate(data.U_sets):
         ok = U <= root_set

@@ -22,3 +22,10 @@ class CheckResult:
             out["counterexample"] = self.counterexample
         return out
 
+
+def verdict(name: str, failures, details: str = "") -> CheckResult:
+    """The check passes when `failures` yields no counterexample; otherwise
+    its counterexample is the first one yielded, in the scan order of the
+    iterable, and the scan stops there."""
+    bad = next(iter(failures), None)
+    return CheckResult(name, bad is None, details, bad)

@@ -312,28 +312,26 @@ def parabolic_data(sub: SubSystem, J) -> ParabolicData:
     )
 
 
-def factorization_check(sub: SubSystem, J, K, cache=None) -> list:
-    """Coset factorizations of W against parabolic data of W_big.
+def _parabolic(sub: SubSystem, L, cache) -> ParabolicData:
+    """`parabolic_data` of the sorted subset L, kept in the dict `cache`."""
+    data = cache.get(L)
+    if data is None:
+        data = cache[L] = parabolic_data(sub, L)
+    return data
 
-    For S-adapted J (and K): minimal coset representatives restrict, the
-    two-sided minimal representatives restrict, and the canonical
+
+def parabolic_checks(sub: SubSystem, J, cache=None) -> list:
+    """The coset factorizations of W against W_big that read J alone: for
+    S-adapted J, minimal coset representatives restrict, and the canonical
     factorization w = w^J w_J of any w in W has both parts in W.  `cache`,
-    a dict, keeps each subset's `ParabolicData` across calls.
-    """
+    a dict, keeps each subset's `ParabolicData` across calls."""
     group = sub.group
     J = tuple(sorted(set(J)))
-    K = tuple(sorted(set(K)))
-    if cache is None:
-        cache = {}
-    for L in (J, K):
-        if L not in cache:
-            cache[L] = parabolic_data(sub, L)
-    pJ, pK = cache[J], cache[K]
-    results = []
-
+    pJ = _parabolic(sub, J, {} if cache is None else cache)
     lhs = pJ.W_min
     rhs = sub.members & pJ.big_min
-    results.append(
+    bad = list(pJ.parts_outside_W)
+    return [
         CheckResult(
             "minimal-reps-restrict",
             lhs == rhs,
@@ -342,31 +340,38 @@ def factorization_check(sub: SubSystem, J, K, cache=None) -> list:
             if lhs == rhs
             else {"only_W_side": sorted(map(group.reduced_word, lhs - rhs)),
                   "only_big_side": sorted(map(group.reduced_word, rhs - lhs))},
-        )
-    )
-
-    bad = list(pJ.parts_outside_W)
-    results.append(
+        ),
         CheckResult(
             "factorization-parts-in-W",
             not bad,
             f"J={J}: checked {len(sub.members)} elements",
             None if not bad else {"elements": bad},
-        )
-    )
+        ),
+    ]
 
+
+def factorization_check(sub: SubSystem, J, K, cache=None) -> list:
+    """Two-sided coset factorizations of W against W_big: for S-adapted J
+    and K, the minimal representatives of W_J backslash W_big / W_K
+    restrict to W.  `cache`, a dict, keeps each subset's `ParabolicData`
+    across calls."""
+    group = sub.group
+    J = tuple(sorted(set(J)))
+    K = tuple(sorted(set(K)))
+    if cache is None:
+        cache = {}
+    pJ, pK = _parabolic(sub, J, cache), _parabolic(sub, K, cache)
     two_sided_big = pJ.big_min_inv & pK.big_min
     two_sided_W = sub.members & pJ.W_min_inv & pK.W_min
-    lhs2 = two_sided_big & sub.members
-    results.append(
+    lhs = two_sided_big & sub.members
+    return [
         CheckResult(
             "two-sided-reps-restrict",
-            lhs2 == two_sided_W,
-            f"J={J}, K={K}: {len(lhs2)} vs {len(two_sided_W)}",
+            lhs == two_sided_W,
+            f"J={J}, K={K}: {len(lhs)} vs {len(two_sided_W)}",
             None
-            if lhs2 == two_sided_W
-            else {"only_big": sorted(map(group.reduced_word, lhs2 - two_sided_W)),
-                  "only_W": sorted(map(group.reduced_word, two_sided_W - lhs2))},
+            if lhs == two_sided_W
+            else {"only_big": sorted(map(group.reduced_word, lhs - two_sided_W)),
+                  "only_W": sorted(map(group.reduced_word, two_sided_W - lhs))},
         )
-    )
-    return results
+    ]

@@ -21,6 +21,10 @@
   to the degree bound (`integrality_sweep_all`).  The program settles a
   generator whose denominators are all constant without applying it;
   `tests/test_cli.py` checks that both give the same result.
+- The factorization suite as it ran all three checks on every pair (J, K)
+  of S-adapted subsets, so that the two checks of J alone recur once per K
+  (`factorization_all_pairs`); `tests/test_subgroup.py` checks that the
+  program's suite is that list with its later repeats removed.
 - Normal forms over the crossing-word basis sigma(w): descending-length
   elimination and reassembly, which round-trip the generators and their
   products.
@@ -60,8 +64,9 @@ from qhecke.errors import InternalInvariantError, NonIntegralResult, QheckeError
 from qhecke.localize import eu_zbar_w, theta
 from qhecke.polyops import Poly, RatFun, add_term, monomials_up_to, primitive_form
 from qhecke.repdata import Setting
-from qhecke.report import CheckResult
+from qhecke.report import CheckResult, verdict
 from qhecke.rootcore import _reflection_matrix, _vec
+from qhecke.subgroup import factorization_check, parabolic_checks, s_adapted
 
 
 def demazure(datum, k: int, f: Poly) -> Poly:
@@ -238,20 +243,46 @@ def integrality_sweep_all(setting: Setting, degree_bound: int) -> list:
     table = setting.table
     n = setting.datum.ambient_rank
     monos = monomials_up_to(n, degree_bound)
-    ok = True
-    bad = None
-    for name, gen in _all_generators(setting):
-        sources = {table.act_elem(i, g) for (i, g) in gen.terms}
-        for i in table.indices:
-            if i not in sources:
-                continue
-            for e in monos:
-                m = {i: Poly.monomial(n, e)}
-                try:
-                    gen.apply(m)
-                except NonIntegralResult:
-                    ok, bad = False, {"generator": name, "component": i, "monomial": e}
-    return [CheckResult("generators-integral", ok, f"degree bound {degree_bound}", bad)]
+
+    def failures():
+        for name, gen in _all_generators(setting):
+            sources = {table.act_elem(i, g) for (i, g) in gen.terms}
+            for i in table.indices:
+                if i not in sources:
+                    continue
+                for e in monos:
+                    m = {i: Poly.monomial(n, e)}
+                    try:
+                        gen.apply(m)
+                    except NonIntegralResult:
+                        yield {"generator": name, "component": i, "monomial": e}
+
+    return [verdict("generators-integral", failures(), f"degree bound {degree_bound}")]
+
+
+def factorization_all_pairs(sub) -> list:
+    """`adapted-subsets`, then for every pair (J, K) of S-adapted subsets the
+    two checks of J alone and the two-sided check of (J, K)."""
+    from itertools import combinations
+
+    rank = sub.datum.rank
+    adapted = [
+        J
+        for size in range(rank + 1)
+        for J in combinations(range(rank), size)
+        if s_adapted(sub, J)
+    ]
+    results = [
+        CheckResult(
+            "adapted-subsets",
+            bool(adapted),
+            f"{len(adapted)} adapted subsets incl. empty and full",
+        )
+    ]
+    for J in adapted:
+        for K in adapted:
+            results += parabolic_checks(sub, J) + factorization_check(sub, J, K)
+    return results
 
 
 def sigma_basis_element(setting: Setting, g: int) -> TwistedOperator:
@@ -340,13 +371,13 @@ def theta_injectivity_check(setting: Setting, degree: int = 3) -> list:
     for i in setting.table.indices:
         for e in monomials:
             images.append(((i, e), theta(setting, {i: Poly.monomial(n, e)})))
-    ok = True
-    bad = None
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            if images[a][1] == images[b][1]:
-                ok, bad = False, {"first": images[a][0], "second": images[b][0]}
-    return [CheckResult("localization-injective", ok, f"{len(images)} monomials", bad)]
+    failures = (
+        {"first": images[a][0], "second": images[b][0]}
+        for a in range(len(images))
+        for b in range(a + 1, len(images))
+        if images[a][1] == images[b][1]
+    )
+    return [verdict("localization-injective", failures, f"{len(images)} monomials")]
 
 
 
@@ -422,20 +453,17 @@ def leading_term_check(setting: Setting, s: int, w: int) -> CheckResult:
     sw = group.mul(s_elem, w)
     if group.length(sw) != group.length(w) + 1:
         raise ValueError("length must be additive")
-    bad = None
-    ok = True
-    for u in range(len(group)):
-        us = group.mul(u, s_elem)
-        # 1/E(u,s) * 1/E(us,w) * Lambda_us == 1/E(u,sw), denominators cleared
-        lhs = eu_zbar_w(setting, u, sw) * lambdas[us]
-        rhs = eu_zbar_w(setting, u, s_elem) * eu_zbar_w(setting, us, w)
-        if lhs != rhs:
-            ok = False
-            bad = {"u": group.reduced_word(u)}
-            break
-    return CheckResult(
-        f"leading-term(s={s},w={group.reduced_word(w)})", ok, "", bad
-    )
+
+    def failures():
+        for u in range(len(group)):
+            us = group.mul(u, s_elem)
+            # 1/E(u,s) * 1/E(us,w) * Lambda_us == 1/E(u,sw), denominators cleared
+            lhs = eu_zbar_w(setting, u, sw) * lambdas[us]
+            rhs = eu_zbar_w(setting, u, s_elem) * eu_zbar_w(setting, us, w)
+            if lhs != rhs:
+                yield {"u": group.reduced_word(u)}
+
+    return verdict(f"leading-term(s={s},w={group.reduced_word(w)})", failures())
 
 
 # -- Euler classes from weight multisets ------------------------------------

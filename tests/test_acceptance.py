@@ -276,8 +276,12 @@ def test_criterion_8_combinatorial_layer(configurations):
             assert r.passed, (name, r.name, r.counterexample)
         for r in length_comparison_check(sub):
             assert r.passed, (name, r.name)
-        for r in cli._factorization_checks(sub):
+        factorization = cli._factorization_checks(sub)
+        for r in factorization:
             assert r.passed, (name, r.name, r.counterexample)
+        # each J-only check once per J, each two-sided check once per (J, K)
+        keys = [(r.name, r.details) for r in factorization]
+        assert len(set(keys)) == len(keys), name
     _report(
         "combinatorial-layer",
         True,

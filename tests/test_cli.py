@@ -929,13 +929,13 @@ class TestPinnedReports:
         ),
     }
     PINNED_EXPLICIT = {
-        ("A2-U10-all-roots", "check"): (1, "0cf4d468d40782907e01c74b1f6711544d476f44a6281dcb901c4edbc685d415"),
+        ("A2-U10-all-roots", "check"): (1, "117899b841ea43b32af4c4bd844804f4f38c24106f5e66a62e090a6689b9124a"),
         ("A2-U10-all-roots", "euler"): (0, "9339b71b79e5f0ce3bc20ecccff4532bd8c4e83c83d8717ae40c082dbdfa1950"),
         ("A2-U10-all-roots", "localize"): (0, "53ce1b978e29f97a71fb581189aedd64b50549cd9a6e0410646f5605f881ac69"),
-        ("A2-U10-V20-11", "check"): (1, "85f1f97e3a0127fdbdb15e5a02dc7170fb20d18350d5827316b6ce97ff83806c"),
+        ("A2-U10-V20-11", "check"): (1, "03a8e0aaae0b13bdea4c0c6228e810a5b128c6407b80ac9dd345c69e71b43714"),
         ("A2-U10-V20-11", "euler"): (0, "d3ef31f255ac969cd6df5e3271ae596a4c8b7d902565733494bc5f434f42bb88"),
         ("A2-U10-V20-11", "localize"): (1, "3bc4541bf0b5db1f68c8d6335505b6907063f85101cdd28efbb0c679419cd3f9"),
-        ("B2-two-copies-one-empty-V", "check"): (0, "44bb808f35832152751931f5868a2250557462a0c33112fa1115680971e8f0a1"),
+        ("B2-two-copies-one-empty-V", "check"): (0, "ef6fb35b5068b6f46d20abcf2a006dbc8587aa42611e092e5b8837230e5d116f"),
         ("B2-two-copies-one-empty-V", "euler"): (0, "c41c7549e3991152b72c9dffd7845818b8f3b325a9e4c17cf89fe64d1be3396c"),
         ("B2-two-copies-one-empty-V", "localize"): (0, "76911bb8f42c86c7a2cc2bf8350e89a9383c035e3057ed9e3dc08e386dad499a"),
     }
@@ -962,3 +962,14 @@ class TestPinnedReports:
     def test_explicit_weight_report_hash(self, tmp_path, config, command):
         got = self.run(tmp_path, self.EXPLICIT[config], command)
         assert got == self.PINNED_EXPLICIT[(config, command)]
+
+    def test_a_failed_check_reports_its_first_counterexample(self, tmp_path):
+        # q-translation fails at (s_0, s = 0) and (s_0, s = 1); the scan
+        # runs s inside the element, so s = 0 comes first
+        path, out = tmp_path / "config.json", tmp_path / "report.json"
+        path.write_text(emit_config(self.EXPLICIT["A2-U10-V20-11"]))
+        argv = ["check", "--config", str(path), "--checks", "euler", "--out", str(out)]
+        assert cli.main(argv) == 1
+        (check,) = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"]
+        assert check["name"] == "euler:q-translation"
+        assert check["counterexample"] == {"element": [1], "s": 0}

@@ -651,6 +651,14 @@ class TestInversionAdditivity:
         for x in range(len(group)):
             assert inversion_additivity_check(group, x, sides)
 
+    def test_a_failing_set_still_counts_every_triple(self):
+        # the scan stops at the first failure, the count in the details not
+        datum = build_root_datum("A2")
+        group = datum.weyl()
+        (r,) = inversion_additivity_suite(group, [(1, 1)])
+        assert not r.passed and r.counterexample is not None
+        assert r.details == f"{datum.rank * len(group) ** 2 // 2} triples"
+
     def test_length_must_be_additive(self):
         datum = build_root_datum("A2")
         group = datum.weyl()
@@ -679,7 +687,7 @@ class TestInversionAdditivity:
 
     @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
     def test_suite_matches_the_suite_on_sorted_lists(self, label, monkeypatch):
-        # most random weight sets fail, so the last-failure counterexample
+        # most random weight sets fail, so the first-failure counterexample
         # is compared too
         datum = build_root_datum(label)
         group = datum.weyl()

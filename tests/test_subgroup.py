@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhecke.cli import _factorization_checks
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import (
     CosetTable,
@@ -10,10 +11,11 @@ from qhecke.subgroup import (
     fixed_subsystem,
     length_comparison_check,
     member_of_W,
+    parabolic_checks,
     s_adapted,
 )
 
-from oracles import all_reduced_words, reflection_matrix
+from oracles import all_reduced_words, factorization_all_pairs, reflection_matrix
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +300,8 @@ class TestAdaptedness:
         ]
         assert () in adapted and tuple(range(rank)) in adapted
         for J in adapted:
+            for r in parabolic_checks(sub, J):
+                assert r.passed, (label, J, r.name, r.counterexample)
             for K in adapted:
                 for r in factorization_check(sub, J, K):
                     assert r.passed, (label, J, K, r.name, r.counterexample)
@@ -312,6 +316,10 @@ class TestAdaptedness:
         cache = {}
         verdicts = set()
         for J in subsets:
+            shared = parabolic_checks(sub, J, cache)
+            fresh = parabolic_checks(sub, J)
+            assert [r.as_dict() for r in shared] == [r.as_dict() for r in fresh]
+            verdicts.update(r.passed for r in fresh)
             for K in subsets:
                 shared = factorization_check(sub, J, K, cache)
                 fresh = factorization_check(sub, J, K)
@@ -319,3 +327,17 @@ class TestAdaptedness:
                 verdicts.update(r.passed for r in fresh)
         assert verdicts == {True, False}
         assert set(cache) == set(subsets)
+
+    @pytest.mark.parametrize(
+        "label,values",
+        [("A2", (Fraction(1, 2), 0)), ("B3", (0, 0, Fraction(1, 2))), ("A3", (0, 0, 0))],
+    )
+    def test_suite_is_the_all_pairs_loop_without_repeats(self, label, values):
+        sub = fixed_subsystem(build_root_datum(label), [TorusConstraint("torsion", values)])
+        want = []
+        for r in factorization_all_pairs(sub):
+            if r not in want:
+                want.append(r)
+        got = _factorization_checks(sub)
+        assert got == want
+        assert len(factorization_all_pairs(sub)) > len(got)
