@@ -188,9 +188,12 @@ def _fp_matrix_json(mat, group):
 
 def run_checks(cfg: Config, selected=None) -> tuple:
     """Run the selected named check suites on a config; returns the
-    CheckResults, the wall seconds of each suite by name, and the sizes of
-    the setting: |W_big|, |W|, #I and the number of checks."""
+    CheckResults, the wall seconds of building the setting, the wall
+    seconds of each suite by name, and the sizes of the setting: |W_big|,
+    |W|, #I and the number of checks."""
+    t0 = time.perf_counter()
     setting = build_setting(cfg)
+    setup_seconds = time.perf_counter() - t0
     datum, sub, table = setting.datum, setting.sub, setting.table
     suites = {}
     suites["suitability"] = lambda: repdata.validate(setting, strict=cfg.strict_suitability)
@@ -238,7 +241,7 @@ def run_checks(cfg: Config, selected=None) -> tuple:
         "cosets": len(table.indices),
         "checks": len(results),
     }
-    return results, seconds, sizes
+    return results, setup_seconds, seconds, sizes
 
 
 def _all_generators(setting):
@@ -611,12 +614,13 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 cfg.seed = args.seed
             selected = None if args.checks is None else args.checks.split(",")
-            results, suite_seconds, sizes = run_checks(cfg, selected)
+            results, setup_seconds, suite_seconds, sizes = run_checks(cfg, selected)
             report = {
                 "config_echo": json.loads(emit_config(cfg)),
                 "checks": [r.as_dict() for r in results],
                 "timings": {
                     "total_s": round(time.time() - t0, 3),
+                    "setup_s": round(setup_seconds, 3),
                     "suites": {k: round(v, 3) for k, v in suite_seconds.items()},
                     "kernel": KERNEL_NAME,
                     "sizes": sizes,

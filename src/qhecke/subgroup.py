@@ -6,7 +6,9 @@ generic (one-parameter) constraints test vanishing.  The reflections in that
 subsystem generate the small Weyl group W inside the big one, and the right
 cosets W\\W_big get canonical representatives characterized by
 Phi cap x(Phi_big^+) = Phi^+ (a Borel-compatibility condition, not
-length-minimality).
+length-minimality).  Canonicalization runs once per coset, and the coset is
+filled as the W-orbit of its representative; cosets that overlap are a
+broken invariant, not a property of the input.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonCanonicalizable, ParseError
+from .errors import InternalInvariantError, NonCanonicalizable, ParseError
 from .report import CheckResult
 from .rootcore import RootDatum, WeylGroup, _dot, _vec
 
@@ -122,14 +124,38 @@ def member_of_W(sub: SubSystem, g: int) -> bool:
 
 
 class CosetTable:
-    """Canonical representatives of W\\W_big with the right action by W_big."""
+    """Canonical representatives of W\\W_big with the right action by W_big.
+
+    Each coset is built once: the first element of W_big (in enumeration
+    order) not yet placed is canonicalized to its representative r, and the
+    coset is filled as the W-orbit {w r : w in W}.  Cosets are disjoint, so
+    an element placed twice, or a canonicalized element missing from its
+    representative's orbit, is a broken invariant (`InternalInvariantError`).
+    """
 
     def __init__(self, sub: SubSystem):
         self.sub = sub
         self.group = sub.group
         group = self.group
-        canon = [self._canonicalize(g) for g in range(len(group))]
-        reps = sorted(set(canon), key=lambda g: (group.length(g), group.reduced_word(g)))
+        canon = [None] * len(group)
+        reps = []
+        for g in range(len(group)):
+            if canon[g] is not None:
+                continue
+            r = self._canonicalize(g)
+            for w in sub.members:
+                h = group.mul(w, r)
+                if canon[h] is not None:
+                    raise InternalInvariantError(
+                        f"element {h} lies in the cosets of {canon[h]} and of {r}"
+                    )
+                canon[h] = r
+            if canon[g] is None:
+                raise InternalInvariantError(
+                    f"element {g} is missing from the orbit of its representative {r}"
+                )
+            reps.append(r)
+        reps.sort(key=lambda g: (group.length(g), group.reduced_word(g)))
         self.reps = tuple(reps)
         rep_index = {g: i for i, g in enumerate(reps)}
         self.coset_of = tuple(rep_index[c] for c in canon)

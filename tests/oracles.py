@@ -25,6 +25,10 @@
   of S-adapted subsets, so that the two checks of J alone recur once per K
   (`factorization_all_pairs`); `tests/test_subgroup.py` checks that the
   program's suite is that list with its later repeats removed.
+- The coset table as it canonicalized every element of W_big on its own
+  (`coset_table_per_element`); the program canonicalizes one element per
+  coset and fills the rest as its W-orbit, and `tests/test_subgroup.py`
+  checks that both give the same table.
 - Normal forms over the crossing-word basis sigma(w): descending-length
   elimination and reassembly, which round-trip the generators and their
   products.
@@ -66,7 +70,7 @@ from qhecke.polyops import Poly, RatFun, add_term, monomials_up_to, primitive_fo
 from qhecke.repdata import Setting
 from qhecke.report import CheckResult, verdict
 from qhecke.rootcore import _reflection_matrix, _vec
-from qhecke.subgroup import factorization_check, parabolic_checks, s_adapted
+from qhecke.subgroup import CosetTable, factorization_check, parabolic_checks, s_adapted
 
 
 def demazure(datum, k: int, f: Poly) -> Poly:
@@ -283,6 +287,37 @@ def factorization_all_pairs(sub) -> list:
         for K in adapted:
             results += parabolic_checks(sub, J) + factorization_check(sub, J, K)
     return results
+
+
+def coset_table_per_element(sub) -> CosetTable:
+    """The coset table as it was built by canonicalizing every element of
+    W_big on its own, |W_big| calls of `_canonicalize`; the program
+    canonicalizes one element per coset and fills the coset as the W-orbit
+    of its representative."""
+    table = CosetTable.__new__(CosetTable)
+    table.sub = sub
+    table.group = sub.group
+    group = table.group
+    canon = [table._canonicalize(g) for g in range(len(group))]
+    reps = sorted(set(canon), key=lambda g: (group.length(g), group.reduced_word(g)))
+    table.reps = tuple(reps)
+    rep_index = {g: i for i, g in enumerate(reps)}
+    table.coset_of = tuple(rep_index[c] for c in canon)
+    table.indices = tuple(range(len(reps)))
+    rank = sub.datum.rank
+    table.action = tuple(
+        tuple(table.coset_of[group.mul(x, group.simple[k])] for k in range(rank))
+        for x in reps
+    )
+    table.stab_flags = tuple(
+        tuple(table.action[i][k] == i for k in range(rank))
+        for i in range(len(reps))
+    )
+    fixed = [[] for _ in reps]
+    for g, i in enumerate(table.coset_of):
+        fixed[i].append(g)
+    table._fixed = tuple(map(tuple, fixed))
+    return table
 
 
 def sigma_basis_element(setting: Setting, g: int) -> TwistedOperator:

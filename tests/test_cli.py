@@ -818,10 +818,11 @@ class TestCheckTimings:
     def test_check_report_times_each_suite(self, capsys, a2_config):
         assert cli.main(["check", "--config", a2_config, "--checks", "coset,euler"]) == 0
         timings = json.loads(capsys.readouterr().out)["timings"]
-        assert set(timings) == {"total_s", "suites", "kernel", "sizes"}
+        assert set(timings) == {"total_s", "setup_s", "suites", "kernel", "sizes"}
         assert set(timings["suites"]) == {"coset", "euler"}
         assert all(isinstance(v, float) and v >= 0 for v in timings["suites"].values())
-        assert sum(timings["suites"].values()) <= timings["total_s"] + 0.002
+        assert isinstance(timings["setup_s"], float) and timings["setup_s"] >= 0
+        assert timings["setup_s"] + sum(timings["suites"].values()) <= timings["total_s"] + 0.002
 
     def test_check_report_names_kernel_and_sizes(self, capsys, tmp_path):
         # KLR on the arrow 1 -> 2 with dimension (2, 1): GL3 cut to GL2 x GL1,

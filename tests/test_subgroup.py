@@ -1,8 +1,12 @@
+import copy
+import json
 from fractions import Fraction
 
 import pytest
 
-from qhecke.cli import _factorization_checks
+from qhecke.cli import _factorization_checks, cmd_preset
+from qhecke.config import build_setting
+from qhecke.errors import InternalInvariantError
 from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import (
     CosetTable,
@@ -15,7 +19,12 @@ from qhecke.subgroup import (
     s_adapted,
 )
 
-from oracles import all_reduced_words, factorization_all_pairs, reflection_matrix
+from oracles import (
+    all_reduced_words,
+    coset_table_per_element,
+    factorization_all_pairs,
+    reflection_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +209,90 @@ class TestCosetTable:
                 x = table.rep(i)
                 conj = group.mul(group.mul(x, group.simple[k]), group.inv(x))
                 assert table.stab(i, k) == member_of_W(a2_halfint, conj)
+
+
+# the KLR quivers of the benchmark workloads, and loop+arrow (3,3) on GL6
+KLR_QUIVERS = {
+    "arrow-2-2": ((1, 2), ((1, 2),), (2, 2)),
+    "jordan-3": ((1,), ((1, 1),), (3,)),
+    "a3line-1-2-1": ((1, 2, 3), ((1, 2), (2, 3)), (1, 2, 1)),
+    "looparrow-2-2": ((1, 2), ((1, 1), (1, 2)), (2, 2)),
+    "arrow-3-2": ((1, 2), ((1, 2),), (3, 2)),
+    "looparrow-3-2": ((1, 2), ((1, 1), (1, 2)), (3, 2)),
+    "looparrow-3-3": ((1, 2), ((1, 1), (1, 2)), (3, 3)),
+}
+
+SUBSYSTEMS = (
+    [f"{family}:{label}" for family in ("nilhecke", "skew") for label in ("A2", "B2", "G2", "A3")]
+    + [f"nilhecke:{label}" for label in ("A4", "B4", "C4", "D4", "F4", "GL6")]
+    + [f"klr:{key}" for key in KLR_QUIVERS]
+    + ["a2-halfint", "gl2-generic"]
+)
+
+
+def named_subsystem(name):
+    """The fixed subsystem of a `qhecke preset` name, of "klr:<key>" for a
+    quiver of KLR_QUIVERS, or of the A2 half-integral torsion constraint
+    and the GL2 generic constraint of the fixtures above."""
+    if name == "a2-halfint":
+        constraint = TorusConstraint("torsion", (Fraction(1, 2), 0))
+        return fixed_subsystem(build_root_datum("A2"), [constraint])
+    if name == "gl2-generic":
+        return fixed_subsystem(build_root_datum("GL2"), [TorusConstraint("generic", (0, 1))])
+    if name.startswith("klr:"):
+        vertices, arrows, dimension = KLR_QUIVERS[name[4:]]
+        quiver = {"vertices": list(vertices), "arrows": [list(a) for a in arrows],
+                  "dimension": list(dimension)}
+        cfg = cmd_preset("klr", json.dumps(quiver))
+    else:
+        cfg = cmd_preset(name, None)
+    return build_setting(cfg).sub
+
+
+class TestCosetsBuiltOnce:
+    """One canonicalization per coset, the rest of the coset its W-orbit,
+    against the table that canonicalized every element of W_big."""
+
+    @pytest.mark.parametrize("name", SUBSYSTEMS)
+    def test_matches_per_element_table(self, name):
+        sub = named_subsystem(name)
+        table, ref = CosetTable(sub), coset_table_per_element(sub)
+        assert table.reps == ref.reps
+        assert table.coset_of == ref.coset_of
+        assert table.indices == ref.indices
+        assert table.action == ref.action
+        assert table.stab_flags == ref.stab_flags
+        for i in ref.indices:
+            assert table.fixed_points_of(i) == ref.fixed_points_of(i)
+
+    @pytest.mark.parametrize(
+        "name,cosets", [("nilhecke:F4", 1), ("a2-halfint", 3), ("klr:arrow-3-2", 10)]
+    )
+    def test_one_canonicalization_per_coset(self, monkeypatch, name, cosets):
+        sub = named_subsystem(name)
+        calls = []
+        real = CosetTable._canonicalize
+
+        def counting(self, g):
+            calls.append(g)
+            return real(self, g)
+
+        monkeypatch.setattr(CosetTable, "_canonicalize", counting)
+        table = CosetTable(sub)
+        assert len(table) == cosets
+        assert len(calls) == cosets
+
+    @pytest.mark.parametrize("name", ["a2-halfint", "klr:arrow-2-2"])
+    def test_missing_member_breaks_the_invariant(self, name):
+        # every choice of the one non-identity element left out of W
+        sub = named_subsystem(name)
+        dropped = sorted(sub.members - {sub.group.identity})
+        assert dropped
+        for w in dropped:
+            mutant = copy.copy(sub)
+            mutant.members = sub.members - {w}
+            with pytest.raises(InternalInvariantError):
+                CosetTable(mutant)
 
 
 class TestLengthComparison:
