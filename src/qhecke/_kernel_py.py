@@ -80,6 +80,17 @@ def kadd(a, b):
     return out
 
 
+def kaddmul(out, b, c):
+    """out += c * b, in place: a sum that vanishes drops its key."""
+    for e, cb in b.items():
+        s = out.get(e, 0) + c * cb
+        if s:
+            # most coefficients are ints: skip the call for them
+            out[e] = s if type(s) is int else norm_coeff(s)
+        elif e in out:
+            del out[e]
+
+
 def kneg(a):
     return {e: -c for e, c in a.items()}
 

@@ -204,11 +204,7 @@ def run_checks(cfg: Config, selected=None) -> tuple:
     suites["relations"] = lambda: algebra.check_relations(setting)
     suites["grading"] = lambda: algebra.generator_grading_check(setting)
     suites["euler"] = lambda: localize.euler_identities_check(setting)
-    suites["localization"] = lambda: (
-        localize.pathway_agreement_check(setting)
-        + localize.intertwining_check(setting)
-        + localize.theta_equivariance_check(setting)
-    )
+    suites["localization"] = lambda: _localization_checks(setting)
     suites["leading"] = lambda: localize.leading_term_suite(setting)
     suites["inversions"] = lambda: (
         localize.inversion_additivity_suite(table.group, datum.positive_roots)
@@ -242,6 +238,17 @@ def run_checks(cfg: Config, selected=None) -> tuple:
         "checks": len(results),
     }
     return results, setup_seconds, seconds, sizes
+
+
+def _localization_checks(setting) -> list:
+    """Pathway agreement, intertwining and equivariance, the first two
+    sharing one crossing matrix per (i, s)."""
+    matrices = localize.crossing_matrices(setting)
+    return (
+        localize.pathway_agreement_check(setting, matrices)
+        + localize.intertwining_check(setting, matrices=matrices)
+        + localize.theta_equivariance_check(setting)
+    )
 
 
 def _all_generators(setting):
@@ -481,8 +488,17 @@ def _operator_json(op, group):
     return rows
 
 
-def cmd_localize(cfg: Config) -> dict:
+def cmd_localize(cfg: Config, timings: dict) -> dict:
+    """The multiplicity-formula matrix 1/E of every crossing generator, and
+    the pathway and intertwining checks on one shared set of Lambda-cleared
+    crossing matrices.  Fills `timings` with the seconds of building the
+    setting (`setup_s`) and of each part: the reported 1/E matrices
+    (`generators_s`), the crossing matrices (`matrices_s`), the pathway
+    checks (`pathway_s`) and intertwining (`intertwining_s`)."""
+    clock = time.perf_counter
+    marks = [clock()]
     setting = build_setting(cfg)
+    marks.append(clock())
     group = setting.group
     one = Poly.const(setting.datum.ambient_rank, 1)
     out = {"generators": {}}
@@ -492,8 +508,17 @@ def cmd_localize(cfg: Config) -> dict:
             cells = localize.crossing_cells(setting, i, s)
             mat = {(x, y): RatFun(one, e.expand()) for x, y, e in cells}
             out["generators"][f"sigma({i},{s})"] = _fp_matrix_json(mat, group)
-    checks = localize.pathway_agreement_check(setting) + localize.intertwining_check(setting)
+    marks.append(clock())
+    matrices = localize.crossing_matrices(setting)
+    marks.append(clock())
+    checks = localize.pathway_agreement_check(setting, matrices)
+    marks.append(clock())
+    checks += localize.intertwining_check(setting, matrices=matrices)
+    marks.append(clock())
     out["checks"] = [r.as_dict() for r in checks]
+    parts = ("setup_s", "generators_s", "matrices_s", "pathway_s", "intertwining_s")
+    for key, start, end in zip(parts, marks, marks[1:]):
+        timings[key] = round(end - start, 3)
     return out
 
 
@@ -629,6 +654,7 @@ def main(argv=None) -> int:
             _emit(report, args.out)
             return _exit_status(report["checks"])
 
+        timings = {}  # filled by the localize command
         handlers = {
             "describe": lambda: cmd_describe(cfg),
             "braid": lambda: cmd_braid(cfg, args.i, args.s, args.t),
@@ -638,14 +664,14 @@ def main(argv=None) -> int:
                 args.component,
                 None if args.poly is None else load_json(args.poly, "--poly"),
             ),
-            "localize": lambda: cmd_localize(cfg),
+            "localize": lambda: cmd_localize(cfg, timings),
             "euler": lambda: cmd_euler(cfg),
         }
         payload = handlers[args.command]()
         report = {
             "config_echo": json.loads(emit_config(cfg)),
             "result": payload,
-            "timings": {"total_s": round(time.time() - t0, 3)},
+            "timings": {"total_s": round(time.time() - t0, 3), **timings},
         }
         _emit(report, args.out)
         return _exit_status(payload["checks"]) if args.command == "localize" else 0

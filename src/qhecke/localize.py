@@ -23,6 +23,19 @@ the pathway comparison independent.  The unit and variable matrices are
 theta's diagonal on the unit and on x_t, and leading terms compare Euler
 classes with denominators cleared.
 
+The intertwining and equivariance checks evaluate these products one
+fixed-point row at a time and build no vector.  Each crossing matrix is
+built once per (i, s) (`crossing_matrices`, shared with the pathway check)
+and split into rows on kernel dicts (`polyops.CrossingRows`): row x keeps
+its one denominator D_x and its numerators N_{x,y}.  For a monomial e on
+the coset src = i*s, row x then compares sum_y N_{x,y} * y(e), over the
+fixed points y of src, with D_x * x(sigma(e)), each image read from the
+group's per-element monomial memos, and the first row that differs ends
+the monomial's scan.  Equivariance compares g(w(e)) with (g*w)(e) the same
+way, at each fixed point g of the coset carrying w(e) (`polyops.images_agree`).
+`theta` and `fp_apply` build the whole vectors; the tests compare the two
+on every setting.
+
 Orientation convention: n_w is computed from its definition (weights of the
 subsystem lying in w(negatives)), and the Euler class of the closure of a
 crossing cell at the pair (x, xw) uses the curve-direction set at the
@@ -38,7 +51,14 @@ from functools import reduce
 from operator import add, and_, mul, or_
 
 from .errors import InternalInvariantError
-from .polyops import EulerClass, Poly, add_term, monomials_up_to
+from .polyops import (
+    CrossingRows,
+    EulerClass,
+    Poly,
+    add_term,
+    images_agree,
+    monomials_up_to,
+)
 from .repdata import Setting, fiber_weights, h_count, q_poly
 from .report import CheckResult, verdict
 from .algebra import TwistedOperator, gen_sigma, gen_unit, gen_var, module_act
@@ -168,11 +188,25 @@ def localize_op(setting: Setting, op: TwistedOperator) -> dict:
     return out
 
 
-def pathway_agreement_check(setting: Setting) -> list:
+def crossing_matrices(setting: Setting) -> dict:
+    """`localize_sigma` of every crossing generator, keyed by (i, s): built
+    once, for `pathway_agreement_check` and `intertwining_check` to share.
+    Neither writes it."""
+    return {
+        (i, s): localize_sigma(setting, i, s)
+        for i in setting.table.indices
+        for s in range(setting.datum.rank)
+    }
+
+
+def pathway_agreement_check(setting: Setting, matrices: dict | None = None) -> list:
     """Operator translation vs multiplicity formula, entry by entry, for
     every generator: the geometric entries, quotients of Euler classes, are
-    compared with the algebra side's RatFuns."""
+    compared with the algebra side's RatFuns.  The crossing matrices are
+    `matrices` when given, else built here."""
     datum, table = setting.datum, setting.table
+    if matrices is None:
+        matrices = crossing_matrices(setting)
     n = datum.ambient_rank
     results = []
     for i in table.indices:
@@ -184,51 +218,51 @@ def pathway_agreement_check(setting: Setting) -> list:
             alg = localize_op(setting, gen_var(table, i, t))
             results.append(CheckResult(f"pathway-var(i={i},t={t})", geo == alg))
         for s in range(datum.rank):
-            geo = localize_sigma(setting, i, s)
             alg = localize_op(setting, gen_sigma(setting, i, s))
-            results.append(CheckResult(f"pathway-crossing(i={i},s={s})", geo == alg))
+            results.append(CheckResult(f"pathway-crossing(i={i},s={s})", matrices[i, s] == alg))
     return results
 
 
-def intertwining_check(setting: Setting, degree: int = 3) -> list:
+def intertwining_check(setting: Setting, degree: int = 3, matrices: dict | None = None) -> list:
     """The localization map intertwines crossing generators with their
     fixed-point matrices on all monomials up to the given degree.  Every
     entry of row x of `localize_sigma` lies over the one denominator D_x,
     which depends only on the Euler classes' counts (Lambda_x / E at
     (x, xs) and Lambda_x / (-E) at (x, x)); row x of both sides is
     multiplied by it once per generator, so each monomial costs polynomial
-    arithmetic only."""
+    arithmetic only.  The rows are compared one at a time (module doc);
+    the matrices are `matrices` when given, else built here."""
     datum, table = setting.datum, setting.table
+    if matrices is None:
+        matrices = crossing_matrices(setting)
     monomials = monomials_up_to(datum.ambient_rank, degree)
     return [
-        verdict(f"intertwine(i={i},s={s})", _intertwining_failures(setting, i, s, monomials))
+        verdict(
+            f"intertwine(i={i},s={s})",
+            _intertwining_failures(setting, i, s, matrices[i, s], monomials),
+        )
         for i in table.indices
         for s in range(datum.rank)
     ]
 
 
-def _intertwining_failures(setting: Setting, i: int, s: int, monomials):
+def _intertwining_failures(setting: Setting, i: int, s: int, matrix: dict, monomials):
     """The monomials, in order, on which sigma(i, s) and its fixed-point
     matrix disagree."""
-    n = setting.datum.ambient_rank
-    factor, mat = {}, {}
-    for (x, y), a in localize_sigma(setting, i, s).items():
-        if factor.setdefault(x, a.den) != a.den:
-            raise InternalInvariantError(f"row {x} of sigma({i},{s}) has two denominators")
-        mat[(x, y)] = a.num
+    n, table, group = setting.datum.ambient_rank, setting.table, setting.group
+    src = table.act(i, s)
+    columns = frozenset(table.fixed_points_of(src))
+    rows = CrossingRows(group, matrix, columns, table.fixed_points_of(i), f"sigma({i},{s})")
     sig = gen_sigma(setting, i, s)
-    src = setting.table.act(i, s)
     for e in monomials:
-        f = {src: Poly.monomial(n, e)}
-        lhs = fp_apply(mat, theta(setting, f))
-        rhs = {x: factor[x] * v for x, v in theta(setting, sig.apply(f)).items()}
-        if lhs != rhs:
+        mono = Poly.monomial(n, e)
+        if not rows.agree(mono, sig.apply({src: mono}).get(i)):
             yield {"i": i, "s": s, "monomial": e}
 
 
 def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
     """Group-equivariance of localization: the entry of w(c) at x equals
-    that of c at xw."""
+    that of c at xw, compared row by row (module doc)."""
     datum, table, group = setting.datum, setting.table, setting.group
     n = datum.ambient_rank
     monomials = monomials_up_to(n, degree)
@@ -236,11 +270,16 @@ def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
     def failures(k):
         w = group.simple[k]
         for i in table.indices:
+            pairs = None
             for e in monomials:
-                c = {i: Poly.monomial(n, e)}
-                lhs = theta(setting, module_act(table, w, c))
-                rhs = {group.mul(x, group.inv(w)): v for x, v in theta(setting, c).items()}
-                if lhs != rhs:
+                c = Poly.monomial(n, e)
+                ((j, image),) = module_act(table, w, {i: c}).items()
+                if pairs is None:
+                    # j = i*w^{-1} for every e: the rows g of j, each beside
+                    # g*w, which must run over the fixed points of i
+                    pairs = [(g, group.mul(g, w)) for g in table.fixed_points_of(j)]
+                    same = sorted(x for _, x in pairs) == sorted(table.fixed_points_of(i))
+                if not (same and images_agree(group, image, c, pairs)):
                     yield {"i": i, "monomial": e, "simple": k}
 
     return [verdict(f"equivariance(s={k})", failures(k)) for k in range(datum.rank)]

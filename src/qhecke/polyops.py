@@ -178,33 +178,11 @@ class Poly:
 
     def weyl_image(self, group, g: int) -> "Poly":
         """g(self) for the element index g of a `WeylGroup`: the identity
-        returns self, otherwise the sum of c * g(monomial) over the terms.
-        A monomial's image is built on first use only, as the image of the
-        monomial with its last variable removed times g of that variable,
-        and kept in `group.monomial_images(g)` with every divisor on the way
-        (`_kernel_py.kimage`)."""
+        returns self, otherwise the sum of c * g(monomial) over the terms
+        (`_image_terms`)."""
         if g == group.identity or not self.d:
             return self
-        n = self.n
-        memo = group.monomial_images(g)
-        norm = _k.norm_coeff
-        out = None
-        for e, c in self.d.items():
-            img = memo.get(e)
-            if img is None:
-                img = _k.kimage(memo, e, group.columns(g), n)
-            if out is None:
-                # the first term starts a fresh dict: most arguments are
-                # single monomials with coefficient 1
-                out = dict(img) if c == 1 else _k.kscale(img, c)
-                continue
-            for e2, c2 in img.items():
-                s = out.get(e2, 0) + c * c2
-                if s:
-                    out[e2] = norm(s)
-                elif e2 in out:
-                    del out[e2]
-        return _wrap(n, out)
+        return _wrap(self.n, _image_terms(group, g, self.d, self.n))
 
     def divexact(self, other: "Poly"):
         """Exact quotient self/other, or None when not divisible."""
@@ -236,12 +214,13 @@ class Poly:
     @classmethod
     def from_pairs(cls, n, pairs) -> "Poly":
         """Parse outside input: a list of [exponents, coefficient] pairs, each
-        exponent list n non-negative integers, each coefficient an integer
-        (not a boolean) or a "p/q" string, the total degree below the
-        kernel's field limit.  Anything else raises ParseError."""
+        exponent list n non-negative integers, no two of them equal, each
+        coefficient an integer (not a boolean) or a "p/q" string, the total
+        degree below the kernel's field limit.  Anything else raises
+        ParseError."""
         if not isinstance(pairs, list):
             raise ParseError(f"polynomial must be a list of pairs, got {pairs!r}")
-        d = {}
+        d, seen = {}, set()
         for pair in pairs:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError(
@@ -267,8 +246,12 @@ class Poly:
                 c = _coeff(c)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad coefficient {c!r}") from exc
+            key = _k.pack(e)
+            if key in seen:
+                raise ParseError(f"exponents {e!r} are repeated")
+            seen.add(key)
             if c:
-                d[_k.pack(e)] = c
+                d[key] = c
         return cls(n, d)
 
     def __repr__(self):
@@ -291,6 +274,103 @@ def _wrap(n: int, d: dict) -> Poly:
     p = Poly.__new__(Poly)
     p.n, p.d = n, d
     return p
+
+
+def _image_terms(group, g: int, d: dict, n: int) -> dict:
+    """g(d) for a kernel dict d and the element index g of a `WeylGroup`:
+    the sum of c * g(monomial) over the terms, a fresh dict, except that the
+    identity and the zero polynomial return d itself.  A monomial's image is
+    built on first use only, as the image of the monomial with its last
+    variable removed times g of that variable, and kept in
+    `group.monomial_images(g)` with every divisor on the way
+    (`_kernel_py.kimage`)."""
+    if g == group.identity or not d:
+        return d
+    memo = group.monomial_images(g)
+    out = None
+    for e, c in d.items():
+        img = memo.get(e)
+        if img is None:
+            img = _k.kimage(memo, e, group.columns(g), n)
+        if out is None:
+            # the first term starts a fresh dict: most arguments are
+            # single monomials with coefficient 1
+            out = dict(img) if c == 1 else _k.kscale(img, c)
+        else:
+            _k.kaddmul(out, img, c)
+    return out
+
+
+class CrossingRows:
+    """A fixed-point matrix {(x, y): RatFun} whose every row lies over one
+    denominator, split into rows on kernel dicts: row x keeps D_x and the
+    numerator N_xy of each entry whose column y is in `columns` (the others
+    add nothing to a product with a vector over `columns`).  Every entry's
+    denominator is read, and a row over two denominators raises naming
+    `name`.  The rows read the matrix's dicts and never write them.
+
+    `agree(mono, value)` compares, row by row, sum_y N_xy * y(mono) with
+    D_x * x(value), where `value` (None reads as zero) lives at the fixed
+    points `targets`: a row that is no target has zero on the right."""
+
+    __slots__ = ("group", "rows", "missing")
+
+    def __init__(self, group, matrix: dict, columns, targets, name: str):
+        dens, entries = {}, {}
+        for (x, y), a in matrix.items():
+            if dens.setdefault(x, a.den.d) != a.den.d:
+                raise InternalInvariantError(f"row {x} of {name} has two denominators")
+            row = entries.setdefault(x, [])
+            if y in columns:
+                num = a.num.d
+                # a constant numerator scales the image instead of multiplying
+                scalar = num.get(0) if len(num) == 1 else None
+                memo = None if y == group.identity else group.monomial_images(y)
+                row.append((y, memo, num, scalar))
+        self.group = group
+        at_targets = frozenset(targets)
+        self.rows = [(x, dens[x], row, x in at_targets) for x, row in entries.items()]
+        # a target that is no row has no D_x: a nonzero value cannot be
+        # compared there, and `agree` raises KeyError as a lookup of the
+        # first such target does
+        self.missing = next((x for x in targets if x not in dens), None)
+
+    def agree(self, mono: Poly, value) -> bool:
+        """Whether every row agrees, the images read from the group's
+        memos as `Poly.weyl_image` reads them; the first row that differs
+        ends the scan."""
+        group, n = self.group, mono.n
+        (e,) = mono.d
+        if value and self.missing is not None:
+            raise KeyError(self.missing)
+        vd = value.d if value else None
+        kmul, kimage, kaddmul = _k.kmul, _k.kimage, _k.kaddmul
+        for x, den, entries, target in self.rows:
+            left = {}
+            for y, memo, num, scalar in entries:
+                if memo is None:
+                    img = {e: 1}
+                else:
+                    img = memo.get(e)
+                    if img is None:
+                        img = kimage(memo, e, group.columns(y), n)
+                if scalar is None:
+                    img, scalar = kmul(num, img), 1
+                kaddmul(left, img, scalar)
+            right = kmul(den, _image_terms(group, x, vd, n)) if vd and target else {}
+            if left != right:
+                return False
+        return True
+
+
+def images_agree(group, f: Poly, h: Poly, pairs) -> bool:
+    """Whether g(f) == x(h) for every pair (g, x) of element indices, the
+    images compared on kernel dicts as `_image_terms` builds them; the
+    first pair that differs ends the scan."""
+    n, fd, hd = f.n, f.d, h.d
+    return all(
+        _image_terms(group, g, fd, n) == _image_terms(group, x, hd, n) for g, x in pairs
+    )
 
 
 class RatFun:

@@ -33,3 +33,15 @@ def second_denominator(localize_sigma):
         return mat
 
     return wrapped
+
+
+def corrupt_one_image(setting):
+    """Replace the memoized image of x_0 under the first simple reflection
+    by a wrong one that still differs from the true one by a multiple of
+    alpha_0, so divided differences stay polynomial and the suites run."""
+    group, datum = setting.group, setting.datum
+    n = datum.ambient_rank
+    s0 = group.simple[0]
+    x0 = Poly.variable(n, 0)
+    wrong = x0.substitute_linear(group.matrix(s0)) + Poly.linear(datum.simple_roots[0]) * 2
+    group.monomial_images(s0)[x0.d.popitem()[0]] = wrong.d

@@ -9,6 +9,11 @@
   join any two reduced words and keep the set of letters, and braid
   extraction stays inside a dihedral subgroup, which is a Bruhat interval.
 - Injectivity of the localization map on monomials of bounded degree.
+- The intertwining and equivariance checks as they compared whole
+  localized vectors, dicts {fixed point: Poly} built by `theta` and
+  `fp_apply` (`intertwining_check`, `theta_equivariance_check`); the
+  program compares each fixed-point row on kernel dicts, and
+  `tests/test_localize.py` checks that both give the same results.
 - Root data generated by the integer reflection matrices (coroots by their
   transposes), with each root's sign from a Fraction elimination against
   the simple roots.  The program carries integer simple-root coordinates
@@ -62,7 +67,15 @@ from fractions import Fraction
 import sympy
 
 from qhecke import _kernel_py as _k
-from qhecke.algebra import TwistedOperator, diag_mult, left_mult, sigma_word
+from qhecke import localize
+from qhecke.algebra import (
+    TwistedOperator,
+    diag_mult,
+    gen_sigma,
+    left_mult,
+    module_act,
+    sigma_word,
+)
 from qhecke.cli import _all_generators
 from qhecke.errors import InternalInvariantError, NonIntegralResult, QheckeError
 from qhecke.localize import eu_zbar_w, theta
@@ -414,6 +427,64 @@ def theta_injectivity_check(setting: Setting, degree: int = 3) -> list:
     )
     return [verdict("localization-injective", failures, f"{len(images)} monomials")]
 
+
+
+def intertwining_check(setting: Setting, degree: int = 3) -> list:
+    """The localization map intertwines crossing generators with their
+    fixed-point matrices on all monomials up to the given degree.  Every
+    entry of row x of `localize_sigma` lies over the one denominator D_x,
+    which depends only on the Euler classes' counts (Lambda_x / E at
+    (x, xs) and Lambda_x / (-E) at (x, x)); row x of both sides is
+    multiplied by it once per generator, so each monomial costs polynomial
+    arithmetic only.  `localize_sigma`, `theta` and `fp_apply` are read
+    from the module, so a patch of `localize` reaches them."""
+    datum, table = setting.datum, setting.table
+    monomials = monomials_up_to(datum.ambient_rank, degree)
+    return [
+        verdict(f"intertwine(i={i},s={s})", _intertwining_failures(setting, i, s, monomials))
+        for i in table.indices
+        for s in range(datum.rank)
+    ]
+
+
+def _intertwining_failures(setting: Setting, i: int, s: int, monomials):
+    """The monomials, in order, on which sigma(i, s) and its fixed-point
+    matrix disagree."""
+    n = setting.datum.ambient_rank
+    factor, mat = {}, {}
+    for (x, y), a in localize.localize_sigma(setting, i, s).items():
+        if factor.setdefault(x, a.den) != a.den:
+            raise InternalInvariantError(f"row {x} of sigma({i},{s}) has two denominators")
+        mat[(x, y)] = a.num
+    sig = gen_sigma(setting, i, s)
+    src = setting.table.act(i, s)
+    for e in monomials:
+        f = {src: Poly.monomial(n, e)}
+        lhs = localize.fp_apply(mat, localize.theta(setting, f))
+        rhs = {x: factor[x] * v for x, v in localize.theta(setting, sig.apply(f)).items()}
+        if lhs != rhs:
+            yield {"i": i, "s": s, "monomial": e}
+
+
+def theta_equivariance_check(setting: Setting, degree: int = 3) -> list:
+    """Group-equivariance of localization: the entry of w(c) at x equals
+    that of c at xw."""
+    datum, table, group = setting.datum, setting.table, setting.group
+    n = datum.ambient_rank
+    monomials = monomials_up_to(n, degree)
+    theta = localize.theta
+
+    def failures(k):
+        w = group.simple[k]
+        for i in table.indices:
+            for e in monomials:
+                c = {i: Poly.monomial(n, e)}
+                lhs = theta(setting, module_act(table, w, c))
+                rhs = {group.mul(x, group.inv(w)): v for x, v in theta(setting, c).items()}
+                if lhs != rhs:
+                    yield {"i": i, "monomial": e, "simple": k}
+
+    return [verdict(f"equivariance(s={k})", failures(k)) for k in range(datum.rank)]
 
 
 # -- cut additivity from root multisets --------------------------------------

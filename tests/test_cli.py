@@ -199,6 +199,35 @@ class TestCommands:
         report = json.loads(proc.stdout)
         assert all(c["status"] == "pass" for c in report["result"]["checks"])
 
+    def test_localize_timings(self, a2_config, tmp_path):
+        out = tmp_path / "localize.json"
+        assert cli.main(["localize", "--config", a2_config, "--out", str(out)]) == 0
+        timings = json.loads(out.read_text())["timings"]
+        parts = ("generators_s", "matrices_s", "pathway_s", "intertwining_s")
+        assert sorted(timings) == sorted(("total_s", "setup_s") + parts)
+        # each figure is rounded to the millisecond on its own, so the sum
+        # may pass total_s by half a millisecond per figure
+        assert sum(timings[k] for k in ("setup_s",) + parts) <= timings["total_s"] + 0.003
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["localize"], ["check", "--checks", "localization"]],
+        ids=["localize", "check-localization"],
+    )
+    def test_one_crossing_matrix_per_generator(self, monkeypatch, a2_config, tmp_path, argv):
+        calls = []
+        real = cli.localize.localize_sigma
+
+        def counting(setting, i, s):
+            calls.append((i, s))
+            return real(setting, i, s)
+
+        monkeypatch.setattr(cli.localize, "localize_sigma", counting)
+        out = str(tmp_path / "report.json")
+        assert cli.main(argv + ["--config", a2_config, "--out", out]) == 0
+        # nil:A2's one coset and two simple reflections
+        assert sorted(calls) == [(0, 0), (0, 1)]
+
     def test_euler_command(self, a2_config):
         proc = run_cli(["euler", "--config", a2_config])
         assert proc.returncode == 0
@@ -308,17 +337,25 @@ class TestMalformedInputToMain:
             ({"x": 1}, "must be a list of pairs"),
             ([[[2**15, 0], "1"]], "reach total degree 32768, past the limit 32767"),
             ([[[2**14, 2**14], "0"]], "reach total degree 32768, past the limit 32767"),
+            ([[[1, 0], "1"], [[1, 0], "-1"]], "exponents [1, 0] are repeated"),
         ],
         ids=[
             "negative-exponent", "short-exponents", "long-exponents", "bool-exponent",
             "not-a-pair", "one-entry", "three-entries", "zero-denominator",
             "float-coefficient", "bool-coefficient", "not-a-list", "degree-at-the-guard",
-            "zero-term-at-the-guard",
+            "zero-term-at-the-guard", "repeated-exponents",
         ],
     )
     def test_act_poly(self, capsys, a2_config, pairs, message):
         argv = ["act", "--config", a2_config, "--expr", "s(0,0)", "--component", "0"]
         self.assert_parse_error(capsys, argv + ["--poly", json.dumps(pairs)], message)
+
+    def test_repeated_exponents_write_no_report(self, capsys, a2_config, tmp_path):
+        out = tmp_path / "act.json"
+        argv = ["act", "--config", a2_config, "--expr", "1(0)", "--component", "0"]
+        argv += ["--poly", '[[[1,0],"1"],[[1,0],"-1"]]', "--out", str(out)]
+        self.assert_parse_error(capsys, argv, "exponents [1, 0] are repeated")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "quiver,message",

@@ -36,8 +36,9 @@ from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import CosetTable, TorusConstraint, fixed_subsystem
 
 import oracles
-from conftest import make_setting, second_denominator
+from conftest import corrupt_one_image, make_setting, second_denominator
 from oracles import as_counter, leading_term_check, matches
+from test_euler_index import CONFIGS as EULER_CONFIGS
 
 
 def root_indices(group, roots) -> frozenset:
@@ -445,6 +446,145 @@ class TestLocalizationMutants:
         assert all(r.passed for r in pathway_agreement_check(setting))
         with pytest.raises(InternalInvariantError, match="has two denominators"):
             intertwining_check(setting)
+
+
+def _drop_last_row(localize_sigma):
+    """`localize_sigma` without the entries of its last row."""
+
+    def wrapped(setting, i, s):
+        mat = localize_sigma(setting, i, s)
+        last = next(reversed(mat))[0]
+        return {key: a for key, a in mat.items() if key[0] != last}
+
+    return wrapped
+
+
+def _extra_row(localize_sigma):
+    """`localize_sigma` with one more row: the first entry's value at a point
+    that is no row (a group element when one is left, past the group
+    otherwise), in the first entry's column."""
+
+    def wrapped(setting, i, s):
+        mat = localize_sigma(setting, i, s)
+        (x, y), a = next(iter(mat.items()))
+        rows = {key[0] for key in mat}
+        size = len(setting.group)
+        extra = next((g for g in range(size) if g not in rows), size)
+        return {**mat, (extra, y): a}
+
+    return wrapped
+
+
+def _entry_off_the_columns(localize_sigma):
+    """`localize_sigma` with one more entry in its first row, over that
+    row's denominator, at a column that is no fixed point of i*s when there
+    is one: the product with a vector over those points never reads it."""
+
+    def wrapped(setting, i, s):
+        mat = localize_sigma(setting, i, s)
+        (x, _), a = next(iter(mat.items()))
+        columns = setting.table.fixed_points_of(setting.table.act(i, s))
+        off = next((g for g in range(len(setting.group)) if g not in columns), None)
+        if off is None:
+            return mat
+        return {**mat, (x, off): RatFun(a.num * 3, a.den, reduce=False)}
+
+    return wrapped
+
+
+def _negated(f):
+    return lambda *args: -f(*args)
+
+
+ROW_MUTANTS = {
+    "none": None,
+    "eu_zbar_w-sign-flip": lambda mp: mp.setattr(
+        localize, "eu_zbar_w", _negated(localize.eu_zbar_w)
+    ),
+    "second-denominator": lambda mp: mp.setattr(
+        localize, "localize_sigma", second_denominator(localize.localize_sigma)
+    ),
+    "corrupt-one-image": "corrupt",
+    "row-dropped": lambda mp: mp.setattr(
+        localize, "localize_sigma", _drop_last_row(localize.localize_sigma)
+    ),
+    "extra-row": lambda mp: mp.setattr(
+        localize, "localize_sigma", _extra_row(localize.localize_sigma)
+    ),
+    "entry-off-the-columns": lambda mp: mp.setattr(
+        localize, "localize_sigma", _entry_off_the_columns(localize.localize_sigma)
+    ),
+}
+
+
+def _outcome(check, setting):
+    """The results of a check, or the type and message of what it raised."""
+    try:
+        return check(setting)
+    except (KeyError, InternalInvariantError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestRowsAgainstTheVectorOracle:
+    """`intertwining_check` and `theta_equivariance_check` compare each
+    fixed-point row on kernel dicts; `oracles` keeps them as they compared
+    whole localized vectors of Polys.  Both give the same results, first
+    counterexamples included, or raise the same error, on every setting of
+    `test_euler_index.py` under every mutant."""
+
+    @pytest.fixture(scope="class", params=sorted(EULER_CONFIGS))
+    def config(self, request):
+        return EULER_CONFIGS[request.param]()
+
+    @pytest.mark.parametrize("mutant", sorted(ROW_MUTANTS))
+    def test_same_outcome(self, config, mutant):
+        outcomes = []
+        with pytest.MonkeyPatch.context() as mp:
+            patch = ROW_MUTANTS[mutant]
+            if callable(patch):
+                patch(mp)
+            for checks in (
+                (intertwining_check, theta_equivariance_check),
+                (oracles.intertwining_check, oracles.theta_equivariance_check),
+            ):
+                setting = build_setting(config)
+                if patch == "corrupt":
+                    corrupt_one_image(setting)
+                outcomes.append([_outcome(check, setting) for check in checks])
+        got, want = outcomes
+        assert got == want
+        if mutant in ("eu_zbar_w-sign-flip", "extra-row"):
+            assert not all(r.passed for r in got[0])
+        elif mutant == "corrupt-one-image":
+            assert not all(r.passed for r in got[0] + got[1])
+        elif mutant == "row-dropped":
+            assert got[0][0] == "KeyError"
+
+
+class TestSharedCrossingMatrices:
+    def test_checks_leave_the_matrices_unchanged(self):
+        setting = build_setting(EULER_CONFIGS["klr-looparrow-2-2"]())
+        matrices = localize.crossing_matrices(setting)
+
+        def entries():
+            return [
+                (key, k, a.num.to_pairs(), a.den.to_pairs())
+                for key, mat in matrices.items()
+                for k, a in mat.items()
+            ]
+
+        before = entries()
+        assert all(r.passed for r in pathway_agreement_check(setting, matrices))
+        assert all(r.passed for r in intertwining_check(setting, matrices=matrices))
+        assert entries() == before
+
+    def test_same_results_with_and_without_shared_matrices(self):
+        config = EULER_CONFIGS["A2-U10-V20-11"]
+        alone = build_setting(config())
+        shared = build_setting(config())
+        matrices = localize.crossing_matrices(shared)
+        assert pathway_agreement_check(shared, matrices) == pathway_agreement_check(alone)
+        assert intertwining_check(shared, matrices=matrices) == intertwining_check(alone)
 
 
 class TestWeightMemoMutants:

@@ -125,6 +125,22 @@ class TestPoly:
         # graded-lex order is canonical
         assert pairs == sorted(pairs, key=lambda p: (sum(p[0]), p[0]))
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[[1, 0], "1"], [[1, 0], "-1"]],
+            [[[1, 0], 2], [[0, 1], 1], [[1, 0], 2]],
+            [[[1, 0], "0"], [[1, 0], "3"]],
+            [[[0, 0], 5], [[0, 0], "0"]],
+        ],
+        ids=["cancelling", "equal", "zero-first", "zero-last"],
+    )
+    def test_repeated_exponents_are_refused(self, pairs):
+        # a repeated term is neither summed nor overwritten: the input is
+        # ambiguous, and [[1,0],"1"], [[1,0],"-1"] read as -x0 before
+        with pytest.raises(ParseError, match=r"exponents \[\d, \d\] are repeated"):
+            Poly.from_pairs(2, pairs)
+
 
 @st.composite
 def sized_poly(draw, n, max_terms=4, max_exponent=3):

@@ -18,9 +18,10 @@ TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 # the Λ-cleared basis, where the fixed-point products are the plain ones
 TAKE_LAMBDAS = set()
 
-# coefficient-level sums that keep their own loops for speed
+# coefficient-level sums that keep their own loops for speed: none, since
+# Weyl images and fixed-point rows sum through the kernel's `kaddmul`
 KERNEL_MODULE = "_kernel_py"
-OWN_SPARSE_SUMS = {("polyops", "Poly.weyl_image")}
+OWN_SPARSE_SUMS = set()
 # the modules that know the packed-monomial keys of `Poly.d`
 KEY_MODULES = {"polyops", KERNEL_MODULE}
 
