@@ -186,58 +186,57 @@ def _fp_matrix_json(mat, group):
     return rows
 
 
-def run_checks(cfg: Config, selected=None) -> tuple:
-    """Run the selected named check suites on a config; returns the
-    CheckResults, the wall seconds of building the setting, the wall
-    seconds of each suite by name, and the sizes of the setting: |W_big|,
-    |W|, #I and the number of checks."""
-    t0 = time.perf_counter()
-    setting = build_setting(cfg)
-    setup_seconds = time.perf_counter() - t0
-    datum, sub, table = setting.datum, setting.sub, setting.table
-    suites = {}
-    suites["suitability"] = lambda: repdata.validate(setting, strict=cfg.strict_suitability)
-    suites["coset"] = lambda: _coset_checks(table)
-    suites["length"] = lambda: length_comparison_check(sub)
-    suites["factorization"] = lambda: _factorization_checks(sub)
-    suites["fibers"] = lambda: repdata.fiber_split_check(setting)
-    suites["relations"] = lambda: algebra.check_relations(setting)
-    suites["grading"] = lambda: algebra.generator_grading_check(setting)
-    suites["euler"] = lambda: localize.euler_identities_check(setting)
-    suites["localization"] = lambda: _localization_checks(setting)
-    suites["leading"] = lambda: localize.leading_term_suite(setting)
-    suites["inversions"] = lambda: (
-        localize.inversion_additivity_suite(table.group, datum.positive_roots)
+# name -> callable(setting, cfg) returning the suite's CheckResults.  Each
+# entry looks its body up in the module globals when it is called, so a
+# wrapper installed there after import (a tracer's) is the one that runs.
+SUITES = {
+    "suitability": lambda setting, cfg: repdata.validate(setting, strict=cfg.strict_suitability),
+    "coset": lambda setting, cfg: _coset_checks(setting.table),
+    "length": lambda setting, cfg: length_comparison_check(setting.sub),
+    "factorization": lambda setting, cfg: _factorization_checks(setting.sub),
+    "fibers": lambda setting, cfg: repdata.fiber_split_check(setting),
+    "relations": lambda setting, cfg: algebra.check_relations(setting),
+    "grading": lambda setting, cfg: algebra.generator_grading_check(setting),
+    "euler": lambda setting, cfg: localize.euler_identities_check(setting),
+    "localization": lambda setting, cfg: _localization_checks(setting),
+    "leading": lambda setting, cfg: localize.leading_term_suite(setting),
+    "inversions": lambda setting, cfg: (
+        localize.inversion_additivity_suite(setting.group, setting.datum.positive_roots)
         + localize.inversion_additivity_suite(
-            table.group, tuple(tuple(-x for x in a) for a in datum.positive_roots)
+            setting.group, tuple(tuple(-x for x in a) for a in setting.datum.positive_roots)
         )
-    )
-    suites["integrality"] = lambda: _integrality_checks(setting, cfg.degree_bound)
-    suites["products"] = lambda: _product_checks(setting, cfg.seed, cfg.degree_bound)
+    ),
+    "integrality": lambda setting, cfg: _integrality_checks(setting, cfg.degree_bound),
+    "products": lambda setting, cfg: _product_checks(setting, cfg.seed, cfg.degree_bound),
+}
 
+
+def _suite_names(cfg: Config, selected=None) -> list:
+    """The suites a check runs: `selected`, else `options.checks`, else all
+    of `SUITES`; refuses an empty list or an empty, repeated or unknown name."""
     if selected is None:
-        selected = cfg.checks if cfg.checks is not None else sorted(suites)
+        selected = cfg.checks if cfg.checks is not None else sorted(SUITES)
     if not selected or "" in selected or len(set(selected)) < len(selected):
         raise ParseError(
             f"check suites must be a non-empty list of distinct names, got {selected!r}"
         )
     for name in selected:
-        if name not in suites:
+        if name not in SUITES:
             raise UnknownIndex(f"unknown check suite {name!r}")
+    return selected
+
+
+def run_checks(setting, cfg: Config, selected=None) -> tuple:
+    """Run the named check suites (`_suite_names`) on a built setting;
+    returns the CheckResults and the wall seconds of each suite by name."""
     results = []
     seconds = {}
-    for name in selected:
+    for name in _suite_names(cfg, selected):
         t0 = time.perf_counter()
-        suite_results = suites[name]()
+        suite_results = SUITES[name](setting, cfg)
         seconds[name] = time.perf_counter() - t0
         results += [dataclasses.replace(r, name=f"{name}:{r.name}") for r in suite_results]
-    sizes = {
-        "big_group_order": len(table.group),
-        "group_order": sub.group_order,
-        "cosets": len(table.indices),
-        "checks": len(results),
-    }
-    return results, setup_seconds, seconds, sizes
+    return results, seconds
 
 
 def _localization_checks(setting) -> list:
@@ -397,8 +396,7 @@ def _factorization_checks(sub) -> list:
     return results
 
 
-def cmd_describe(cfg: Config) -> dict:
-    setting = build_setting(cfg)
+def cmd_describe(setting) -> dict:
     datum, sub, table, data = setting.datum, setting.sub, setting.table, setting.data
     group = sub.group
     out = {
@@ -425,8 +423,7 @@ def cmd_describe(cfg: Config) -> dict:
     return out
 
 
-def cmd_braid(cfg: Config, i: int, s: int, t: int) -> dict:
-    setting = build_setting(cfg)
+def cmd_braid(setting, i: int, s: int, t: int) -> dict:
     _check_index(i, setting.table)
     for k in (s, t):
         if not 0 <= k < setting.datum.rank:
@@ -454,10 +451,7 @@ def cmd_braid(cfg: Config, i: int, s: int, t: int) -> dict:
     }
 
 
-def cmd_act(cfg: Config, expr: str, component: int | None, poly_pairs) -> dict:
-    if component is None and poly_pairs is not None:
-        raise ParseError("--poly needs --component")
-    setting = build_setting(cfg)
+def cmd_act(setting, expr: str, component: int | None, poly_pairs) -> dict:
     datum, sub, table = setting.datum, setting.sub, setting.table
     op = parse_opexpr(expr, setting)
     n = datum.ambient_rank
@@ -488,17 +482,15 @@ def _operator_json(op, group):
     return rows
 
 
-def cmd_localize(cfg: Config, timings: dict) -> dict:
+def cmd_localize(setting, timings: dict) -> dict:
     """The multiplicity-formula matrix 1/E of every crossing generator, and
     the pathway and intertwining checks on one shared set of Lambda-cleared
-    crossing matrices.  Fills `timings` with the seconds of building the
-    setting (`setup_s`) and of each part: the reported 1/E matrices
-    (`generators_s`), the crossing matrices (`matrices_s`), the pathway
-    checks (`pathway_s`) and intertwining (`intertwining_s`)."""
+    crossing matrices.  Fills `timings` with the seconds of each part: the
+    reported 1/E matrices (`generators_s`), the crossing matrices
+    (`matrices_s`), the pathway checks (`pathway_s`) and intertwining
+    (`intertwining_s`)."""
     clock = time.perf_counter
     marks = [clock()]
-    setting = build_setting(cfg)
-    marks.append(clock())
     group = setting.group
     one = Poly.const(setting.datum.ambient_rank, 1)
     out = {"generators": {}}
@@ -516,14 +508,13 @@ def cmd_localize(cfg: Config, timings: dict) -> dict:
     checks += localize.intertwining_check(setting, matrices=matrices)
     marks.append(clock())
     out["checks"] = [r.as_dict() for r in checks]
-    parts = ("setup_s", "generators_s", "matrices_s", "pathway_s", "intertwining_s")
+    parts = ("generators_s", "matrices_s", "pathway_s", "intertwining_s")
     for key, start, end in zip(parts, marks, marks[1:]):
         timings[key] = round(end - start, 3)
     return out
 
 
-def cmd_euler(cfg: Config) -> dict:
-    setting = build_setting(cfg)
+def cmd_euler(setting) -> dict:
     datum, table, group = setting.datum, setting.table, setting.group
     out = {"lambda": [], "crossing_cells": []}
     for g, lam in enumerate(setting.lambdas):
@@ -566,11 +557,6 @@ def cmd_preset(name: str, quiver_json: str | None) -> Config:
         quiver = presets.QuiverSpec(raw["vertices"], raw["arrows"], raw["dimension"])
         return presets.preset_klr(quiver)
     raise ParseError(f"unknown preset {name!r}")
-
-
-def _load_config(path: str) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 @functools.cache
@@ -621,16 +607,12 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         if args.command == "preset":
-            cfg = cmd_preset(args.name, args.quiver)
-            text = emit_config(cfg)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
+            _write(emit_config(cmd_preset(args.name, args.quiver)), args.out)
             return 0
 
-        cfg = _load_config(args.config)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+        # every argument that needs no setting is checked before it is built
         if args.command == "check":
             if args.strict:
                 cfg.strict_suitability = True
@@ -638,43 +620,46 @@ def main(argv=None) -> int:
                 cfg.degree_bound = check_degree_bound(args.degree_bound, "--degree-bound")
             if args.seed is not None:
                 cfg.seed = args.seed
-            selected = None if args.checks is None else args.checks.split(",")
-            results, setup_seconds, suite_seconds, sizes = run_checks(cfg, selected)
-            report = {
-                "config_echo": json.loads(emit_config(cfg)),
-                "checks": [r.as_dict() for r in results],
-                "timings": {
-                    "total_s": round(time.time() - t0, 3),
-                    "setup_s": round(setup_seconds, 3),
-                    "suites": {k: round(v, 3) for k, v in suite_seconds.items()},
-                    "kernel": KERNEL_NAME,
-                    "sizes": sizes,
-                },
-            }
-            _emit(report, args.out)
-            return _exit_status(report["checks"])
-
-        timings = {}  # filled by the localize command
-        handlers = {
-            "describe": lambda: cmd_describe(cfg),
-            "braid": lambda: cmd_braid(cfg, args.i, args.s, args.t),
-            "act": lambda: cmd_act(
-                cfg,
-                args.expr,
-                args.component,
-                None if args.poly is None else load_json(args.poly, "--poly"),
-            ),
-            "localize": lambda: cmd_localize(cfg, timings),
-            "euler": lambda: cmd_euler(cfg),
+            selected = _suite_names(cfg, None if args.checks is None else args.checks.split(","))
+        if args.command == "act":
+            poly = None if args.poly is None else load_json(args.poly, "--poly")
+            if args.component is None and poly is not None:
+                raise ParseError("--poly needs --component")
+        clock = time.perf_counter()
+        setting = build_setting(cfg)
+        timings = {
+            "setup_s": round(time.perf_counter() - clock, 3),
+            "kernel": KERNEL_NAME,
+            "sizes": {
+                "big_group_order": len(setting.group),
+                "group_order": setting.sub.group_order,
+                "cosets": len(setting.table.indices),
+            },
         }
-        payload = handlers[args.command]()
+        if args.command == "check":
+            results, seconds = run_checks(setting, cfg, selected)
+            timings["suites"] = {k: round(v, 3) for k, v in seconds.items()}
+            timings["sizes"]["checks"] = len(results)
+            body = {"checks": [r.as_dict() for r in results]}
+        else:
+            body = {"result": {
+                "describe": lambda: cmd_describe(setting),
+                "braid": lambda: cmd_braid(setting, args.i, args.s, args.t),
+                "act": lambda: cmd_act(setting, args.expr, args.component, poly),
+                "localize": lambda: cmd_localize(setting, timings),
+                "euler": lambda: cmd_euler(setting),
+            }[args.command]()}
+        del setting  # freed before the report is encoded
         report = {
             "config_echo": json.loads(emit_config(cfg)),
-            "result": payload,
+            **body,
             "timings": {"total_s": round(time.time() - t0, 3), **timings},
         }
         _emit(report, args.out)
-        return _exit_status(payload["checks"]) if args.command == "localize" else 0
+        return _exit_status(body["checks"] if "checks" in body else body["result"].get("checks", []))
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
+        return 4
     except InternalInvariantError as exc:
         print(f"internal invariant broken: {exc}", file=sys.stderr)
         return 3
@@ -699,7 +684,11 @@ def _exit_status(checks) -> int:
 def _emit(report: dict, out_path: str | None):
     """Write a report as one line of compact JSON with sorted keys, which
     json's C encoder writes (`python -m json.tool` indents it)."""
-    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    _write(json.dumps(report, sort_keys=True, separators=(",", ":")), out_path)
+
+
+def _write(text: str, out_path: str | None):
+    """Write `text` and a newline to `out_path`, or print it."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -1,12 +1,14 @@
 import functools
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from qhecke import algebra, cli
+from qhecke import algebra, cli, polyops
 from qhecke.algebra import TwistedOperator
 from qhecke.config import Config, build_setting, emit_config, parse_config
 from qhecke.errors import NonIntegralResult, ParseError, UnknownIndex
@@ -204,7 +206,7 @@ class TestCommands:
         assert cli.main(["localize", "--config", a2_config, "--out", str(out)]) == 0
         timings = json.loads(out.read_text())["timings"]
         parts = ("generators_s", "matrices_s", "pathway_s", "intertwining_s")
-        assert sorted(timings) == sorted(("total_s", "setup_s") + parts)
+        assert sorted(timings) == sorted(("total_s", "setup_s", "kernel", "sizes") + parts)
         # each figure is rounded to the millisecond on its own, so the sum
         # may pass total_s by half a millisecond per figure
         assert sum(timings[k] for k in ("setup_s",) + parts) <= timings["total_s"] + 0.003
@@ -471,8 +473,9 @@ class TestMalformedInputToMain:
     def test_checks_option_not_distinct_names(self, capsys, tmp_path, checks):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"group": "A2", "options": {"checks": checks}}))
+        cfg = parse_config(path.read_text())
         with pytest.raises(ParseError):
-            cli.run_checks(parse_config(path.read_text()))
+            cli.run_checks(build_setting(cfg), cfg)
         self.assert_parse_error(
             capsys,
             ["check", "--config", str(path)],
@@ -752,6 +755,18 @@ class TestExitCodes:
         assert cli.main(["check", "--config", a2_config, "--checks", "localization"]) == 3
         assert "has two denominators" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_4(self, capsys, monkeypatch, tmp_path, a2_config):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(polyops._k, "kmul", exhausted)
+        out = tmp_path / "report.json"
+        argv = ["check", "--config", a2_config, "--checks", "relations", "--out", str(out)]
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestOnlyTypedErrorsAreBadInput:
     """Bad input raises a typed error where it is validated and exits 2;
@@ -878,6 +893,63 @@ class TestCheckTimings:
             "cosets": 3,
             "checks": len(report["checks"]),
         }
+
+
+class TestOneSetting:
+    """Every config command builds its setting once, in `cli.main`, after
+    every argument that needs no setting is checked, and reports its set-up
+    time, kernel and sizes."""
+
+    # KLR on the arrow 1 -> 2 with dimension (2, 1): |W_big| = 6, |W| = 2, 3 cosets
+    QUIVER_21 = json.dumps({"vertices": [1, 2], "arrows": [[1, 2]], "dimension": [2, 1]})
+    COMMANDS = {
+        "act": ["--expr", "s(0,0)*z(0,0)"],
+        "braid": ["--i", "0", "--s", "0", "--t", "1"],
+        "check": ["--checks", "coset"],
+        "describe": [],
+        "euler": [],
+        "localize": [],
+    }
+
+    @pytest.fixture(scope="class")
+    def klr_config(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("one-setting") / "klr.json"
+        path.write_text(emit_config(cli.cmd_preset("klr", self.QUIVER_21)))
+        return str(path)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_report_names_setup_kernel_and_sizes(self, capsys, monkeypatch, klr_config, command):
+        built = []
+        real = cli.build_setting
+        monkeypatch.setattr(cli, "build_setting", lambda cfg: built.append(cfg) or real(cfg))
+        assert cli.main([command, "--config", klr_config, *self.COMMANDS[command]]) == 0
+        report = json.loads(capsys.readouterr().out)
+        timings = report["timings"]
+        assert len(built) == 1
+        assert isinstance(timings["setup_s"], float) and 0 <= timings["setup_s"] <= timings["total_s"]
+        assert timings["kernel"] == KERNEL_NAME
+        sizes = {"big_group_order": 6, "group_order": 2, "cosets": 3}
+        if command == "check":
+            sizes["checks"] = len(report["checks"])
+        assert timings["sizes"] == sizes
+
+    @pytest.mark.parametrize("where", ["argument", "option"])
+    def test_unknown_suite_refused_before_the_setting(self, capsys, monkeypatch, tmp_path, where):
+        def never(cfg):
+            raise AssertionError("build_setting called")
+
+        monkeypatch.setattr(cli, "build_setting", never)
+        raw = {"group": "A2"} if where == "argument" else {"group": "A2", "options": {"checks": ["nosuch"]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        argv = ["check", "--config", str(path)] + (["--checks", "nosuch"] if where == "argument" else [])
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: unknown check suite 'nosuch'\n"
+
+    def test_suite_table_is_the_readme_list(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = re.search(r"Check suites.*?\):(.*?)\.", readme, re.S).group(1)
+        assert re.findall(r"`([a-z]+)`", listed) == list(cli.SUITES)
 
 
 def _as_loaded(value):
