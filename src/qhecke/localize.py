@@ -21,7 +21,8 @@ fieldwise min and expands only the forms left over.  Only the operator
 translation `localize_op` works with the algebra's `RatFun`s, which keeps
 the pathway comparison independent.  The unit and variable matrices are
 theta's diagonal on the unit and on x_t, and leading terms compare Euler
-classes with denominators cleared.
+classes with denominators cleared, at one fixed point per coset wherever the
+twisting data make the classes W-equivariant (`leading_term_suite`).
 
 The intertwining and equivariance checks evaluate these products one
 fixed-point row at a time and build no vector.  Each crossing matrix is
@@ -47,10 +48,8 @@ exactly; the swapped placement flips the sign.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from operator import add, and_, mul, or_
+from operator import and_
 
-from .errors import InternalInvariantError
 from .polyops import (
     CrossingRows,
     EulerClass,
@@ -366,83 +365,77 @@ def leading_term_suite(setting: Setting) -> list:
     """All length-additive pairs (s, w), for positive-system twisting data:
     the composition of crossing-cell classes matches the longer cell at every
     leading pair (u, u*sw), 1/E(u,s) * 1/E(us,w) * Lambda_us == 1/E(u,sw),
-    compared with denominators cleared as E(u,sw) * Lambda_us ==
-    E(u,s) * E(us,w).  Every u is visited, and the first u that fails is the
-    counterexample; results come in (s, w) order.
+    compared as `EulerClass` products with denominators cleared.  The first
+    failing u is the counterexample; results come in (s, w) order, after the
+    lemma `weight-equivariance`.
 
-    The classes are read from rows E(., y) = `eu_zbar_w(setting, u, y)` over
-    every u, each entry kept as its scalar and packed counts (two parallel
-    tuples), so a product of classes is a product of scalars and a sum of
-    counts, and a sum that reaches a field's top bit raises, as
-    `EulerClass.__mul__` does.  Each row is built once, at its first use.  w runs in index
-    order, which is length order, and row w is dropped once w is done: only
-    the rows of about two length layers are alive at a time, besides the
-    rank rows of the simple reflections, which live for the whole suite.
+    The scope is read from the data, never from the lemma.  Where every V_k
+    is W-stable, the lemma checks that each simple reflection h of Phi moves
+    the tangent and fiber sets at g onto those at h*g, and that each stored
+    Lambda_g is the class of g's sets.  The classes are built from those
+    sets and h acts on polynomials as a ring automorphism, so the identity
+    at h*u is h applied to the one at u, and u runs over the coset
+    representatives: each coset is a W-orbit whose first element in index
+    order is its representative.  Elsewhere u runs over every element.
 
     The multiplicativity rests on cut additivity of the twisting weight sets,
     which can fail for asymmetric custom data (e.g. a single highest-root
     copy); the suite is asserted only where the statement is available.
     """
     if not setting.data.borel_flag:
-        return [
-            CheckResult(
-                "leading-term",
-                True,
-                "skipped: asserted for positive-system twisting data only",
-            )
-        ]
-    group, lambdas = setting.group, setting.lambdas
-    guard = setting.weights.guard
-    size = len(group)
-    rows = {}
-
-    def row(y: int) -> tuple:
-        r = rows.get(y)
-        if r is None:
-            scalars, counts = [], []
-            for u in range(size):
-                e = eu_zbar_w(setting, u, y)
-                scalars.append(e.scalar)
-                counts.append(e.counts)
-            r = rows[y] = (tuple(scalars), tuple(counts))
-        return r
-
-    simple = group.simple
-    right = [[group.mul(u, t) for u in range(size)] for t in simple]
-    lambda_rows = [
-        (tuple(lambdas[us].scalar for us in r), tuple(lambdas[us].counts for us in r))
-        for r in right
+        skip = "skipped: asserted for positive-system twisting data only"
+        return [CheckResult("leading-term", True, skip)]
+    group, sub = setting.group, setting.sub
+    if all(sub.stabilizes(V) for V in setting.data.V_sets):
+        points = setting.table.reps
+        scope = (
+            f"{len(sub._refl)} simple reflections of W on {len(group)} elements; "
+            f"leading at one element per coset, {len(points)} in all"
+        )
+        lemma = verdict("weight-equivariance", _equivariance_failures(setting), scope)
+    else:
+        points = range(len(group))
+        scope = "out of scope: some V_k is not W-stable; leading at every element"
+        lemma = CheckResult("weight-equivariance", True, scope)
+    return [lemma] + [
+        verdict(
+            f"leading-term(s={s},w={group.reduced_word(w)})",
+            _leading_failures(setting, points, s, w),
+        )
+        for s, t in enumerate(group.simple)
+        for w in range(len(group))
+        if group.length(group.mul(t, w)) == group.length(w) + 1
     ]
-    simple_rows = [row(t) for t in simple]
-    found = [[] for _ in simple]
-    for w in range(size):
-        for s, t in enumerate(simple):
-            sw = group.mul(t, w)
-            if group.length(sw) != group.length(w) + 1:
-                continue
-            us = right[s]
-            sw_scalars, sw_counts = row(sw)
-            lam_scalars, lam_counts = lambda_rows[s]
-            s_scalars, s_counts = simple_rows[s]
-            w_scalars, w_counts = row(w)
-            lhs = list(map(add, sw_counts, lam_counts))
-            rhs = list(map(add, s_counts, map(w_counts.__getitem__, us)))
-            lhs_scalars = list(map(mul, sw_scalars, lam_scalars))
-            rhs_scalars = list(map(mul, s_scalars, map(w_scalars.__getitem__, us)))
-            first = size
-            if lhs != rhs or lhs_scalars != rhs_scalars:
-                first = next(
-                    u for u in range(size)
-                    if lhs[u] != rhs[u] or lhs_scalars[u] != rhs_scalars[u]
-                )
-            # the products of every u up to the first failure are formed
-            if (reduce(or_, lhs[: first + 1], 0) | reduce(or_, rhs[: first + 1], 0)) & guard:
-                raise InternalInvariantError("an Euler class overflows its count fields")
-            failures = [{"u": group.reduced_word(first)}] if first < size else []
-            found[s].append(verdict(f"leading-term(s={s},w={group.reduced_word(w)})", failures))
-        if w not in simple:
-            rows.pop(w, None)
-    return [r for results in found for r in results]
+
+
+def _equivariance_failures(setting: Setting):
+    """The elements g, in index order, whose tangent or fiber sets moved by
+    a simple reflection h of Phi are not the sets at h*g, or whose stored
+    Lambda is not the class of g's sets."""
+    group, weights, lambdas = setting.group, setting.weights, setting.lambdas
+    moves = [(k, h, weights.perm(h)) for k, h in enumerate(setting.sub._refl)]
+    for g in range(len(group)):
+        tangent, fibers = tangent_n(setting, g), fiber_weights(setting, g)
+        for k, h, perm in moves:
+            hg = group.mul(h, g)
+            if tangent_n(setting, hg) != weights.move(tangent, perm):
+                yield {"element": group.reduced_word(g), "reflection": k, "which": "tangent"}
+            if fiber_weights(setting, hg) != tuple(weights.move(f, perm) for f in fibers):
+                yield {"element": group.reduced_word(g), "reflection": k, "which": "fiber"}
+        if lambdas[g] != euler(setting, tangent, *fibers):
+            yield {"element": group.reduced_word(g), "which": "lambda"}
+
+
+def _leading_failures(setting: Setting, points, s: int, w: int):
+    """The u of `points`, in order, at which the leading identity of the
+    additive pair (s, w) fails."""
+    group, lambdas = setting.group, setting.lambdas
+    t, sw = group.simple[s], group.mul(group.simple[s], w)
+    for u in points:
+        us = group.mul(u, t)
+        lhs = eu_zbar_w(setting, u, sw) * lambdas[us]
+        if lhs != eu_zbar_w(setting, u, t) * eu_zbar_w(setting, us, w):
+            yield {"u": group.reduced_word(u)}
 
 
 def additivity_sides(group, F: frozenset, w: int, s: int) -> tuple:

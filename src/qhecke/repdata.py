@@ -202,6 +202,11 @@ class WeightTable:
         field = self.field
         return {w: m for w, k in zip(self.entries, self.shift) if (m := (total >> k) & field)}
 
+    def move(self, part: int, perm) -> int:
+        """The image of the set `part` under `perm`, a `perm(g)`."""
+        bit = self.bit
+        return sum(bit[q] for b, q in zip(bit, perm) if part & b)
+
     def negate(self, part: int) -> int:
         """The set holding the negative of each weight of the set `part`."""
         return sum(neg for b, neg in zip(self.bit, self.neg) if part & b)
@@ -246,8 +251,7 @@ def validate(setting: Setting, strict: bool = False) -> list:
         )
         if not ok:
             continue
-        stable = all(group.act(g, v) in V for g in sub.members for v in V)
-        results.append(CheckResult(f"V[{k}]-W-stable", stable))
+        results.append(CheckResult(f"V[{k}]-W-stable", sub.stabilizes(V)))
         results.append(closed_under(f"V[{k}]-closed-under-Phi", phi, V))
 
     failures = [r for r in results if not r.passed]

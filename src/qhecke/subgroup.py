@@ -5,8 +5,8 @@ the defining subgroup: torsion constraints test integrality of the pairing,
 generic (one-parameter) constraints test vanishing.  The reflections in that
 subsystem generate the small Weyl group W inside the big one, and the right
 cosets W\\W_big get canonical representatives characterized by
-Phi cap x(Phi_big^+) = Phi^+ (a Borel-compatibility condition, not
-length-minimality).  Canonicalization runs once per coset, and the coset is
+Phi cap x(Phi_big^+) = Phi^+: x is the shortest element of Wx, the first
+in enumeration order.  Canonicalization runs once per coset, and the coset is
 filled as the W-orbit of its representative; cosets that overlap are a
 broken invariant, not a property of the input.
 """
@@ -75,6 +75,12 @@ class SubSystem:
     def reflection(self, simple_index: int) -> int:
         """Group index of the reflection in the simple_index-th simple of Phi."""
         return self._refl[simple_index]
+
+    def stabilizes(self, weights) -> bool:
+        """Whether W maps the weight set into itself, tested on the simple
+        reflections of Phi, which generate W."""
+        act = self.group.act
+        return all(act(h, v) in weights for h in self._refl for v in weights)
 
     def length_in(self, g: int) -> int:
         """Length of g inside W: inversions of Phi^+ (only sensible for g in W)."""
@@ -285,16 +291,13 @@ def _minimal_coset_reps(group: WeylGroup, J) -> frozenset:
     )
 
 
-def _w_minimal_reps(sub: SubSystem, L_refl) -> frozenset:
-    """Elements of W with no right descent along the reflections in L_refl,
-    descents measured by Phi-inversion count."""
-    group = sub.group
-    out = set()
-    for g in sub.members:
-        lg = sub.length_in(g)
-        if all(sub.length_in(group.mul(g, t)) > lg for t in L_refl):
-            out.add(g)
-    return frozenset(out)
+def _w_minimal_reps(sub: SubSystem, L) -> frozenset:
+    """Elements of W with no right descent along the simple reflections
+    s_beta of Phi indexed by L.  For g in W, l_W(g s_beta) > l_W(g) exactly
+    when g(beta) lies in Phi^+, so each descent is one lookup."""
+    perms, neg = sub.group.perms, sub._negative
+    betas = [sub._simple_index[k] for k in L]
+    return frozenset(g for g in sub.members if not any(neg[perms[g][b]] for b in betas))
 
 
 @dataclass(frozen=True)
@@ -315,9 +318,8 @@ def parabolic_data(sub: SubSystem, J) -> ParabolicData:
     group = sub.group
     J = tuple(sorted(set(J)))
     WJ = _subgroup_elements(group, (group.simple[k] for k in J))
-    L_refl = tuple(t for t in sub._refl if t in WJ)
     big_min = _minimal_coset_reps(group, J)
-    W_min = _w_minimal_reps(sub, L_refl)
+    W_min = _w_minimal_reps(sub, [k for k, t in enumerate(sub._refl) if t in WJ])
     bad = []
     for w in sorted(sub.members):
         y = w

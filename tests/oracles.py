@@ -42,10 +42,15 @@
   each side sorted again after x (`sorted_additivity_sides`,
   `sorted_inversion_check`); the program holds the sides as bytes and
   moves them by x's byte table (`localize.additivity_sides`).
-- The leading-term check of one (s, w) on `EulerClass` products, three
-  `eu_zbar_w` calls per u (`leading_term_check`); the program's suite reads
-  the same classes from rows of (scalar, packed counts) built once per
-  element.
+- The leading-term check of one (s, w) at every element u, three
+  `eu_zbar_w` calls per u (`leading_term_check`); where every V_k is
+  W-stable the program's suite checks the same products at the coset
+  representatives only, resting on its `weight-equivariance` lemma, and
+  `tests/test_euler_index.py` checks that both give the same results.
+- The W-minimal coset representatives with each right descent measured by
+  two Phi-inversion counts (`w_minimal_reps_by_length`); the program reads
+  a descent off the sign of one root, and `tests/test_subgroup.py` checks
+  that both give the same sets.
 - The weight-multiset assembly of Euler classes: tangent and fiber weights
   as `Counter`s of weight tuples and a class as (scalar, Counter of
   primitive forms).  The program packs the same classes over its weight
@@ -546,6 +551,20 @@ def sorted_inversion_check(group, x: int, sides) -> bool:
     lhs, rhs = sides
     p = group.perms[x]
     return sorted(p[i] for i in lhs) == sorted(p[i] for i in rhs)
+
+
+# -- W-minimal representatives by length ---------------------------------------
+
+
+def w_minimal_reps_by_length(sub, L_refl) -> frozenset:
+    """Elements of W with no right descent along the reflections in L_refl,
+    descents measured by Phi-inversion count."""
+    group = sub.group
+    return frozenset(
+        g
+        for g in sub.members
+        if all(sub.length_in(group.mul(g, t)) > sub.length_in(g) for t in L_refl)
+    )
 
 
 # -- leading terms on Euler class products ------------------------------------

@@ -1045,7 +1045,7 @@ class TestPinnedReports:
         ("A2-U10-V20-11", "check"): (1, "03a8e0aaae0b13bdea4c0c6228e810a5b128c6407b80ac9dd345c69e71b43714"),
         ("A2-U10-V20-11", "euler"): (0, "d3ef31f255ac969cd6df5e3271ae596a4c8b7d902565733494bc5f434f42bb88"),
         ("A2-U10-V20-11", "localize"): (1, "3bc4541bf0b5db1f68c8d6335505b6907063f85101cdd28efbb0c679419cd3f9"),
-        ("B2-two-copies-one-empty-V", "check"): (0, "ef6fb35b5068b6f46d20abcf2a006dbc8587aa42611e092e5b8837230e5d116f"),
+        ("B2-two-copies-one-empty-V", "check"): (0, "c5a4c12db0024db3e09d40c3b9a3b1a913f1f0c60db772f394c0ec4044ca6947"),
         ("B2-two-copies-one-empty-V", "euler"): (0, "c41c7549e3991152b72c9dffd7845818b8f3b325a9e4c17cf89fe64d1be3396c"),
         ("B2-two-copies-one-empty-V", "localize"): (0, "76911bb8f42c86c7a2cc2bf8350e89a9383c035e3057ed9e3dc08e386dad499a"),
     }

@@ -8,7 +8,8 @@ multiplied out one call at a time (`oracles.form_product`).
 The settings cover both families of twisting data, KLR quivers with and
 without a loop, a copy with empty V, and explicit weights off the roots:
 (2, 0) in V, which no fiber reaches, and (2, 0) in U and V, whose W-orbit
-and negatives enter the classes with scale 2 beside the root (1, 0)."""
+and negatives enter the classes with scale 2 beside the root (1, 0).  The
+last setting is a positive system whose V = {alpha_1} is not W-stable."""
 
 import random
 from collections import Counter
@@ -49,6 +50,7 @@ CONFIGS = {
     "A2-U20-10-V20": lambda: Config(
         group="A2", r=1, U=[[[2, 0], [1, 0]]], V=[[[2, 0], [-2, 0], [1, 0], [0, 2]]]
     ),
+    "A2-positive-V10": lambda: Config(group="A2", r=1, U=["positive_roots"], V=[[[1, 0]]]),
 }
 
 
@@ -217,10 +219,20 @@ class TestExpansionAgainstTheFormProduct:
         assert again.num == one.expand() and again.den == Poly.const(n, 1)
 
 
-class TestLeadingRowsAgainstTheClassOracle:
-    """`localize.leading_term_suite` reads its classes from rows of (scalar,
-    packed counts), one per element; `oracles.leading_term_check` multiplies
-    `EulerClass`es with three `eu_zbar_w` calls per u."""
+def leading_pairs(group):
+    """Every additive (s, w), in the suite's order."""
+    return [
+        (s, w)
+        for s, t in enumerate(group.simple)
+        for w in range(len(group))
+        if group.length(group.mul(t, w)) == group.length(w) + 1
+    ]
+
+
+class TestLeadingAgainstTheClassOracle:
+    """`localize.leading_term_suite` checks the identity at the coset
+    representatives where every V_k is W-stable, and at every element
+    otherwise; `oracles.leading_term_check` checks it at every element."""
 
     def test_same_results_for_every_pair(self, setting, monkeypatch):
         # the suite asserts the statement only for positive-system data, but
@@ -228,21 +240,18 @@ class TestLeadingRowsAgainstTheClassOracle:
         # settings fail at some pairs, so counterexamples are compared too
         custom = not setting.data.borel_flag
         monkeypatch.setattr(setting.data, "borel_flag", True)
-        group = setting.group
-        want = [
-            oracles.leading_term_check(setting, s, w)
-            for s, t in enumerate(group.simple)
-            for w in range(len(group))
-            if group.length(group.mul(t, w)) == group.length(w) + 1
-        ]
-        got = leading_term_suite(setting)
+        want = [oracles.leading_term_check(setting, s, w) for s, w in leading_pairs(setting.group)]
+        lemma, *got = leading_term_suite(setting)
+        stable = all(setting.sub.stabilizes(V) for V in setting.data.V_sets)
+        assert lemma.name == "weight-equivariance" and lemma.passed, lemma
+        assert ("out of scope" in lemma.details) == (not stable)
         assert got == want
         assert not custom or any(not r.passed for r in got)
 
     @pytest.mark.parametrize(
         "config", [lambda: preset_nilhecke("A3"), CONFIGS["klr-arrow-2-2"]]
     )
-    def test_each_row_is_built_once(self, monkeypatch, config):
+    def test_three_classes_per_pair_and_representative(self, monkeypatch, config):
         setting = build_setting(config())
         calls = []
         real = localize.eu_zbar_w
@@ -252,6 +261,8 @@ class TestLeadingRowsAgainstTheClassOracle:
             return real(*args)
 
         monkeypatch.setattr(localize, "eu_zbar_w", counting)
-        assert all(r.passed for r in leading_term_suite(setting))
-        size = len(setting.group)
-        assert len(calls) == len(set(calls)) == size * size
+        results = leading_term_suite(setting)
+        assert all(r.passed for r in results)
+        assert results[0].details.endswith(f"one element per coset, {len(setting.table)} in all")
+        pairs = len(leading_pairs(setting.group))
+        assert len(calls) == 3 * pairs * len(setting.table)

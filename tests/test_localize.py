@@ -590,7 +590,11 @@ class TestSharedCrossingMatrices:
 class TestWeightMemoMutants:
     """One flipped bit in a memoised tangent or fiber set fails the leading
     suite and the euler suite.  nil:A3 has no copies, hence no fiber sets,
-    so the fiber mutant runs on skew:A3 in its place."""
+    so the fiber mutant runs on skew:A3 in its place.  The bit is flipped at
+    g = s_0, so the lemma's first counterexample is the move from e, the
+    first element, under the reflection h = g of Phi, its index given here.
+    Each setting is one coset, so leading checks u = e only, and fails where
+    u*s = g."""
 
     BUILD = {
         "nil:A3": lambda: make_setting("A3"),
@@ -600,44 +604,49 @@ class TestWeightMemoMutants:
 
     @staticmethod
     def failures(setting):
-        leading = leading_term_suite(setting)
+        lemma, *leading = leading_term_suite(setting)
         euler = euler_identities_check(setting)
         return (
             sum(not r.passed for r in leading),
             len(leading),
+            lemma.counterexample,
             sorted(r.name for r in euler if not r.passed),
         )
 
     @pytest.mark.parametrize(
-        "name, failing",
-        [("nil:A3", (30, 36)), ("skew:B2", (6, 8))],
+        "name, failing, h",
+        [("nil:A3", (3, 36), 2), ("skew:B2", (1, 8), 1)],
     )
-    def test_a_flipped_tangent_bit(self, monkeypatch, name, failing):
+    def test_a_flipped_tangent_bit(self, monkeypatch, name, failing, h):
         setting = self.BUILD[name]()
-        assert self.failures(setting) == (0, failing[1], [])
+        assert self.failures(setting) == (0, failing[1], None, [])
         setting = self.BUILD[name]()
         g = setting.group.simple[0]
+        assert setting.sub._refl[h] == g
         flipped = tangent_n(setting, g) ^ setting.weights.bit[0]
         monkeypatch.setitem(setting.tangents, g, flipped)
         assert self.failures(setting) == (
             *failing,
+            {"element": (), "reflection": h, "which": "tangent"},
             ["curve-euler-classes", "lambda-sign-law", "power-forms"],
         )
 
     @pytest.mark.parametrize(
-        "name, failing",
-        [("skew:A3", (30, 36)), ("skew:B2", (6, 8))],
+        "name, failing, h",
+        [("skew:A3", (3, 36), 2), ("skew:B2", (1, 8), 1)],
     )
-    def test_a_flipped_fiber_bit(self, monkeypatch, name, failing):
+    def test_a_flipped_fiber_bit(self, monkeypatch, name, failing, h):
         setting = self.BUILD[name]()
-        assert self.failures(setting) == (0, failing[1], [])
+        assert self.failures(setting) == (0, failing[1], None, [])
         setting = self.BUILD[name]()
         g = setting.group.simple[0]
+        assert setting.sub._refl[h] == g
         fibers = fiber_weights(setting, g)
         flipped = (fibers[0] ^ setting.weights.bit[0],) + fibers[1:]
         monkeypatch.setitem(setting.fibers, g, flipped)
         assert self.failures(setting) == (
             *failing,
+            {"element": (), "reflection": h, "which": "fiber"},
             ["lambda-sign-law", "power-forms", "q-translation"],
         )
 
@@ -648,8 +657,10 @@ class TestEulerIdentities:
             assert r.passed, (r.name, r.counterexample)
 
     def test_leading_terms(self, setting):
-        for r in leading_term_suite(setting):
+        results = leading_term_suite(setting)
+        for r in results:
             assert r.passed, (r.name, r.counterexample)
+        assert "one element per coset" in results[0].details
 
 
 class TestDiagonalMatrices:
@@ -700,21 +711,28 @@ class TestLeadingTermClassComparison:
             assert leading_term_check(setting, s, w).passed == want
 
     @pytest.mark.parametrize(
-        "build, k, failing",
+        "build, k",
         [
-            (lambda: make_setting("A3"), 0, 36),
-            (lambda: make_setting("A3"), 23, 36),
-            (lambda: make_setting("B2", kind="skew"), 5, 8),
+            (lambda: make_setting("A3"), 0),
+            (lambda: make_setting("A3"), 23),
+            (lambda: make_setting("B2", kind="skew"), 5),
+            (lambda: build_setting(EULER_CONFIGS["klr-arrow-2-2"]()), 23),
         ],
     )
-    def test_a_negated_lambda_fails_every_check(self, build, k, failing):
+    def test_a_negated_lambda_fails_the_lemma(self, build, k):
+        # no representative u has u*s = k, so no leading pair reads Lambda_k;
+        # the lemma compares every stored Lambda with the class of its sets
         setting = build()
         assert all(r.passed for r in leading_term_suite(setting))
         lambdas = list(setting.lambdas)
         lambdas[k] = -lambdas[k]
         setting.__dict__["lambdas"] = tuple(lambdas)
-        results = leading_term_suite(setting)
-        assert sum(not r.passed for r in results) == len(results) == failing
+        lemma, *leading = leading_term_suite(setting)
+        assert not lemma.passed
+        assert lemma.counterexample == {
+            "element": setting.group.reduced_word(k), "which": "lambda"
+        }
+        assert all(r.passed for r in leading)
 
 
 class TestLeadingCountGuard:

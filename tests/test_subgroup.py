@@ -11,11 +11,13 @@ from qhecke.rootcore import build_root_datum
 from qhecke.subgroup import (
     CosetTable,
     TorusConstraint,
+    _subgroup_elements,
     factorization_check,
     fixed_subsystem,
     length_comparison_check,
     member_of_W,
     parabolic_checks,
+    parabolic_data,
     s_adapted,
 )
 
@@ -24,6 +26,7 @@ from oracles import (
     coset_table_per_element,
     factorization_all_pairs,
     reflection_matrix,
+    w_minimal_reps_by_length,
 )
 
 
@@ -233,10 +236,14 @@ SUBSYSTEMS = (
 def named_subsystem(name):
     """The fixed subsystem of a `qhecke preset` name, of "klr:<key>" for a
     quiver of KLR_QUIVERS, or of the A2 half-integral torsion constraint
-    and the GL2 generic constraint of the fixtures above."""
+    and the GL2 generic constraint of the fixtures above, or of B3 cut by
+    the torsion constraint (0, 0, 1/2)."""
     if name == "a2-halfint":
         constraint = TorusConstraint("torsion", (Fraction(1, 2), 0))
         return fixed_subsystem(build_root_datum("A2"), [constraint])
+    if name == "b3-torsion":
+        constraint = TorusConstraint("torsion", (0, 0, Fraction(1, 2)))
+        return fixed_subsystem(build_root_datum("B3"), [constraint])
     if name == "gl2-generic":
         return fixed_subsystem(build_root_datum("GL2"), [TorusConstraint("generic", (0, 1))])
     if name.startswith("klr:"):
@@ -264,6 +271,14 @@ class TestCosetsBuiltOnce:
         assert table.stab_flags == ref.stab_flags
         for i in ref.indices:
             assert table.fixed_points_of(i) == ref.fixed_points_of(i)
+
+    @pytest.mark.parametrize("name", SUBSYSTEMS)
+    def test_each_representative_is_its_cosets_first_element(self, name):
+        # the representative is the coset's minimal-length element, and
+        # elements are enumerated by length, so it comes first
+        table = CosetTable(named_subsystem(name))
+        for i in table.indices:
+            assert table.rep(i) == table.fixed_points_of(i)[0]
 
     @pytest.mark.parametrize(
         "name,cosets", [("nilhecke:F4", 1), ("a2-halfint", 3), ("klr:arrow-3-2", 10)]
@@ -434,3 +449,25 @@ class TestAdaptedness:
         got = _factorization_checks(sub)
         assert got == want
         assert len(factorization_all_pairs(sub)) > len(got)
+
+
+class TestDescentsByLookup:
+    """`parabolic_data` reads each right descent of W off the sign of one
+    root; `oracles.w_minimal_reps_by_length` compares two Phi-inversion
+    counts.  Every subset J of the big simples, adapted or not.  In
+    "b3-torsion" a simple root of Phi is not a simple root of B3."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["a2-halfint", "b3-torsion", "skew:G2", "nilhecke:A3", "klr:a3line-1-2-1",
+         "klr:looparrow-3-2"],
+    )
+    def test_same_minimal_representatives(self, name):
+        from itertools import combinations
+
+        sub = named_subsystem(name)
+        group, rank = sub.group, sub.datum.rank
+        for J in (J for size in range(rank + 1) for J in combinations(range(rank), size)):
+            WJ = _subgroup_elements(group, [group.simple[k] for k in J])
+            want = w_minimal_reps_by_length(sub, [t for t in sub._refl if t in WJ])
+            assert parabolic_data(sub, J).W_min == want, J
